@@ -221,7 +221,7 @@ def _parse_phi(text: str) -> "list[tuple]":
     """Parse a bivariate polynomial in x, y into (a, b, coeff) triples."""
     translated = _PHI_Y.sub("x2", _PHI_X.sub("x1", text))
     poly = Polynomial.parse(translated, Context(2))
-    return sorted((m[0], m[1], c) for m, c in poly.terms.items())
+    return sorted((a, b, c) for (a, b), c in poly.items())
 
 
 # -- subcommands -----------------------------------------------------------------

@@ -20,6 +20,7 @@ block shape (0 U / -U 0).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Mapping
 
@@ -91,8 +92,10 @@ class VanhaeckeSpec:
             tuple((int(a), int(b), c) for a, b, c in self.phi),
         )
 
-    @property
+    @cached_property
     def ctx(self) -> Context:
+        # One object for every polynomial built from this spec, so context
+        # checks in the kernel succeed on identity.
         return Context(2 * self.d)
 
 

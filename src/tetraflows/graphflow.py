@@ -31,10 +31,15 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import permutations
 
-from .multivector import MultiVector, RawMatrix, bivector_from_raw, mv_linear_combination
-from .polyring import Polynomial
+from .multivector import (
+    MultiVector,
+    RawMatrix,
+    bivector_from_raw,
+    first_derivatives,
+    mv_linear_combination,
+)
+from .polyring import Polynomial, addmul, finish
 
 __all__ = [
     "GraphParseError",
@@ -240,55 +245,47 @@ def evaluate_kgraph(g: KGraph, p: MultiVector) -> FlowResult:
         completes_at.append(done)
 
     derivs = _MatrixDerivatives(p)
-    zero = Polynomial.zero(ctx)
-    result = [[zero for _ in range(n)] for _ in range(n)]
+    sums: dict = {}  # (sink-1 index, sink-2 index) -> term dict
     idx = [0] * (2 * k)
     indices = range(1, n + 1)
 
     def assign(step: int, product: Polynomial):
-        if step == k:
-            a, b = idx[s1_edge], idx[s2_edge]
-            result[a - 1][b - 1] = result[a - 1][b - 1] + product
-            return
         v = order[step]
         el, er = 2 * (v - 1), 2 * (v - 1) + 1
         ready = completes_at[step]
+        last = step == k - 1  # every edge, the sink edges too, is set here
         for a in indices:
             idx[el] = a
             for b in indices:
                 idx[er] = b
-                prod = product
-                ok = True
+                factors = []
                 for w in ready:
                     ew = 2 * (w - 1)
                     ds = tuple(sorted(idx[e] for e in in_edges[w]))
                     factor = derivs.get(idx[ew], idx[ew + 1], ds)
                     if factor.is_zero:
-                        ok = False
                         break
-                    prod = prod * factor
-                if ok:
-                    assign(step + 1, prod)
+                    factors.append(factor)
+                else:
+                    prod = product
+                    if last:
+                        # The last vertex's own factor always completes here.
+                        for factor in factors[:-1]:
+                            prod = prod * factor
+                        key = (idx[s1_edge], idx[s2_edge])
+                        addmul(sums.setdefault(key, {}), prod, factors[-1])
+                    else:
+                        for factor in factors:
+                            prod = prod * factor
+                        assign(step + 1, prod)
 
     assign(0, Polynomial.one(ctx))
+    zero = Polynomial.zero(ctx)
+    result = [[zero for _ in range(n)] for _ in range(n)]
+    for (a, b), acc in sums.items():
+        result[a - 1][b - 1] = finish(ctx, acc)
     raw = RawMatrix(ctx, result)
     return FlowResult(raw, bivector_from_raw(raw))
-
-
-def _first_derivatives(p: MultiVector) -> dict:
-    """Nonzero dP^{ab}/dx_c over the full matrix, keyed (a, b, c)."""
-    n = p.ctx.dim
-    out = {}
-    for a in range(1, n + 1):
-        for b in range(1, n + 1):
-            pab = p.entry(a, b)
-            if pab.is_zero:
-                continue
-            for c in range(1, p.ctx.dim + 1):
-                d = pab.diff(c)
-                if not d.is_zero:
-                    out[(a, b, c)] = d
-    return out
 
 
 def gamma1(p: MultiVector) -> FlowResult:
@@ -297,23 +294,23 @@ def gamma1(p: MultiVector) -> FlowResult:
         raise ValueError("expected a bi-vector (degree 2)")
     ctx = p.ctx
     n = ctx.dim
-    d1 = _first_derivatives(p)
+    d1 = first_derivatives(p)
     by_s2: dict = {}
     by_s2_deriv: dict = {}
     for (a, b, c), poly in d1.items():
         by_s2.setdefault(b, []).append((a, c, poly))
         by_s2_deriv.setdefault((b, c), []).append((a, poly))
 
-    # t1[(k,l,m)] = sum_{k',l',m'} dP^{kk'}/dx_{l'} dP^{ll'}/dx_{m'} dP^{mm'}/dx_{k'}
+    # t1[(k,l,m)] = sum_{k',l',m'} dP^{kk'}/dx_{l'} dP^{ll'}/dx_{m'} dP^{mm'}/dx_{k'},
+    # summed over the permutations of (k,l,m) and keyed by the sorted triple:
+    # the third derivative it multiplies is symmetric in k, l, m.
     t1: dict = {}
     for (k, k1, l1), p1 in d1.items():
         for (l, m1, p2) in by_s2.get(l1, ()):
             p12 = p1 * p2
             for (m, p3) in by_s2_deriv.get((m1, k1), ()):
-                key = (k, l, m)
-                cur = t1.get(key)
-                contrib = p12 * p3
-                t1[key] = contrib if cur is None else cur + contrib
+                addmul(t1.setdefault(tuple(sorted((k, l, m))), {}), p12, p3)
+    t1 = {key: finish(ctx, acc) for key, acc in t1.items()}
 
     zero = Polynomial.zero(ctx)
     result = [[zero for _ in range(n)] for _ in range(n)]
@@ -322,7 +319,7 @@ def gamma1(p: MultiVector) -> FlowResult:
             pij = p.entry(i, j)
             if pij.is_zero:
                 continue
-            acc = zero
+            acc: dict = {}
             for k in range(1, n + 1):
                 pk = pij.diff(k)
                 if pk.is_zero:
@@ -332,19 +329,13 @@ def gamma1(p: MultiVector) -> FlowResult:
                     if pkl.is_zero:
                         continue
                     for m in range(l, n + 1):
-                        pklm = pkl.diff(m)
-                        if pklm.is_zero:
-                            continue
-                        tsum = None
-                        for perm in set(permutations((k, l, m))):
-                            t = t1.get(perm)
-                            if t is not None:
-                                tsum = t if tsum is None else tsum + t
-                        if tsum is not None:
-                            acc = acc + pklm * tsum
-            if not acc.is_zero:
-                result[i - 1][j - 1] = acc
-                result[j - 1][i - 1] = -acc
+                        t = t1.get((k, l, m))
+                        if t is not None:
+                            addmul(acc, pkl.diff(m), t)
+            entry = finish(ctx, acc)
+            if not entry.is_zero:
+                result[i - 1][j - 1] = entry
+                result[j - 1][i - 1] = -entry
     raw = RawMatrix(ctx, result)
     return FlowResult(raw, bivector_from_raw(raw))
 
@@ -356,7 +347,7 @@ def gamma2(p: MultiVector) -> FlowResult:
         raise ValueError("expected a bi-vector (degree 2)")
     ctx = p.ctx
     n = ctx.dim
-    d1 = _first_derivatives(p)
+    d1 = first_derivatives(p)
     by_s1: dict = {}
     for (a, b, c), poly in d1.items():
         by_s1.setdefault(a, []).append((b, c, poly))
@@ -385,28 +376,27 @@ def gamma2(p: MultiVector) -> FlowResult:
     w: dict = {}
     for (k1, l, m1), p3 in d1.items():
         for (l2, j, p4) in by_s1.get(m1, ()):
-            key = (k1, l, l2, j)
-            contrib = p3 * p4
-            cur = w.get(key)
-            w[key] = contrib if cur is None else cur + contrib
+            addmul(w.setdefault((k1, l, l2, j), {}), p3, p4)
 
     # y[(i,k,k',l')] = sum_{j,l} d2P^{ij}/dx_k dx_l * w[(k',l,l',j)]
     y: dict = {}
-    for (k1, l, l2, j), wval in w.items():
+    for (k1, l, l2, j), acc in w.items():
+        wval = finish(ctx, acc)
         for a in range(1, n + 1):
             for (k, p1) in d2_second.get((a, j, l), ()):
-                key = (a, k, k1, l2)
-                contrib = p1 * wval
-                cur = y.get(key)
-                y[key] = contrib if cur is None else cur + contrib
+                addmul(y.setdefault((a, k, k1, l2), {}), p1, wval)
 
-    zero = Polynomial.zero(ctx)
-    result = [[zero for _ in range(n)] for _ in range(n)]
-    for (a, k, k1, l2), yval in y.items():
+    out: dict = {}
+    for (a, k, k1, l2), acc in y.items():
+        yval = finish(ctx, acc)
         for m in range(1, n + 1):
             p2 = d2.get((k, m), {}).get((k1, l2))
             if p2 is not None:
-                result[a - 1][m - 1] = result[a - 1][m - 1] + yval * p2
+                addmul(out.setdefault((a, m), {}), yval, p2)
+    zero = Polynomial.zero(ctx)
+    result = [[zero for _ in range(n)] for _ in range(n)]
+    for (a, m), acc in out.items():
+        result[a - 1][m - 1] = finish(ctx, acc)
     raw = RawMatrix(ctx, result)
     return FlowResult(raw, bivector_from_raw(raw))
 

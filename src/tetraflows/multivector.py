@@ -25,7 +25,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
-from .polyring import Context, ContextMismatchError, Polynomial
+from .polyring import Context, ContextMismatchError, Polynomial, addmul, finish
 
 __all__ = [
     "SCHOUTEN_SCALE",
@@ -284,56 +284,59 @@ def _require_bivectors(p: MultiVector, q: MultiVector) -> None:
         raise ContextMismatchError("bi-vectors from different contexts")
 
 
-class _DerivCache:
-    """Memoized first derivatives d_l M^{ab} of a bi-vector's full matrix."""
+def first_derivatives(p: MultiVector) -> dict:
+    """Nonzero dP^{ab}/dx_c over the full matrix of a bi-vector, keyed (a, b, c)."""
+    n = p.ctx.dim
+    out = {}
+    for a in range(1, n + 1):
+        for b in range(1, n + 1):
+            pab = p.entry(a, b)
+            if pab.is_zero:
+                continue
+            for c in range(1, n + 1):
+                d = pab.diff(c)
+                if not d.is_zero:
+                    out[(a, b, c)] = d
+    return out
 
-    def __init__(self, mv: MultiVector):
-        self.mv = mv
-        self.cache: dict = {}
 
-    def __call__(self, a: int, b: int, l: int) -> Polynomial:
-        key = (a, b, l)
-        d = self.cache.get(key)
-        if d is None:
-            d = self.mv.entry(a, b).diff(l)
-            self.cache[key] = d
-        return d
+def _jacobi_like(p: MultiVector, q: MultiVector, same: bool) -> dict:
+    """Components sum_l sum_cyc ( d_l P^{ab} Q^{lc} + d_l Q^{ab} P^{lc} ).
 
-
-def _jacobi_like(p: MultiVector, q: MultiVector) -> dict:
-    """Components sum_l sum_cyc ( d_l P^{ab} Q^{lc} + d_l Q^{ab} P^{lc} )."""
+    With ``same`` (p equals q) only the first of the two equal halves is
+    summed.
+    """
     ctx = p.ctx
     n = ctx.dim
-    dp = _DerivCache(p)
-    dq = _DerivCache(q)
-    same = p is q
+    dp = first_derivatives(p)
+    qm = q.full_matrix()
+    if not same:
+        dq = first_derivatives(q)
+        pm = p.full_matrix()
     comps = {}
     for i, j, k in combinations(range(1, n + 1), 3):
-        acc = Polynomial.zero(ctx)
-        for l in range(1, n + 1):
-            for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                qlc = q.entry(l, c)
-                if not qlc.is_zero:
-                    d = dp(a, b, l)
-                    if not d.is_zero:
-                        acc = acc + d * qlc
-                if same:
-                    continue
-                plc = p.entry(l, c)
-                if not plc.is_zero:
-                    d = dq(a, b, l)
-                    if not d.is_zero:
-                        acc = acc + d * plc
-        if not acc.is_zero:
-            comps[(i, j, k)] = acc
+        acc: dict = {}
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            for l in range(1, n + 1):
+                d = dp.get((a, b, l))
+                if d is not None:
+                    addmul(acc, d, qm[l - 1][c - 1])
+                if not same:
+                    d = dq.get((a, b, l))
+                    if d is not None:
+                        addmul(acc, d, pm[l - 1][c - 1])
+        poly = finish(ctx, acc)
+        if not poly.is_zero:
+            comps[(i, j, k)] = poly
     return comps
 
 
 def schouten(p: MultiVector, q: MultiVector) -> MultiVector:
     """Schouten bracket of two bi-vectors (a tri-vector); symmetric in (p, q)."""
     _require_bivectors(p, q)
-    comps = _jacobi_like(p, q)
-    scale = SCHOUTEN_SCALE * (2 if p is q else 1)
+    same = p is q or p == q
+    comps = _jacobi_like(p, q, same)
+    scale = SCHOUTEN_SCALE * (2 if same else 1)
     out = {}
     for idx, poly in comps.items():
         poly = poly.scale(scale)
@@ -350,7 +353,7 @@ def jacobiator(p: MultiVector) -> MultiVector:
     """
     if p.degree != 2:
         raise ValueError("expected a bi-vector (degree 2)")
-    return MultiVector(p.ctx, 3, _jacobi_like(p, p))
+    return MultiVector(p.ctx, 3, _jacobi_like(p, p, True))
 
 
 def is_poisson(p: MultiVector) -> bool:

@@ -2,11 +2,29 @@
 
 A polynomial lives in a :class:`Context` of ``n >= 2`` variables ``x1..xn``
 (plus, optionally, a formal deformation variable ``eps`` occupying a trailing
-exponent slot) and is stored as a dict mapping exponent tuples to nonzero
-rational coefficients::
+exponent slot) and is stored as a dict mapping packed monomials to nonzero
+rational coefficients.
+
+A monomial is packed into one Python int: every exponent slot is a field of
+``EXP_BITS`` bits, slot 0 (``x1``) is the most significant field and the
+eps slot, when present, the least significant one::
 
     3*x1^2*x2 - 1/2   in Context(dim=2)
-    -->  {(2, 1): 3, (0, 0): Fraction(-1, 2)}
+    -->  {(2 << EXP_BITS) | 1: 3, 0: Fraction(-1, 2)}
+
+So the product of two monomials is one int addition, ``diff`` is a shift, a
+mask and a subtraction, and int order equals the lexicographic order of the
+exponent tuples.  :meth:`Polynomial.items` gives the terms with unpacked
+exponent tuples.  Every exponent must be below ``EXPONENT_LIMIT`` (2^15):
+the top bit of each field is a guard bit that only an overflowing product
+can set, so a sum of two valid fields never carries into the next slot.
+Parsing, the constructor and products reject larger exponents with a
+``ValueError`` (:class:`PolyParseError` or :class:`ExponentOverflowError`).
+
+Products are accumulated by :func:`addmul`, which adds ``a * b`` into a
+mutable term dict, and :func:`finish`, which turns that dict into a
+canonical :class:`Polynomial`.  A sum of products is built in one dict,
+with no temporary polynomial per product and no copy per addition.
 
 Coefficients are kept as plain ``int`` whenever the value is integral and as
 ``fractions.Fraction`` otherwise; the two compare and hash equal, so the term
@@ -22,28 +40,46 @@ to the polynomial part) used by the even-dimensional bracket construction.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from functools import reduce
+from operator import or_
+from typing import Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
     "Coeff",
     "Context",
     "ContextMismatchError",
+    "EXPONENT_LIMIT",
+    "EXP_BITS",
+    "ExponentOverflowError",
     "PolyParseError",
     "Polynomial",
     "UPoly",
+    "addmul",
     "compose_bivariate",
+    "finish",
 ]
 
 # Rational scalar as stored in term maps: int when integral, Fraction otherwise.
 Coeff = "int | Fraction"
 
-Monomial = "tuple[int, ...]"
+# Width of one packed exponent field, its guard bit included.
+EXP_BITS = 16
+# Every exponent is below this; the field's top bit is the guard bit.
+EXPONENT_LIMIT = 1 << (EXP_BITS - 1)
+_FIELD = (1 << EXP_BITS) - 1
 
 
 class ContextMismatchError(ValueError):
     """Operands belong to different variable contexts."""
+
+
+class ExponentOverflowError(ValueError):
+    """An exponent is at or above ``EXPONENT_LIMIT``."""
+
+    def __init__(self, detail: str):
+        super().__init__(f"{detail}; exponents must be below {EXPONENT_LIMIT}")
 
 
 class PolyParseError(ValueError):
@@ -76,10 +112,14 @@ class Context:
 
     dim: int
     has_epsilon: bool = False
+    # The guard bits of all packed fields (derived, not compared).
+    guard: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.dim, int) or self.dim < 2:
             raise ValueError(f"Context dim must be an integer >= 2, got {self.dim!r}")
+        guard = sum(EXPONENT_LIMIT << (EXP_BITS * s) for s in range(self.nslots))
+        object.__setattr__(self, "guard", guard)
 
     @property
     def nslots(self) -> int:
@@ -91,6 +131,30 @@ class Context:
             return "eps"
         return f"x{slot + 1}"
 
+    def slot_shift(self, slot: int) -> int:
+        """Bit offset of a slot's field in a packed monomial."""
+        return EXP_BITS * (self.nslots - 1 - slot)
+
+    def pack(self, exps: Sequence[int]) -> int:
+        """Pack an exponent vector, validating its length and range."""
+        exps = tuple(exps)
+        if len(exps) != self.nslots or any(not isinstance(e, int) or e < 0 for e in exps):
+            raise ValueError(f"bad exponent vector {exps!r} for {self}")
+        mono = 0
+        for e in exps:
+            if e >= EXPONENT_LIMIT:
+                raise ExponentOverflowError(f"exponent {e} in {exps!r}")
+            mono = (mono << EXP_BITS) | e
+        return mono
+
+    def unpack(self, mono: int) -> "tuple[int, ...]":
+        """The exponent vector of a packed monomial."""
+        exps = []
+        for _ in range(self.nslots):
+            exps.append(mono & _FIELD)
+            mono >>= EXP_BITS
+        return tuple(reversed(exps))
+
     def with_epsilon(self) -> "Context":
         return Context(self.dim, True)
 
@@ -99,8 +163,44 @@ class Context:
 
 
 def _require_same_ctx(a: "Polynomial", b: "Polynomial") -> None:
-    if a.ctx != b.ctx:
+    if a.ctx is not b.ctx and a.ctx != b.ctx:
         raise ContextMismatchError(f"context mismatch: {a.ctx} vs {b.ctx}")
+
+
+def addmul(acc: dict, a: "Polynomial", b: "Polynomial") -> None:
+    """Accumulate the terms of ``a * b`` into the term dict ``acc``.
+
+    ``acc`` maps packed monomials to coefficients and may hold zero or
+    non-canonical coefficients until :func:`finish` turns it into a
+    Polynomial.  This is the only multiplication loop of the module.
+    """
+    _require_same_ctx(a, b)
+    ta, tb = a.terms, b.terms
+    if len(ta) > len(tb):  # fewer outer iterations on the smaller operand
+        ta, tb = tb, ta
+    tb = tb.items()
+    get = acc.get
+    for m1, c1 in ta.items():
+        for m2, c2 in tb:
+            m = m1 + m2
+            acc[m] = get(m, 0) + c1 * c2
+
+
+def finish(ctx: Context, acc: dict) -> "Polynomial":
+    """The canonical Polynomial of a term dict filled by :func:`addmul`.
+
+    Raises :class:`ExponentOverflowError` if a product set a guard bit, drops
+    zero terms and turns integral Fractions into ints.  ``acc`` is consumed:
+    it may become the result's term map.
+    """
+    if acc and reduce(or_, acc) & ctx.guard:
+        mono = next(m for m in acc if m & ctx.guard)
+        raise ExponentOverflowError(f"product exponent overflow in {ctx.unpack(mono)!r}")
+    if 0 in acc.values():
+        acc = {m: c for m, c in acc.items() if c}
+    if Fraction in set(map(type, acc.values())):
+        acc = {m: _norm_coeff(c) for m, c in acc.items()}
+    return Polynomial._raw(ctx, acc)
 
 
 class Polynomial:
@@ -109,17 +209,13 @@ class Polynomial:
     __slots__ = ("ctx", "terms")
 
     def __init__(self, ctx: Context, terms: Mapping[tuple, object] | None = None):
+        """Build from a map of exponent tuples to rational coefficients."""
         clean = {}
         if terms:
-            ns = ctx.nslots
             for mono, c in terms.items():
                 c = _norm_coeff(c)
-                if c == 0:
-                    continue
-                mono = tuple(mono)
-                if len(mono) != ns or any(e < 0 or not isinstance(e, int) for e in mono):
-                    raise ValueError(f"bad exponent vector {mono!r} for {ctx}")
-                clean[mono] = c
+                if c != 0:
+                    clean[ctx.pack(mono)] = c
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "terms", clean)
 
@@ -145,7 +241,7 @@ class Polynomial:
         value = _norm_coeff(value if isinstance(value, (int, Fraction)) else Fraction(value))
         if value == 0:
             return cls.zero(ctx)
-        return cls._raw(ctx, {(0,) * ctx.nslots: value})
+        return cls._raw(ctx, {0: value})
 
     @classmethod
     def one(cls, ctx: Context) -> "Polynomial":
@@ -156,17 +252,13 @@ class Polynomial:
         """The coordinate polynomial x_i (1-based, 1 <= i <= dim)."""
         if not 1 <= i <= ctx.dim:
             raise ValueError(f"variable index {i} out of range 1..{ctx.dim}")
-        exps = [0] * ctx.nslots
-        exps[i - 1] = 1
-        return cls._raw(ctx, {tuple(exps): 1})
+        return cls._raw(ctx, {1 << ctx.slot_shift(i - 1): 1})
 
     @classmethod
     def epsilon(cls, ctx: Context) -> "Polynomial":
         if not ctx.has_epsilon:
             raise ValueError("context has no eps variable")
-        exps = [0] * ctx.nslots
-        exps[-1] = 1
-        return cls._raw(ctx, {tuple(exps): 1})
+        return cls._raw(ctx, {1: 1})
 
     @classmethod
     def monomial(cls, ctx: Context, exps: Sequence[int], coeff=1) -> "Polynomial":
@@ -178,12 +270,19 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def items(self) -> "Iterator[tuple[tuple[int, ...], object]]":
+        """The terms as (exponent tuple, coefficient) pairs."""
+        unpack = self.ctx.unpack
+        for mono, c in self.terms.items():
+            yield unpack(mono), c
+
     def total_degree(self) -> int:
         """Total degree (eps counted); 0 for the zero polynomial."""
-        return max((sum(m) for m in self.terms), default=0)
+        unpack = self.ctx.unpack
+        return max((sum(unpack(m)) for m in self.terms), default=0)
 
     def coefficient(self, exps: Sequence[int]):
-        return self.terms.get(tuple(exps), 0)
+        return self.terms.get(self.ctx.pack(exps), 0)
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
@@ -224,29 +323,14 @@ class Polynomial:
         return Polynomial._raw(self.ctx, {m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other):
+        # Polynomial first: isinstance against Fraction is a slow ABC check.
+        if isinstance(other, Polynomial):
+            acc: dict = {}
+            addmul(acc, self, other)
+            return finish(self.ctx, acc)
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        _require_same_ctx(self, other)
-        a, b = self.terms, other.terms
-        if not a or not b:
-            return Polynomial.zero(self.ctx)
-        if len(a) > len(b):  # fewer outer iterations on the smaller operand
-            a, b = b, a
-        out: dict = {}
-        get = out.get
-        for m1, c1 in a.items():
-            for m2, c2 in b.items():
-                m = tuple(x + y for x, y in zip(m1, m2))
-                s = get(m, 0) + c1 * c2
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
-        if any(isinstance(c, Fraction) for c in out.values()):
-            out = {m: _norm_coeff(c) for m, c in out.items()}
-        return Polynomial._raw(self.ctx, out)
+        return NotImplemented
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -275,13 +359,13 @@ class Polynomial:
         """Partial derivative with respect to x_i (1-based, 1 <= i <= dim)."""
         if not 1 <= i <= self.ctx.dim:
             raise ValueError(f"variable index {i} out of range 1..{self.ctx.dim}")
-        slot = i - 1
+        shift = self.ctx.slot_shift(i - 1)
+        unit = 1 << shift
         out = {}
         for mono, c in self.terms.items():
-            e = mono[slot]
+            e = (mono >> shift) & _FIELD
             if e:
-                m = mono[:slot] + (e - 1,) + mono[slot + 1 :]
-                out[m] = _norm_coeff(c * e) if isinstance(c, Fraction) else c * e
+                out[mono - unit] = _norm_coeff(c * e) if isinstance(c, Fraction) else c * e
         return Polynomial._raw(self.ctx, out)
 
     # -- eps handling ------------------------------------------------------
@@ -292,7 +376,7 @@ class Polynomial:
             return self
         if not (ctx.dim == self.ctx.dim and ctx.has_epsilon and not self.ctx.has_epsilon):
             raise ContextMismatchError(f"cannot lift {self.ctx} into {ctx}")
-        return Polynomial._raw(ctx, {m + (0,): c for m, c in self.terms.items()})
+        return Polynomial._raw(ctx, {m << EXP_BITS: c for m, c in self.terms.items()})
 
     def epsilon_split(self) -> "dict[int, Polynomial]":
         """Split by eps-degree: order k -> coefficient polynomial (eps-free ctx)."""
@@ -301,7 +385,7 @@ class Polynomial:
         base = self.ctx.without_epsilon()
         parts: dict[int, dict] = {}
         for mono, c in self.terms.items():
-            parts.setdefault(mono[-1], {})[mono[:-1]] = c
+            parts.setdefault(mono & _FIELD, {})[mono >> EXP_BITS] = c
         return {k: Polynomial._raw(base, t) for k, t in sorted(parts.items())}
 
     # -- text format -------------------------------------------------------
@@ -316,6 +400,8 @@ class Polynomial:
         term       := [sign] [rational "*"] factor ("*" factor)* | [sign] rational
         factor     := var ["^" positive-int];  var := "x" positive-int | "eps"
         rational   := int ["/" positive-int];  whitespace is ignored.
+
+        The exponent of each variable in a term must be below EXPONENT_LIMIT.
         """
         tokens = cls._tokenize(text)
         pos = 0
@@ -327,12 +413,8 @@ class Polynomial:
         ns = ctx.nslots
 
         def add_term(exps, coeff):
-            mono = tuple(exps)
-            s = terms.get(mono, 0) + coeff
-            if s:
-                terms[mono] = s
-            else:
-                terms.pop(mono, None)
+            mono = ctx.pack(exps)
+            terms[mono] = terms.get(mono, 0) + coeff
 
         first = True
         while True:
@@ -343,8 +425,6 @@ class Polynomial:
                 break
             sign = 1
             if kind == "op" and val in "+-":
-                if first and val == "+":
-                    pass
                 sign = -1 if val == "-" else 1
                 pos += 1
                 kind, val, at = peek()
@@ -383,6 +463,7 @@ class Polynomial:
                 slot = cls._var_slot(val, ctx, at)
                 pos += 1
                 e = 1
+                e_at = at
                 kind, val, at = peek()
                 if kind == "op" and val == "^":
                     pos += 1
@@ -390,9 +471,16 @@ class Polynomial:
                     if kind != "num" or int(val) == 0:
                         raise PolyParseError("expected positive exponent", at)
                     e = int(val)
+                    e_at = at
                     pos += 1
                     kind, val, at = peek()
                 exps[slot] += e
+                if exps[slot] >= EXPONENT_LIMIT:
+                    raise PolyParseError(
+                        f"exponent {exps[slot]} of {ctx.slot_name(slot)} is not below "
+                        f"the limit {EXPONENT_LIMIT}",
+                        e_at,
+                    )
                 if kind == "op" and val == "*":
                     pos += 1
                     kind, val, at = peek()
@@ -402,7 +490,7 @@ class Polynomial:
                 break
             add_term(exps, sign * (1 if coeff is None else coeff))
 
-        return cls(ctx, terms)
+        return finish(ctx, terms)
 
     @classmethod
     def _tokenize(cls, text: str):
@@ -438,14 +526,18 @@ class Polynomial:
         """Deterministic text form: graded-lex monomial order, descending."""
         if not self.terms:
             return "0"
-        monos = sorted(self.terms, key=lambda m: (sum(m), m), reverse=True)
+        unpack = self.ctx.unpack
+        rows = sorted(
+            ((sum(exps), mono, exps) for mono, exps in ((m, unpack(m)) for m in self.terms)),
+            reverse=True,
+        )
         pieces = []
-        for mono in monos:
+        for _, mono, exps in rows:
             c = self.terms[mono]
             neg = c < 0
             mag = -c if neg else c
             factors = []
-            for slot, e in enumerate(mono):
+            for slot, e in enumerate(exps):
                 if e == 0:
                     continue
                 name = self.ctx.slot_name(slot)
@@ -553,14 +645,11 @@ class UPoly:
             raise ContextMismatchError("UPoly context mismatch")
         if self.is_zero or other.is_zero:
             return UPoly.zero(self.ctx)
-        out = [Polynomial.zero(self.ctx)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out: list = [{} for _ in range(len(self.coeffs) + len(other.coeffs) - 1)]
         for i, a in enumerate(self.coeffs):
-            if a.is_zero:
-                continue
             for j, b in enumerate(other.coeffs):
-                if not b.is_zero:
-                    out[i + j] = out[i + j] + a * b
-        return UPoly(self.ctx, out)
+                addmul(out[i + j], a, b)
+        return UPoly(self.ctx, [finish(self.ctx, acc) for acc in out])
 
     def shifted(self, k: int) -> "UPoly":
         """Multiply by lam^k (k >= 0)."""

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -6,6 +7,7 @@ from tetraflows.cli import main
 from tetraflows.multivector import MultiVector
 
 from example4d import BRACKET_P0_P1, P0_UPPER, ctx4, p0, parse4
+from helpers import brute_jacobi_tensor, random_bivector
 
 
 def run(capsys, *argv):
@@ -105,6 +107,26 @@ def test_bracket_pipeline_and_assert_zero(tmp_path, capsys, p0_file):
     assert "zero: true" in out
 
 
+def test_bracket_of_a_file_with_itself(tmp_path, capsys):
+    # The file is loaded twice, into two equal bi-vectors; the output is the
+    # self-bracket 2 * Jac(P) of the brute-force Jacobi tensor.
+    p = random_bivector(random.Random(21), ctx4(), max_terms=3)
+    path = tmp_path / "P.json"
+    path.write_text(p.to_json())
+    tensor = brute_jacobi_tensor(p)
+    expected = MultiVector(
+        p.ctx, 3, {idx: tensor[idx].scale(2) for idx in ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4))}
+    )
+    code, out, _ = run(capsys, "bracket", str(path), str(path), "--format", "json")
+    assert code == 0
+    assert json.loads(out)["artifact"] == expected.to_json_dict()
+    code, out, _ = run(capsys, "bracket", str(path), str(path))
+    assert code == 0
+    assert out.splitlines()[0] == "zero: false"
+    for idx, poly in expected.comps.items():
+        assert f"  ({','.join(map(str, idx))}): {poly.render()}" in out.splitlines()
+
+
 def test_jacobi_verdicts(tmp_path, capsys, p0_file):
     code, out, _ = run(capsys, "jacobi", p0_file, "--assert-zero")
     assert code == 0
@@ -200,6 +222,13 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     assert code == 2
     code, _, err = run(capsys, "graph", "eval", "1; (V1,S1)", str(tmp_path / "x.json"))
     assert code == 2
+
+
+def test_exponent_limit_is_a_one_line_usage_error(capsys):
+    code, out, err = run(capsys, "gen", "--det", "--dim", "3", "--arg", "x1^999999999")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: exponent 999999999 of x1 is not below the limit 32768")
 
 
 def test_gen_spec_file(tmp_path, capsys):

@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
+import tetraflows.multivector as mv_module
 from tetraflows.graphflow import gamma1, gamma2
 from tetraflows.multivector import (
     SCHOUTEN_SCALE,
@@ -14,7 +16,7 @@ from tetraflows.multivector import (
     mv_linear_combination,
     schouten,
 )
-from tetraflows.polyring import Context, ContextMismatchError, Polynomial
+from tetraflows.polyring import Context, ContextMismatchError, Polynomial, addmul
 
 from example4d import (
     BRACKET_P0_P1,
@@ -133,6 +135,32 @@ def test_schouten_is_twice_jacobiator_on_the_diagonal():
     # also when the two arguments are equal but distinct objects
     q = MultiVector(p.ctx, 2, dict(p.comps))
     assert schouten(p, q) == expected
+
+
+def test_equal_copies_take_the_self_bracket_path(monkeypatch):
+    # An equal copy (as from loading one file twice) gives the same bracket
+    # as the object itself, through the same halved loop.
+    calls = []
+
+    def counting_addmul(acc, a, b):
+        calls.append(1)
+        addmul(acc, a, b)
+
+    monkeypatch.setattr(mv_module, "addmul", counting_addmul)
+    rng = random.Random(14)
+    for dim in (3, 4, 5):
+        p = random_bivector(rng, Context(dim)).scale(Fraction(3, 2))
+        copy = MultiVector.from_json(p.to_json())
+        assert copy is not p
+        calls.clear()
+        same = schouten(p, p)
+        self_calls = len(calls)
+        calls.clear()
+        assert schouten(p, copy) == same
+        assert len(calls) == self_calls
+        tensor = brute_jacobi_tensor(p)
+        for idx in combinations(range(1, dim + 1), 3):
+            assert same.component(idx) == tensor[idx].scale(2 * SCHOUTEN_SCALE)
 
 
 def test_schouten_degree_and_context_mismatch():

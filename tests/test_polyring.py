@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tetraflows.polyring import (
+    EXPONENT_LIMIT,
     Context,
     ContextMismatchError,
+    ExponentOverflowError,
     PolyParseError,
     Polynomial,
     UPoly,
@@ -94,7 +96,7 @@ def test_scale_normalizes_integral_fractions():
 
 def test_parse_monomial_example():
     p = parse("-2*x1*x2^3*x3^5*x4")
-    assert p.terms == {(1, 3, 5, 1): -2}
+    assert dict(p.items()) == {(1, 3, 5, 1): -2}
 
 
 def test_parse_zero():
@@ -120,7 +122,7 @@ def test_parse_rational_and_signs():
 def test_parse_eps_requires_epsilon_context():
     eps_ctx = Context(3, has_epsilon=True)
     p = Polynomial.parse("2*eps^2*x1", eps_ctx)
-    assert p.terms == {(1, 0, 0, 2): 2}
+    assert dict(p.items()) == {(1, 0, 0, 2): 2}
     with pytest.raises(PolyParseError):
         Polynomial.parse("eps", CTX3)
 
@@ -137,6 +139,46 @@ def test_parse_errors_carry_position():
         parse("x1^0")
     with pytest.raises(PolyParseError):
         parse("2 x1")
+
+
+def test_parse_rejects_exponents_at_the_limit():
+    top = EXPONENT_LIMIT - 1
+    assert dict(parse(f"x2^{top}").items()) == {(0, top, 0, 0): 1}
+    with pytest.raises(PolyParseError) as err:
+        parse("x2 + x1^999999999")
+    assert err.value.position == 8
+    assert str(EXPONENT_LIMIT) in str(err.value)
+    # Repeated factors add up: the error points at the factor that crosses.
+    with pytest.raises(PolyParseError) as err:
+        parse(f"x1^{top}*x3*x1")
+    assert err.value.position == len(f"x1^{top}*x3*")
+
+
+def test_constructor_rejects_exponents_at_the_limit():
+    top = EXPONENT_LIMIT - 1
+    assert Polynomial(CTX3, {(top, 0, top): 2}).coefficient((top, 0, top)) == 2
+    with pytest.raises(ExponentOverflowError):
+        Polynomial(CTX3, {(0, EXPONENT_LIMIT, 0): 1})
+    with pytest.raises(ExponentOverflowError):
+        Polynomial.monomial(CTX3, (999999999, 0, 0))
+    with pytest.raises(ValueError):
+        Polynomial(CTX3, {(1, -1, 0): 1})
+
+
+def test_product_overflow_raises_instead_of_carrying():
+    top = EXPONENT_LIMIT - 1
+    p = Polynomial.monomial(CTX3, (top, 0, 0))
+    # Just below the limit the product is exact and slot 2 is untouched.
+    half = Polynomial.monomial(CTX3, (top // 2, 0, 0))
+    assert dict((half * half).items()) == {(2 * (top // 2), 0, 0): 1}
+    with pytest.raises(ExponentOverflowError) as err:
+        p * parse("x1 + x2", CTX3)
+    assert str(EXPONENT_LIMIT) in str(err.value)
+    eps_ctx = Context(3, has_epsilon=True)
+    e = Polynomial.monomial(eps_ctx, (0, 0, 0, top))
+    with pytest.raises(ExponentOverflowError):
+        e * Polynomial.epsilon(eps_ctx)
+    assert issubclass(ExponentOverflowError, ValueError)
 
 
 def test_roundtrip_on_reference_corpus():
