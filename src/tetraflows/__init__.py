@@ -2,8 +2,8 @@
 
 The package provides exact sparse rational polynomial arithmetic, skew
 multi-vectors with the Schouten bracket and Jacobi test, a graph DSL with a
-generic graph-to-operator evaluator, the two tetrahedral flows in closed
-form, three generators of polynomial Poisson structures, and the
+generic graph-to-operator evaluator that also computes the two tetrahedral
+flows, three generators of polynomial Poisson structures, and the
 verification experiments over them (compatibility grids, the exact 1:6
 ratio solver, the eps-perturbation probe).
 """

@@ -22,7 +22,6 @@ import sys
 from fractions import Fraction
 
 from .analysis import (
-    DEFAULT_SEED,
     find_ratios,
     perturb_probe,
     reproduce_tables,
@@ -57,12 +56,6 @@ def _common_flags() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format", choices=("text", "json"), default="text", help="output format"
-    )
-    common.add_argument(
-        "--seed",
-        type=int,
-        default=DEFAULT_SEED,
-        help="seed recorded for randomized suites (reserved; commands here are deterministic)",
     )
     common.add_argument("--output", metavar="PATH", help="write the artifact JSON to PATH")
     return common
@@ -172,10 +165,26 @@ def _dispatch(args) -> int:
 # -- helpers ---------------------------------------------------------------------
 
 
-def _load_mv(path: str, degree: int | None = 2) -> MultiVector:
+def _load_doc(path: str, build):
+    """Build an object from the JSON document in ``path``.
+
+    A document of the wrong shape (not an object, a missing field, a field
+    of the wrong type) is a usage error naming the file.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    mv = MultiVector.from_json_dict(doc)
+    if not isinstance(doc, dict):
+        raise _UsageError(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    try:
+        return build(doc)
+    except KeyError as exc:
+        raise _UsageError(f"{path}: missing field {exc.args[0]!r}") from None
+    except (TypeError, AttributeError) as exc:
+        raise _UsageError(f"{path}: malformed document ({exc})") from None
+
+
+def _load_mv(path: str, degree: int | None = 2) -> MultiVector:
+    mv = _load_doc(path, MultiVector.from_json_dict)
     if degree is not None and mv.degree != degree:
         raise _UsageError(f"{path}: expected a degree-{degree} multi-vector, got degree {mv.degree}")
     return mv
@@ -229,8 +238,7 @@ def _parse_phi(text: str) -> "list[tuple]":
 
 def _cmd_gen(args) -> int:
     if args.spec:
-        with open(args.spec, "r", encoding="utf-8") as fh:
-            spec = generator_from_json_dict(json.load(fh))
+        spec = _load_doc(args.spec, generator_from_json_dict)
     elif args.det:
         if args.dim is None:
             raise _UsageError("--det requires --dim")

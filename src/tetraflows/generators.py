@@ -42,12 +42,6 @@ __all__ = [
     "build_bivector",
 ]
 
-# Exponent of lam carrying {u_i, v_j} in the reduced remainder: coefficient
-# of lam^(d-j).  Calibrated once (d = 2, phi = s^2 t^2) as the unique choice
-# of reading that makes the bracket Poisson; re-verified on every instance.
-_LAMBDA_POWER_OF_J = "d-j"
-
-
 class GeneratorError(ValueError):
     """A generator received inconsistent data or produced a non-Poisson result."""
 
@@ -217,12 +211,13 @@ def vanhaecke_bracket(spec: VanhaeckeSpec) -> MultiVector:
     {u_i, v_j} = coeff of lam^(d-j) in
                  phi(lam, v(lam)) * [u(lam)/lam^(d-i+1)]_+  mod u(lam)
 
-    (the calibrated reading of the lam-coefficient; see _LAMBDA_POWER_OF_J).
-    The result is verified to be Poisson; a failure signals an implementation
-    bug and raises :class:`GeneratorError`.
+    (of the two natural readings of the lam-coefficient, lam^(d-j) and
+    lam^(j-1), the one that makes the bracket Poisson).  The result is
+    verified to be Poisson; a failure signals an implementation bug and
+    raises :class:`GeneratorError`.
     """
     d = spec.d
-    entries = _vanhaecke_u_matrix(spec, _LAMBDA_POWER_READINGS[_LAMBDA_POWER_OF_J])
+    entries = _vanhaecke_u_matrix(spec, lambda j, d: d - j)
     comps = {
         (i, d + j): poly for (i, j), poly in entries.items()
     }
@@ -233,12 +228,6 @@ def vanhaecke_bracket(spec: VanhaeckeSpec) -> MultiVector:
             "this indicates an implementation bug"
         )
     return mv
-
-
-_LAMBDA_POWER_READINGS = {
-    "j-1": lambda j, d: j - 1,
-    "d-j": lambda j, d: d - j,
-}
 
 
 # -- GeneratorSpec serialization ------------------------------------------------

@@ -13,7 +13,8 @@ Text encoding: ``"<k>; (t,t) (t,t) ..."`` with one ordered target pair per
 internal vertex; a target is ``S1``, ``S2`` or ``V<idx>``.  Tadpoles
 (self-loops) are rejected; double edges and two-edge loops are allowed.
 
-The two flows with k = 4 are also provided in closed form:
+The two tetrahedral flows are the k = 4 graphs GAMMA1_GRAPH and
+GAMMA2_GRAPH; they encode
 
     gamma1:  R^{ij} = sum d^3 P^{ij}/dx_k dx_l dx_m *
                       dP^{kk'}/dx_{l'} * dP^{ll'}/dx_{m'} * dP^{mm'}/dx_{k'}
@@ -23,20 +24,21 @@ The two flows with k = 4 are also provided in closed form:
 
 (inner sums over all repeated indices 1..n).  The gamma1 matrix is
 antisymmetric by construction; the gamma2 matrix generally is not and may
-have a nonzero diagonal.  The graph encodings GAMMA1_GRAPH / GAMMA2_GRAPH
-evaluate to exactly these closed forms (covered by tests, not assumed).
+have a nonzero diagonal.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import combinations, permutations
+from operator import itemgetter
 
 from .multivector import (
     MultiVector,
     RawMatrix,
     bivector_from_raw,
-    first_derivatives,
+    derivative_tensor,
     mv_linear_combination,
 )
 from .polyring import Polynomial, addmul, finish
@@ -159,36 +161,21 @@ class FlowResult:
     skew: MultiVector
 
 
-class _MatrixDerivatives:
-    """Memoized iterated derivatives of a bi-vector's full matrix entries.
-
-    Keys are (a, b, ds) with ds an ascending tuple of derivative indices;
-    cache entries share prefixes, so each derivative is computed once.
-    """
-
-    def __init__(self, p: MultiVector):
-        self.p = p
-        self.cache: dict = {}
-
-    def get(self, a: int, b: int, ds: tuple) -> Polynomial:
-        key = (a, b, ds)
-        val = self.cache.get(key)
-        if val is None:
-            if ds:
-                val = self.get(a, b, ds[:-1]).diff(ds[-1])
-            else:
-                val = self.p.entry(a, b)
-            self.cache[key] = val
-        return val
-
-
 def evaluate_kgraph(g: KGraph, p: MultiVector) -> FlowResult:
     """Evaluate the polydifferential operator of a graph on a bi-vector.
 
-    Sums over all assignments of an index 1..n to every edge the product,
-    over internal vertices, of the vertex's derivative factor; the pair of
-    sink indices addresses the raw output matrix.  Assignments are pruned as
-    soon as any completed factor vanishes.
+    Every internal vertex is a sparse tensor over its edges (L, R, in-edges):
+    {index tuple: derivative of P^{LR} along the in-edge indices}.  Tensors
+    are contracted pairwise along shared edges, each step taking the pair
+    whose result has the fewest edges (a pair without a shared edge only
+    when no other is left), until one tensor over the two sink edges remains:
+    the raw matrix.
+
+    Derivatives commute: a vertex whose in-edges (two or more) all meet its
+    partner in one step is enumerated over ascending indices on them, and
+    the partner is first summed onto ascending indices on those edges.  A
+    vertex holding both sink edges is contracted last and only for a < b;
+    the mirror entry is its negation, so that raw matrix is antisymmetric.
     """
     if p.degree != 2:
         raise ValueError("expected a bi-vector (degree 2)")
@@ -196,209 +183,150 @@ def evaluate_kgraph(g: KGraph, p: MultiVector) -> FlowResult:
     n = ctx.dim
     k = g.n_internal
 
-    # Edge ids: 2*(v-1) + side for vertex v, side 0 = L / 1 = R.
-    tails = [e // 2 + 1 for e in range(2 * k)]
-    in_edges: list = [[] for _ in range(k + 1)]
-    sink_edges = {1: [], 2: []}
+    # Edge 2*(v-1) + side leaves vertex v, side 0 = L / 1 = R.
+    in_edges: dict = {v: [] for v in range(1, k + 1)}
+    sink_edges: dict = {1: [], 2: []}
     for e in range(2 * k):
         kind, idx = g.edges[e // 2][e % 2]
-        if kind == "S":
-            sink_edges[idx].append(e)
-        else:
-            in_edges[idx].append(e)
+        (sink_edges if kind == "S" else in_edges)[idx].append(e)
     for s in (1, 2):
         if len(sink_edges[s]) != 1:
             raise GraphStructureError(
                 f"sink {s} has in-degree {len(sink_edges[s])}; "
                 "evaluation needs exactly one edge into each sink"
             )
-    s1_edge = sink_edges[1][0]
-    s2_edge = sink_edges[2][0]
+    (s1,), (s2,) = sink_edges[1], sink_edges[2]
+    skew_vertex = s1 // 2 + 1 if s1 // 2 == s2 // 2 else None
 
-    # Static assignment order over vertices, chosen greedily so that vertex
-    # factors complete (and prune) as early as possible.
-    order: list = []
-    placed: set = set()
-    pending = set(range(1, k + 1))
+    derivs: dict = {}  # m -> derivative_tensor(p, m)
 
-    def completes_with(v, have):
-        return [
-            w
-            for w in range(1, k + 1)
-            if w not in placed_factors
-            and (w in have or w == v)
-            and all(tails[e] in have or tails[e] == v for e in in_edges[w])
-        ]
+    def vertex_tensor(v: int, ascending: bool) -> dict:
+        m = len(in_edges[v])
+        if m not in derivs:
+            derivs[m] = derivative_tensor(p, m)
+        table = derivs[m]
+        if v == skew_vertex:
+            table = {key: poly for key, poly in table.items() if key[0] < key[1]}
+        if ascending or m < 2:
+            return table
+        return {
+            key[:2] + cs: poly
+            for key, poly in table.items()
+            for cs in set(permutations(key[2:]))
+        }
 
-    placed_factors: set = set()
-    completes_at: list = []
-    while pending:
-        best = max(
-            sorted(pending),
-            key=lambda v: len(completes_with(v, placed | {v})),
-        )
-        pending.discard(best)
-        placed.add(best)
-        done = completes_with(best, placed)
-        placed_factors.update(done)
-        order.append(best)
-        completes_at.append(done)
+    # Operands are (edges, tensor); a vertex not expanded yet has its number
+    # as tensor, so that its expansion can depend on the step that uses it.
+    operands = [((2 * v - 2, 2 * v - 1, *in_edges[v]), v) for v in range(1, k + 1)]
+    while len(operands) > 1:
+        i, j = _next_pair(operands, skew_vertex)
+        (eb, tb), (ea, ta) = operands.pop(j), operands.pop(i)
+        shared = set(ea) & set(eb)
+        if isinstance(tb, int) and len(eb) > 3 and set(eb[2:]) <= shared:
+            (ea, ta), (eb, tb) = (eb, tb), (ea, ta)
+        ascending = isinstance(ta, int) and len(ea) > 3 and set(ea[2:]) <= shared
+        if isinstance(ta, int):
+            ta = vertex_tensor(ta, ascending)
+        if isinstance(tb, int):
+            tb = vertex_tensor(tb, False)
+        if ascending:
+            tb = _fold(tb, [eb.index(e) for e in ea[2:]])
+        operands.append(_contract(ctx, ea, ta, eb, tb))
 
-    derivs = _MatrixDerivatives(p)
-    sums: dict = {}  # (sink-1 index, sink-2 index) -> term dict
-    idx = [0] * (2 * k)
-    indices = range(1, n + 1)
-
-    def assign(step: int, product: Polynomial):
-        v = order[step]
-        el, er = 2 * (v - 1), 2 * (v - 1) + 1
-        ready = completes_at[step]
-        last = step == k - 1  # every edge, the sink edges too, is set here
-        for a in indices:
-            idx[el] = a
-            for b in indices:
-                idx[er] = b
-                factors = []
-                for w in ready:
-                    ew = 2 * (w - 1)
-                    ds = tuple(sorted(idx[e] for e in in_edges[w]))
-                    factor = derivs.get(idx[ew], idx[ew + 1], ds)
-                    if factor.is_zero:
-                        break
-                    factors.append(factor)
-                else:
-                    prod = product
-                    if last:
-                        # The last vertex's own factor always completes here.
-                        for factor in factors[:-1]:
-                            prod = prod * factor
-                        key = (idx[s1_edge], idx[s2_edge])
-                        addmul(sums.setdefault(key, {}), prod, factors[-1])
-                    else:
-                        for factor in factors:
-                            prod = prod * factor
-                        assign(step + 1, prod)
-
-    assign(0, Polynomial.one(ctx))
+    edges, tensor = operands[0]
+    if isinstance(tensor, int):  # a single vertex
+        tensor = vertex_tensor(tensor, False)
     zero = Polynomial.zero(ctx)
-    result = [[zero for _ in range(n)] for _ in range(n)]
-    for (a, b), acc in sums.items():
-        result[a - 1][b - 1] = finish(ctx, acc)
+    result = [[zero] * n for _ in range(n)]
+    at1, at2 = edges.index(s1), edges.index(s2)
+    for key, poly in tensor.items():
+        a, b = key[at1], key[at2]
+        result[a - 1][b - 1] = poly
+        if skew_vertex is not None:
+            result[b - 1][a - 1] = -poly
     raw = RawMatrix(ctx, result)
     return FlowResult(raw, bivector_from_raw(raw))
+
+
+def _next_pair(operands: list, skew_vertex) -> tuple:
+    """Positions (i < j) of the pair to contract next.
+
+    The pair sharing an edge whose result has the fewest edges, the first
+    such pair on a tie; a pair sharing no edge only when no other is left.
+    The vertex holding both sinks waits until it is one of the last two.
+    """
+    best = None
+    for i, j in combinations(range(len(operands)), 2):
+        (ea, ta), (eb, tb) = operands[i], operands[j]
+        if len(operands) > 2 and skew_vertex in (ta, tb):
+            continue
+        rank = (not set(ea) & set(eb), len(set(ea) ^ set(eb)))
+        if best is None or rank < best[0]:
+            best = (rank, i, j)
+    return best[1], best[2]
+
+
+def _picker(positions: list):
+    """The function taking an index tuple to its entries at ``positions``."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    if positions:
+        (at,) = positions
+        return lambda key: (key[at],)
+    return lambda key: ()
+
+
+def _fold(tensor: dict, positions: list) -> dict:
+    """Sum a tensor onto ascending indices at ``positions``."""
+    pick = _picker(positions)
+    groups: dict = {}
+    for key, poly in tensor.items():
+        key = list(key)
+        for at, c in zip(positions, sorted(pick(key))):
+            key[at] = c
+        groups.setdefault(tuple(key), []).append(poly)
+    out = {}
+    for key, polys in groups.items():
+        total = sum(polys[1:], polys[0])
+        if total:
+            out[key] = total
+    return out
+
+
+def _contract(ctx, ea: tuple, ta: dict, eb: tuple, tb: dict) -> tuple:
+    """Contract two tensors along their shared edges: (edges, tensor)."""
+    shared = [e for e in ea if e in eb]
+    free_a = [at for at, e in enumerate(ea) if e not in eb]
+    free_b = [at for at, e in enumerate(eb) if e not in ea]
+    link_a = _picker([ea.index(e) for e in shared])
+    link_b = _picker([eb.index(e) for e in shared])
+    rest_a, rest_b = _picker(free_a), _picker(free_b)
+    groups: dict = {}
+    for key, poly in tb.items():
+        groups.setdefault(link_b(key), []).append((rest_b(key), poly))
+    acc: dict = {}
+    for key, pa in ta.items():
+        head = rest_a(key)
+        for tail, pb in groups.get(link_a(key), ()):
+            addmul(acc.setdefault(head + tail, {}), pa, pb)
+    out = {}
+    for key, terms in acc.items():
+        poly = finish(ctx, terms)
+        if poly:
+            out[key] = poly
+    edges = tuple(ea[at] for at in free_a) + tuple(eb[at] for at in free_b)
+    return edges, out
 
 
 def gamma1(p: MultiVector) -> FlowResult:
-    """First tetrahedral flow, closed form; the raw matrix is antisymmetric."""
-    if p.degree != 2:
-        raise ValueError("expected a bi-vector (degree 2)")
-    ctx = p.ctx
-    n = ctx.dim
-    d1 = first_derivatives(p)
-    by_s2: dict = {}
-    by_s2_deriv: dict = {}
-    for (a, b, c), poly in d1.items():
-        by_s2.setdefault(b, []).append((a, c, poly))
-        by_s2_deriv.setdefault((b, c), []).append((a, poly))
-
-    # t1[(k,l,m)] = sum_{k',l',m'} dP^{kk'}/dx_{l'} dP^{ll'}/dx_{m'} dP^{mm'}/dx_{k'},
-    # summed over the permutations of (k,l,m) and keyed by the sorted triple:
-    # the third derivative it multiplies is symmetric in k, l, m.
-    t1: dict = {}
-    for (k, k1, l1), p1 in d1.items():
-        for (l, m1, p2) in by_s2.get(l1, ()):
-            p12 = p1 * p2
-            for (m, p3) in by_s2_deriv.get((m1, k1), ()):
-                addmul(t1.setdefault(tuple(sorted((k, l, m))), {}), p12, p3)
-    t1 = {key: finish(ctx, acc) for key, acc in t1.items()}
-
-    zero = Polynomial.zero(ctx)
-    result = [[zero for _ in range(n)] for _ in range(n)]
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            pij = p.entry(i, j)
-            if pij.is_zero:
-                continue
-            acc: dict = {}
-            for k in range(1, n + 1):
-                pk = pij.diff(k)
-                if pk.is_zero:
-                    continue
-                for l in range(k, n + 1):
-                    pkl = pk.diff(l)
-                    if pkl.is_zero:
-                        continue
-                    for m in range(l, n + 1):
-                        t = t1.get((k, l, m))
-                        if t is not None:
-                            addmul(acc, pkl.diff(m), t)
-            entry = finish(ctx, acc)
-            if not entry.is_zero:
-                result[i - 1][j - 1] = entry
-                result[j - 1][i - 1] = -entry
-    raw = RawMatrix(ctx, result)
-    return FlowResult(raw, bivector_from_raw(raw))
+    """First tetrahedral flow; its raw matrix is antisymmetric."""
+    return evaluate_kgraph(GAMMA1_GRAPH, p)
 
 
 def gamma2(p: MultiVector) -> FlowResult:
-    """Second tetrahedral flow, closed form; the raw matrix is generally not
+    """Second tetrahedral flow; its raw matrix is generally not
     antisymmetric and may have a nonzero diagonal."""
-    if p.degree != 2:
-        raise ValueError("expected a bi-vector (degree 2)")
-    ctx = p.ctx
-    n = ctx.dim
-    d1 = first_derivatives(p)
-    by_s1: dict = {}
-    for (a, b, c), poly in d1.items():
-        by_s1.setdefault(a, []).append((b, c, poly))
-
-    # Second derivatives of the full matrix, over ordered index pairs.
-    d2: dict = {}
-    d2_second: dict = {}
-    for a in range(1, n + 1):
-        for b in range(1, n + 1):
-            pab = p.entry(a, b)
-            if pab.is_zero:
-                continue
-            for c in range(1, n + 1):
-                pc = pab.diff(c)
-                if pc.is_zero:
-                    continue
-                for d in range(c, n + 1):
-                    pcd = pc.diff(d)
-                    if pcd.is_zero:
-                        continue
-                    for cc, dd in {(c, d), (d, c)}:
-                        d2.setdefault((a, b), {})[(cc, dd)] = pcd
-                        d2_second.setdefault((a, b, dd), []).append((cc, pcd))
-
-    # w[(k',l,l',j)] = sum_{m'} dP^{k'l}/dx_{m'} * dP^{m'l'}/dx_j
-    w: dict = {}
-    for (k1, l, m1), p3 in d1.items():
-        for (l2, j, p4) in by_s1.get(m1, ()):
-            addmul(w.setdefault((k1, l, l2, j), {}), p3, p4)
-
-    # y[(i,k,k',l')] = sum_{j,l} d2P^{ij}/dx_k dx_l * w[(k',l,l',j)]
-    y: dict = {}
-    for (k1, l, l2, j), acc in w.items():
-        wval = finish(ctx, acc)
-        for a in range(1, n + 1):
-            for (k, p1) in d2_second.get((a, j, l), ()):
-                addmul(y.setdefault((a, k, k1, l2), {}), p1, wval)
-
-    out: dict = {}
-    for (a, k, k1, l2), acc in y.items():
-        yval = finish(ctx, acc)
-        for m in range(1, n + 1):
-            p2 = d2.get((k, m), {}).get((k1, l2))
-            if p2 is not None:
-                addmul(out.setdefault((a, m), {}), yval, p2)
-    zero = Polynomial.zero(ctx)
-    result = [[zero for _ in range(n)] for _ in range(n)]
-    for (a, m), acc in out.items():
-        result[a - 1][m - 1] = finish(ctx, acc)
-    raw = RawMatrix(ctx, result)
-    return FlowResult(raw, bivector_from_raw(raw))
+    return evaluate_kgraph(GAMMA2_GRAPH, p)
 
 
 def balanced_flow(p: MultiVector, a, b) -> MultiVector:
@@ -406,9 +334,9 @@ def balanced_flow(p: MultiVector, a, b) -> MultiVector:
     return mv_linear_combination([(a, gamma1(p).skew), (b, gamma2(p).skew)])
 
 
-# The tetrahedron encodings matching the closed forms (tested equal), the
-# single-wedge graph encoding the bi-vector itself, and the graph that
-# vanishes for every skew input by the symmetry of its double loops.
+# The two tetrahedra of the module docstring, the single-wedge graph encoding
+# the bi-vector itself, and the graph that vanishes for every skew input by
+# the symmetry of its double loops.
 GAMMA1_GRAPH = parse_kgraph("4; (S1,S2) (V1,V4) (V1,V2) (V1,V3)")
 GAMMA2_GRAPH = parse_kgraph("4; (S1,V4) (V1,S2) (V2,V1) (V3,V2)")
 WEDGE_GRAPH = parse_kgraph("1; (S1,S2)")

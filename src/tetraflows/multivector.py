@@ -32,6 +32,7 @@ __all__ = [
     "MultiVector",
     "RawMatrix",
     "bivector_from_raw",
+    "derivative_tensor",
     "schouten",
     "jacobiator",
     "is_poisson",
@@ -284,20 +285,24 @@ def _require_bivectors(p: MultiVector, q: MultiVector) -> None:
         raise ContextMismatchError("bi-vectors from different contexts")
 
 
-def first_derivatives(p: MultiVector) -> dict:
-    """Nonzero dP^{ab}/dx_c over the full matrix of a bi-vector, keyed (a, b, c)."""
+def derivative_tensor(p: MultiVector, m: int) -> dict:
+    """Nonzero m-th derivatives of a bi-vector's full matrix.
+
+    Keys are (a, b, c1, ..., cm) with c1 <= ... <= cm, values the nonzero
+    d^m P^{ab} / dx_{c1} ... dx_{cm}; derivatives commute, so every other
+    order of the c's has the same value.
+    """
     n = p.ctx.dim
-    out = {}
-    for a in range(1, n + 1):
-        for b in range(1, n + 1):
-            pab = p.entry(a, b)
-            if pab.is_zero:
-                continue
-            for c in range(1, n + 1):
-                d = pab.diff(c)
-                if not d.is_zero:
-                    out[(a, b, c)] = d
-    return out
+    table = dict(p.comps)
+    for step in range(m):
+        table = {
+            key + (c,): d
+            for key, poly in table.items()
+            for c in range(key[-1] if step else 1, n + 1)
+            if (d := poly.diff(c))
+        }
+    table.update({(key[1], key[0]) + key[2:]: -poly for key, poly in table.items()})
+    return table
 
 
 def _jacobi_like(p: MultiVector, q: MultiVector, same: bool) -> dict:
@@ -308,10 +313,10 @@ def _jacobi_like(p: MultiVector, q: MultiVector, same: bool) -> dict:
     """
     ctx = p.ctx
     n = ctx.dim
-    dp = first_derivatives(p)
+    dp = derivative_tensor(p, 1)
     qm = q.full_matrix()
     if not same:
-        dq = first_derivatives(q)
+        dq = derivative_tensor(q, 1)
         pm = p.full_matrix()
     comps = {}
     for i, j, k in combinations(range(1, n + 1), 3):

@@ -78,6 +78,54 @@ def naive_evaluate_kgraph_raw(graph, p):
     return result
 
 
+def _entry_derivative(p, a, b, *indices):
+    """d P^{ab} / dx_{c1} ... dx_{cm}, recomputed from the full matrix."""
+    poly = p.entry(a, b)
+    for c in indices:
+        poly = poly.diff(c)
+    return poly
+
+
+def brute_gamma1_raw(p):
+    """The first tetrahedral flow from its displayed formula, every index looped:
+
+    R^{ij} = sum d^3 P^{ij}/dx_k dx_l dx_m * dP^{kk'}/dx_{l'} * dP^{ll'}/dx_{m'}
+                 * dP^{mm'}/dx_{k'}.
+    """
+    ctx = p.ctx
+    n = ctx.dim
+    d = _entry_derivative
+    result = [[Polynomial.zero(ctx) for _ in range(n)] for _ in range(n)]
+    for i, j, k, l, m in product(range(1, n + 1), repeat=5):
+        head = d(p, i, j, k, l, m)
+        if head.is_zero:
+            continue
+        for k1, l1, m1 in product(range(1, n + 1), repeat=3):
+            term = head * d(p, k, k1, l1) * d(p, l, l1, m1) * d(p, m, m1, k1)
+            result[i - 1][j - 1] = result[i - 1][j - 1] + term
+    return result
+
+
+def brute_gamma2_raw(p):
+    """The second tetrahedral flow from its displayed formula, every index looped:
+
+    R^{im} = sum d^2 P^{ij}/dx_k dx_l * d^2 P^{km}/dx_{k'} dx_{l'}
+                 * dP^{k'l}/dx_{m'} * dP^{m'l'}/dx_j.
+    """
+    ctx = p.ctx
+    n = ctx.dim
+    d = _entry_derivative
+    result = [[Polynomial.zero(ctx) for _ in range(n)] for _ in range(n)]
+    for i, j, k, l in product(range(1, n + 1), repeat=4):
+        head = d(p, i, j, k, l)
+        if head.is_zero:
+            continue
+        for m, k1, l1, m1 in product(range(1, n + 1), repeat=4):
+            term = head * d(p, k, m, k1, l1) * d(p, k1, l, m1) * d(p, m1, l1, j)
+            result[i - 1][m - 1] = result[i - 1][m - 1] + term
+    return result
+
+
 def lie_derivative_bracket(p, vector_comps):
     """The bi-vector [[P, X]] for a 1-vector X (ad hoc, for identity tests).
 

@@ -72,6 +72,8 @@ from example4d import (
     parse4,
 )
 from helpers import (
+    brute_gamma1_raw,
+    brute_gamma2_raw,
     brute_jacobi_tensor,
     naive_evaluate_kgraph_raw,
     random_bivector,
@@ -153,7 +155,7 @@ def test_criterion_5_flow_jacobiators_match_printed_self_brackets(ref):
     # here without the package's bracket code: twice the brute-force Jacobi
     # tensor of the bi-vectors parsed from the reference matrices gives the
     # expected expressions and not the printed ones.
-    brute_ok, schouten_ok, half_ok = [], [], []
+    brute_ok, schouten_ok, half_ok, non_poisson = [], [], [], []
     for flow_bi, upper, factor in (
         (ref.p1, P1_UPPER, P1_SELF_FACTOR),
         (ref.p2, P2_SKEW, P2_SELF_FACTOR),
@@ -172,11 +174,13 @@ def test_criterion_5_flow_jacobiators_match_printed_self_brackets(ref):
         schouten_ok.append(dict(schouten(flow_bi, flow_bi).comps) == expected)
         half = {idx: poly.scale(Fraction(1, 2)) for idx, poly in expected.items()}
         half_ok.append(dict(jacobiator(flow_bi).comps) == half)
-    ok = all(brute_ok) and all(schouten_ok) and all(half_ok)
+        non_poisson.append(not is_poisson(flow_bi))
+    ok = all(brute_ok) and all(schouten_ok) and all(half_ok) and all(non_poisson)
     _report(5, ok, "flow self-brackets match the reference with signs (1, -5, 2); Jac = 1/2 of them")
     assert all(brute_ok), "2 * brute Jac of the reference matrices is not the expected self-bracket"
     assert all(schouten_ok), "schouten(P, P) of a flow differs from the expected self-bracket"
     assert all(half_ok), "jacobiator(P) of a flow is not 1/2 of the expected self-bracket"
+    assert all(non_poisson), "a flow output passed the Jacobi test"
 
 
 def test_criterion_6_balanced_flow_and_ratio(ref):
@@ -233,14 +237,15 @@ def test_criterion_8b_skew_vanishing_graph_on_random_input():
 
 
 def test_criterion_8c_graph_encodings_equal_closed_forms():
+    # The closed forms are the displayed formulas, looped in tests/helpers.py.
     rng = random.Random(DEFAULT_SEED + 2)
     checked = 0
     for dim in (2, 3):
         ctx = Context(dim)
         for _ in range(5):
             p = random_bivector(rng, ctx, max_terms=2, max_degree=3)
-            assert evaluate_kgraph(GAMMA1_GRAPH, p).raw == gamma1(p).raw
-            assert evaluate_kgraph(GAMMA2_GRAPH, p).raw == gamma2(p).raw
+            assert evaluate_kgraph(GAMMA1_GRAPH, p).raw == RawMatrix(ctx, brute_gamma1_raw(p))
+            assert evaluate_kgraph(GAMMA2_GRAPH, p).raw == RawMatrix(ctx, brute_gamma2_raw(p))
             checked += 1
     assert checked == 10
     _report("8c", True, f"tetrahedron encodings equal closed forms on 10 random bi-vectors (seed {DEFAULT_SEED + 2})")

@@ -68,6 +68,28 @@ def test_compat_report_refuses_non_poisson_input():
         compat_report(p)
 
 
+def test_q_bracket_is_the_bilinear_combination_of_the_two_brackets():
+    # compat_report takes [[P0, Q]] = [[P0, P1]] + 6 [[P0, P2]] instead of a
+    # third bracket: the identity holds against a direct bracket on grid rows
+    # (where it vanishes) and on random non-Poisson pairs (where it does not).
+    rows = {row_id: spec for row_id, _, spec, _ in builtin_rows()}
+    for row_id in (2, 3, 8):
+        p0_row = build_bivector(rows[row_id])
+        p1, p2 = gamma1(p0_row).skew, gamma2(p0_row).skew
+        direct = schouten(p0_row, mv_linear_combination([(1, p1), (6, p2)]))
+        combined = mv_linear_combination([(1, schouten(p0_row, p1)), (6, schouten(p0_row, p2))])
+        assert combined == direct
+        report = compat_report(p0_row)
+        assert report.flags_dict()["bracket_q_zero"] == direct.is_zero
+        assert report.witnesses.get("bracket_q_zero", direct) == direct
+    rng = random.Random(19)
+    for dim in (3, 4):
+        p, b1, b2 = (random_bivector(rng, Context(dim)) for _ in range(3))
+        direct = schouten(p, mv_linear_combination([(1, b1), (6, b2)]))
+        assert not direct.is_zero
+        assert mv_linear_combination([(1, schouten(p, b1)), (6, schouten(p, b2))]) == direct
+
+
 def test_compat_report_is_pure():
     a = compat_report(p0(), spec=p0_spec()).to_json_dict()
     b = compat_report(p0(), spec=p0_spec()).to_json_dict()

@@ -241,3 +241,32 @@ def test_gen_spec_file(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["is_poisson"] is True
     assert MultiVector.from_json_dict(doc["artifact"]) == p0()
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"degree": 2, "components": {"1,2": "x1"}},
+        [1, 2],
+        {"components": {"1,2": 5}},
+        {"dim": 3, "degree": 2, "components": {"1,2": 5}},
+    ],
+    ids=["no-dim", "top-level-list", "only-components", "non-string-component"],
+)
+def test_malformed_bivector_document_is_a_one_line_usage_error(tmp_path, capsys, doc):
+    path = tmp_path / "P.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "jacobi", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "doc", [[1], {"kind": "det"}], ids=["top-level-list", "det-without-dim"]
+)
+def test_malformed_spec_document_is_a_one_line_usage_error(tmp_path, capsys, doc):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "gen", "--spec", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1

@@ -6,7 +6,6 @@ from tetraflows.generators import (
     DetSpec,
     GeneratorError,
     VanhaeckeSpec,
-    _LAMBDA_POWER_READINGS,
     _vanhaecke_u_matrix,
     build_bivector,
     det_bracket,
@@ -185,12 +184,16 @@ def test_vanhaecke_block_shape():
 
 
 def test_vanhaecke_calibrated_reading_is_the_unique_poisson_one():
+    # {u_i, v_j} is read off the remainder as the coefficient of lam^(d-j);
+    # the other natural reading, lam^(j-1), is not Poisson.
     spec = VanhaeckeSpec(2, [(2, 2, 1)])
     verdicts = {}
-    for name, reading in _LAMBDA_POWER_READINGS.items():
+    for name, reading in (("d-j", lambda j, d: d - j), ("j-1", lambda j, d: j - 1)):
         entries = _vanhaecke_u_matrix(spec, reading)
         mv = MultiVector(spec.ctx, 2, {(i, spec.d + j): p for (i, j), p in entries.items()})
         verdicts[name] = is_poisson(mv)
+        if name == "d-j":
+            assert mv == vanhaecke_bracket(spec)
     assert verdicts == {"d-j": True, "j-1": False}
 
 

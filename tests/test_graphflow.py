@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import tetraflows.graphflow as graphflow_module
 from tetraflows.graphflow import (
     GAMMA1_GRAPH,
     GAMMA2_GRAPH,
@@ -21,7 +22,12 @@ from tetraflows.multivector import MultiVector, RawMatrix, is_poisson, jacobiato
 from tetraflows.polyring import Context, Polynomial
 
 from example4d import P1_UPPER, P2_RAW, P2_SKEW, ctx4, p0, parse4
-from helpers import naive_evaluate_kgraph_raw, random_bivector
+from helpers import (
+    brute_gamma1_raw,
+    brute_gamma2_raw,
+    naive_evaluate_kgraph_raw,
+    random_bivector,
+)
 
 
 # -- parsing and validation -------------------------------------------------
@@ -111,9 +117,10 @@ def test_gamma_flows_vanish_on_low_degree_coefficients():
 
 
 def test_graph_encodings_match_closed_forms_on_reference_bivector():
+    # The closed forms are the displayed formulas, looped in tests/helpers.py.
     bi = p0()
-    assert evaluate_kgraph(GAMMA1_GRAPH, bi).raw == gamma1(bi).raw
-    assert evaluate_kgraph(GAMMA2_GRAPH, bi).raw == gamma2(bi).raw
+    assert gamma1(bi).raw == RawMatrix(bi.ctx, brute_gamma1_raw(bi))
+    assert gamma2(bi).raw == RawMatrix(bi.ctx, brute_gamma2_raw(bi))
 
 
 def test_graph_encodings_match_closed_forms_on_random_bivectors():
@@ -122,8 +129,8 @@ def test_graph_encodings_match_closed_forms_on_random_bivectors():
         ctx = Context(dim)
         for _ in range(3):
             p = random_bivector(rng, ctx, max_terms=2, max_degree=3)
-            assert evaluate_kgraph(GAMMA1_GRAPH, p).raw == gamma1(p).raw
-            assert evaluate_kgraph(GAMMA2_GRAPH, p).raw == gamma2(p).raw
+            assert evaluate_kgraph(GAMMA1_GRAPH, p).raw == RawMatrix(ctx, brute_gamma1_raw(p))
+            assert evaluate_kgraph(GAMMA2_GRAPH, p).raw == RawMatrix(ctx, brute_gamma2_raw(p))
 
 
 def test_gamma1_raw_is_antisymmetric_for_random_input():
@@ -163,6 +170,85 @@ def test_pruned_evaluator_matches_naive_full_iteration():
         for graph in graphs:
             naive = naive_evaluate_kgraph_raw(graph, p)
             assert evaluate_kgraph(graph, p).raw == RawMatrix(ctx, naive)
+
+
+def _random_graph(rng, k, sinkless):
+    """A random graph with one edge into each sink and no tadpole.
+
+    Its last ``sinkless`` vertices target only each other.  A vertex sends
+    both edges to one target (a double edge) when it has no other choice,
+    and otherwise with probability 1/4.
+    """
+    main = k - sinkless
+    targets = [None] * (2 * k)
+    for e, sink in zip(rng.sample(range(2 * main), 2), (1, 2)):
+        targets[e] = ("S", sink)
+    for v in range(1, k + 1):
+        block = range(1, main + 1) if v <= main else range(main + 1, k + 1)
+        others = [("V", w) for w in block if w != v]
+        free = [e for e in (2 * v - 2, 2 * v - 1) if targets[e] is None]
+        if not free:
+            continue
+        if len(others) < len(free) or rng.random() < 0.25:
+            picks = [rng.choice(others)] * len(free)
+        else:
+            picks = rng.sample(others, len(free))
+        for e, t in zip(free, picks):
+            targets[e] = t
+    return KGraph(k, tuple(zip(targets[0::2], targets[1::2])))
+
+
+def _has_sinkless_component(graph):
+    component = list(range(graph.n_internal + 1))  # union-find over vertices
+
+    def root(v):
+        while component[v] != v:
+            v = component[v]
+        return v
+
+    for v, pair in enumerate(graph.edges, start=1):
+        for kind, w in pair:
+            if kind == "V":
+                component[root(v)] = root(w)
+    with_sinks = {
+        root(v) for v, pair in enumerate(graph.edges, start=1) if ("S", 1) in pair or ("S", 2) in pair
+    }
+    return any(root(v) not in with_sinks for v in range(1, graph.n_internal + 1))
+
+
+def test_contraction_matches_naive_evaluation_on_random_graphs(monkeypatch):
+    # Seeded random graphs with k <= 5 at n = 3, checked against full
+    # iteration.  The sample is checked to contain a fold over only some of
+    # the partner's edges, a double edge (whose graph always vanishes: a
+    # symmetric second derivative meets the skew P^{ab}), and nonzero
+    # results with the sinks on two different vertices and with a component
+    # without sinks.
+    partial_folds = []
+
+    def recording_fold(tensor, positions):
+        partial_folds.append(len(positions) < len(next(iter(tensor), ())))
+        return fold(tensor, positions)
+
+    fold = graphflow_module._fold
+    monkeypatch.setattr(graphflow_module, "_fold", recording_fold)
+    rng = random.Random(28)
+    ctx = Context(3)
+    seen = set()
+    for k, sinkless in ((2, 0), (3, 0), (4, 0), (4, 3)) * 5 + ((5, 4),):
+        graph = _random_graph(rng, k, sinkless)
+        p = random_bivector(rng, ctx, max_terms=3, max_degree=4)
+        raw = evaluate_kgraph(graph, p).raw
+        assert raw == RawMatrix(ctx, naive_evaluate_kgraph_raw(graph, p)), render_kgraph(graph)
+        nonzero = raw != RawMatrix.zero(ctx)
+        sink_vertices = {v for v, pair in enumerate(graph.edges) for t in pair if t[0] == "S"}
+        features = {
+            "double edge": any(l == r for l, r in graph.edges),
+            "nonzero, split sinks": nonzero and len(sink_vertices) == 2,
+            "nonzero, sinkless component": nonzero and _has_sinkless_component(graph),
+        }
+        seen.update(name for name, hit in features.items() if hit)
+    assert seen == set(features)
+    assert any(partial_folds), "no fold over part of the partner's edges"
 
 
 def test_dim2_balanced_flow_brackets_trivially():

@@ -200,28 +200,6 @@ def test_jacobiator_dim2_always_zero():
     assert jacobiator(random_bivector(rng, ctx)).is_zero
 
 
-def test_flow_jacobiators_pin_verified_values():
-    # Both flow outputs fail the Jacobi test; their Jacobiators share the
-    # monomial support below with relative signs (1, -5, 2) and leading
-    # coefficients half the reference global factors.  The reference prints
-    # the signs (1, 5, -2), which violate the graded Jacobi identity; see
-    # test_reference_self_brackets_obey_graded_jacobi_in_sympy below.
-    bi = p0()
-    for flow, factor in ((gamma1, P1_SELF_FACTOR), (gamma2, P2_SELF_FACTOR)):
-        skew = flow(bi).skew
-        jac = jacobiator(skew)
-        lead = Fraction(factor, 2)
-        expected = {
-            idx: parse4(mono).scale(lead * sign)
-            for (idx, mono), sign in zip(
-                sorted(SELF_BRACKET_MONOMIALS.items()),
-                [SELF_BRACKET_TRUE_SIGNS[k] for k in sorted(SELF_BRACKET_TRUE_SIGNS)],
-            )
-        }
-        assert dict(jac.comps) == expected
-        assert not is_poisson(skew)
-
-
 def _odd_product(a, b):
     """Product of superfield multi-vectors {increasing index tuple: coeff}."""
     out = {}
