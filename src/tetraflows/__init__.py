@@ -1,10 +1,11 @@
 """Exact symbolic tetrahedral graph flows on polynomial Poisson bi-vectors.
 
-The package provides exact sparse rational polynomial arithmetic, skew
-multi-vectors with the Schouten bracket and Jacobi test, a graph DSL with a
-generic graph-to-operator evaluator that also computes the two tetrahedral
-flows, three generators of polynomial Poisson structures, and the
-verification experiments over them (compatibility grids, the exact 1:6
+The package provides one exact sparse rational polynomial type (with a
+trailing formal slot used for eps and for the spectral parameter lam),
+skew multi-vectors with the Schouten bracket and Jacobi test, a graph DSL
+with a generic graph-to-operator evaluator that also computes the two
+tetrahedral flows, three generators of polynomial Poisson structures, and
+the verification experiments over them (compatibility grids, the exact 1:6
 ratio solver, the eps-perturbation probe).
 """
 
@@ -18,13 +19,11 @@ from .analysis import (
 )
 from .generators import (
     DetSpec,
-    OneForm,
     VanhaeckeSpec,
     build_bivector,
     det_bracket,
     form_obstruction,
     premultiply,
-    to_oneform,
     vanhaecke_bracket,
 )
 from .graphflow import (
@@ -40,14 +39,13 @@ from .graphflow import (
 from .multivector import (
     MultiVector,
     RawMatrix,
-    SCHOUTEN_SCALE,
     bivector_from_raw,
     is_poisson,
     jacobiator,
     mv_linear_combination,
     schouten,
 )
-from .polyring import Context, Polynomial, UPoly, compose_bivariate
+from .polyring import Context, Polynomial
 
 __version__ = "0.1.0"
 
@@ -58,18 +56,14 @@ __all__ = [
     "FlowResult",
     "KGraph",
     "MultiVector",
-    "OneForm",
     "Polynomial",
     "RatioSolution",
     "RawMatrix",
-    "SCHOUTEN_SCALE",
-    "UPoly",
     "VanhaeckeSpec",
     "balanced_flow",
     "bivector_from_raw",
     "build_bivector",
     "compat_report",
-    "compose_bivariate",
     "det_bracket",
     "evaluate_kgraph",
     "find_ratios",
@@ -85,6 +79,5 @@ __all__ = [
     "render_kgraph",
     "reproduce_tables",
     "schouten",
-    "to_oneform",
     "vanhaecke_bracket",
 ]

@@ -10,7 +10,9 @@ Three constructions are provided:
   vanishes exactly when the bi-vector is Poisson);
 * the even-dimensional bracket on the 2d coefficients of a monic u(lam) of
   degree d and a v(lam) of degree d-1, driven by a bivariate polynomial phi
-  and Euclidean reduction mod u(lam).
+  and Euclidean reduction mod u(lam).  lam is the trailing formal slot of
+  the context (the eps slot of the perturbation probe), so u, v and the
+  remainders are ordinary polynomials.
 
 Coordinates for the even-dimensional construction are ordered
 u_1..u_d, v_1..v_d and mapped onto x1..x(2d); the resulting matrix has the
@@ -25,16 +27,14 @@ from fractions import Fraction
 from typing import Mapping
 
 from .multivector import MultiVector, is_poisson
-from .polyring import Context, ContextMismatchError, Polynomial, UPoly, compose_bivariate
+from .polyring import Context, ContextMismatchError, Polynomial
 
 __all__ = [
     "GeneratorError",
     "DetSpec",
     "VanhaeckeSpec",
-    "OneForm",
     "det_bracket",
     "premultiply",
-    "to_oneform",
     "form_obstruction",
     "vanhaecke_bracket",
     "generator_from_json_dict",
@@ -80,25 +80,16 @@ class VanhaeckeSpec:
     def __post_init__(self):
         if self.d < 1:
             raise GeneratorError("d must be >= 1")
-        object.__setattr__(
-            self,
-            "phi",
-            tuple((int(a), int(b), c) for a, b, c in self.phi),
-        )
+        phi = tuple((int(a), int(b), c) for a, b, c in self.phi)
+        if any(a < 0 or b < 0 for a, b, _ in phi):
+            raise GeneratorError("phi exponents must be nonnegative")
+        object.__setattr__(self, "phi", phi)
 
     @cached_property
     def ctx(self) -> Context:
         # One object for every polynomial built from this spec, so context
         # checks in the kernel succeed on identity.
         return Context(2 * self.d)
-
-
-@dataclass(frozen=True)
-class OneForm:
-    """3D one-form components (P1, P2, P3) extracted from a bi-vector."""
-
-    ctx: Context
-    comps: tuple
 
 
 def _det(rows: "list[list[Polynomial]]", ctx: Context) -> Polynomial:
@@ -162,20 +153,16 @@ def premultiply(p: MultiVector, f: Polynomial) -> MultiVector:
     return p.mul_poly(f)
 
 
-def to_oneform(p: MultiVector) -> OneForm:
-    """Contract a 3D bi-vector into the one-form (-P^{23}, P^{13}, -P^{12})."""
-    if p.degree != 2 or p.ctx.dim != 3:
-        raise ValueError("one-form extraction needs a 3D bi-vector")
-    return OneForm(p.ctx, (-p.entry(2, 3), p.entry(1, 3), -p.entry(1, 2)))
-
-
 def form_obstruction(p: MultiVector) -> Polynomial:
     """Coefficient of dx^dy^dz in dP ^ P for the one-form P of a 3D bi-vector.
 
-    Vanishes exactly when the bi-vector is Poisson; proportional to the
-    (1,2,3)-component of the Jacobiator (the proportionality constant is 1).
+    The one-form is (-P^{23}, P^{13}, -P^{12}).  The obstruction vanishes
+    exactly when the bi-vector is Poisson; it equals the (1,2,3)-component
+    of the Jacobiator.
     """
-    p1, p2, p3 = to_oneform(p).comps
+    if p.degree != 2 or p.ctx.dim != 3:
+        raise ValueError("the one-form obstruction needs a 3D bi-vector")
+    p1, p2, p3 = -p.entry(2, 3), p.entry(1, 3), -p.entry(1, 2)
     c12 = p2.diff(1) - p1.diff(2)
     c13 = p3.diff(1) - p1.diff(3)
     c23 = p3.diff(2) - p2.diff(3)
@@ -186,22 +173,33 @@ def _vanhaecke_u_matrix(spec: VanhaeckeSpec, lam_power) -> "dict[tuple, Polynomi
     """Entries U^{ij} = {u_i, v_j} for one lam-coefficient reading."""
     d = spec.d
     ctx = spec.ctx
-    # u(lam) = lam^d + u_1 lam^(d-1) + ... + u_d  with u_i = x_i;
+    # lam is the trailing formal slot.  Horner's rule builds
+    # u(lam) = lam^d + u_1 lam^(d-1) + ... + u_d  with u_i = x_i and
     # v(lam) = v_1 lam^(d-1) + ... + v_d          with v_i = x_(d+i).
-    u = UPoly(
-        ctx,
-        [Polynomial.variable(ctx, d - k) for k in range(d)] + [Polynomial.one(ctx)],
-    )
-    v = UPoly(ctx, [Polynomial.variable(ctx, 2 * d - k) for k in range(d)])
-    phi_of_v = compose_bivariate(spec.phi, v)
-    entries = {}
+    lctx = ctx.with_epsilon()
+    lam = Polynomial.epsilon(lctx)
+    u = Polynomial.one(lctx)
+    v = Polynomial.zero(lctx)
     for i in range(1, d + 1):
-        prod = phi_of_v * u.plus_part(d - i + 1)
-        rem = prod.mod_monic(u)
+        u = u * lam + Polynomial.variable(lctx, i)
+        v = v * lam + Polynomial.variable(lctx, d + i)
+    phi_of_v = Polynomial.zero(lctx)
+    for a, b, coeff in spec.phi:
+        phi_of_v = phi_of_v + (lam**a * v**b).scale(coeff)
+    entries = {}
+    u_plus = Polynomial.one(lctx)  # [u(lam) / lam^(d-i+1)]_+
+    for i in range(1, d + 1):
+        # Reduce mod the monic u: cancel the top power of lam until it is below d.
+        rem = phi_of_v * u_plus
+        parts = rem.epsilon_split()
+        while (top := max(parts, default=0)) >= d:
+            rem = rem - parts[top].lift(lctx) * lam ** (top - d) * u
+            parts = rem.epsilon_split()
         for j in range(1, d + 1):
-            c = rem.coefficient(lam_power(j, d))
-            if not c.is_zero:
-                entries[(i, j)] = c
+            c = parts.get(lam_power(j, d))
+            if c:
+                entries[(i, j)] = Polynomial(ctx, dict(c.items()))
+        u_plus = u_plus * lam + Polynomial.variable(lctx, i)
     return entries
 
 
@@ -257,7 +255,10 @@ def generator_from_json_dict(doc: Mapping):
     kind = doc.get("kind")
     if kind == "det":
         ctx = Context(int(doc["dim"]))
-        args = [Polynomial.parse(t, ctx) for t in doc["args"]]
+        args = doc["args"]
+        if not isinstance(args, list) or not all(isinstance(t, str) for t in args):
+            raise TypeError('"args" must be a list of polynomial strings')
+        args = [Polynomial.parse(t, ctx) for t in args]
         pref = doc.get("prefactor")
         prefactor = Polynomial.parse(pref, ctx) if pref is not None else None
         return DetSpec(ctx, args, prefactor)
@@ -265,7 +266,12 @@ def generator_from_json_dict(doc: Mapping):
         d = int(doc["d"])
         if "dim" in doc and int(doc["dim"]) != 2 * d:
             raise GeneratorError(f"dim {doc['dim']} inconsistent with d = {d}")
-        phi = [(int(a), int(b), Fraction(str(c))) for a, b, c in doc["phi"]]
+        phi = doc["phi"]
+        if not isinstance(phi, list) or not all(
+            isinstance(t, list) and len(t) == 3 for t in phi
+        ):
+            raise TypeError('"phi" must be a list of [a, b, coeff] triples')
+        phi = [(int(a), int(b), Fraction(str(c))) for a, b, c in phi]
         return VanhaeckeSpec(d, phi)
     raise GeneratorError(f"unknown generator kind {kind!r}")
 

@@ -287,7 +287,14 @@ def _fold(tensor: dict, positions: list) -> dict:
         groups.setdefault(tuple(key), []).append(poly)
     out = {}
     for key, polys in groups.items():
-        total = sum(polys[1:], polys[0])
+        if len(polys) == 1:
+            out[key] = polys[0]
+            continue
+        acc = dict(polys[0].terms)
+        for poly in polys[1:]:
+            for mono, c in poly.terms.items():
+                acc[mono] = acc.get(mono, 0) + c
+        total = finish(polys[0].ctx, acc)
         if total:
             out[key] = total
     return out

@@ -12,10 +12,10 @@ The Schouten bracket of two bi-vectors is the tri-vector
                               + d_l P^{jk} Q^{li} + d_l Q^{jk} P^{li}
                               + d_l P^{ki} Q^{lj} + d_l Q^{ki} P^{lj} )
 
-with the single global normalization s = SCHOUTEN_SCALE = 1, calibrated so
-that printed reference values are reproduced bit-exactly; under it [[P,P]]
-equals twice the Jacobiator of P (the left-hand side of the Jacobi identity).
-Every downstream vanishing statement is invariant under s.
+with s = 1, the normalization that reproduces the printed reference values
+bit-exactly; under it [[P,P]] equals twice the Jacobiator of P (the
+left-hand side of the Jacobi identity).  Every downstream vanishing
+statement is invariant under s.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from typing import Iterable, Mapping, Sequence
 from .polyring import Context, ContextMismatchError, Polynomial, addmul, finish
 
 __all__ = [
-    "SCHOUTEN_SCALE",
     "MultiVector",
     "RawMatrix",
     "bivector_from_raw",
@@ -39,11 +38,13 @@ __all__ = [
     "mv_linear_combination",
 ]
 
-# Global Schouten normalization, calibrated once against reference bracket
-# values (the unique s in {1/2, 1, 2} reproducing them).  With s = 1 the
-# bracket is twice the polarized Jacobiator, so [[P,P]] = 2 * Jac(P); every
-# vanishing statement downstream is invariant under s.
-SCHOUTEN_SCALE = Fraction(1)
+
+def _json_context(doc: Mapping) -> Context:
+    """The Context of a document's "dim" and optional boolean "epsilon"."""
+    eps = doc.get("epsilon", False)
+    if not isinstance(eps, bool):
+        raise TypeError(f'"epsilon" must be true or false, got {eps!r}')
+    return Context(int(doc["dim"]), eps)
 
 
 class MultiVector:
@@ -180,7 +181,7 @@ class MultiVector:
 
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "MultiVector":
-        ctx = Context(int(doc["dim"]), bool(doc.get("epsilon", False)))
+        ctx = _json_context(doc)
         degree = int(doc["degree"])
         comps = {}
         for key, text in doc.get("components", {}).items():
@@ -255,7 +256,7 @@ class RawMatrix:
 
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "RawMatrix":
-        ctx = Context(int(doc["dim"]), bool(doc.get("epsilon", False)))
+        ctx = _json_context(doc)
         entries = [
             [Polynomial.parse(text, ctx) for text in row] for row in doc["entries"]
         ]
@@ -341,20 +342,16 @@ def schouten(p: MultiVector, q: MultiVector) -> MultiVector:
     _require_bivectors(p, q)
     same = p is q or p == q
     comps = _jacobi_like(p, q, same)
-    scale = SCHOUTEN_SCALE * (2 if same else 1)
-    out = {}
-    for idx, poly in comps.items():
-        poly = poly.scale(scale)
-        if not poly.is_zero:
-            out[idx] = poly
-    return MultiVector(p.ctx, 3, out)
+    if same:  # only one of the two equal halves was summed
+        comps = {idx: poly.scale(2) for idx, poly in comps.items()}
+    return MultiVector(p.ctx, 3, comps)
 
 
 def jacobiator(p: MultiVector) -> MultiVector:
     """Left-hand side of the Jacobi identity as a tri-vector.
 
     Jac^{ijk} = sum_l ( d_l P^{ij} P^{lk} + d_l P^{jk} P^{li} + d_l P^{ki} P^{lj} )
-    for i < j < k; [[P,P]] = 2 * Jac(P) under the calibrated normalization.
+    for i < j < k; [[P,P]] = 2 * Jac(P).
     """
     if p.degree != 2:
         raise ValueError("expected a bi-vector (degree 2)")

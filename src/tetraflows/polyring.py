@@ -1,8 +1,8 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
 A polynomial lives in a :class:`Context` of ``n >= 2`` variables ``x1..xn``
-(plus, optionally, a formal deformation variable ``eps`` occupying a trailing
-exponent slot) and is stored as a dict mapping packed monomials to nonzero
+(plus, optionally, a formal variable ``eps`` occupying a trailing exponent
+slot) and is stored as a dict mapping packed monomials to nonzero
 rational coefficients.
 
 A monomial is packed into one Python int: every exponent slot is a field of
@@ -31,10 +31,11 @@ Coefficients are kept as plain ``int`` whenever the value is integral and as
 map itself is the canonical form and two polynomials are equal exactly when
 their term maps are equal.  The zero polynomial is the empty map.
 
-The module also provides :class:`UPoly`, a dense univariate polynomial in an
-abstract variable ``lam`` with :class:`Polynomial` coefficients, together
-with the Euclidean operations (exact division by a monic modulus, truncation
-to the polynomial part) used by the even-dimensional bracket construction.
+The trailing formal slot serves two constructions: it is the deformation
+parameter ``eps`` of the perturbation probe, and the spectral parameter
+``lam`` of the even-dimensional generator, which builds ``u(lam)``,
+``v(lam)`` and the remainders mod ``u(lam)`` as ordinary polynomials and
+reads their ``lam``-coefficients with :meth:`Polynomial.epsilon_split`.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from operator import or_
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 __all__ = [
     "Coeff",
@@ -55,9 +56,7 @@ __all__ = [
     "ExponentOverflowError",
     "PolyParseError",
     "Polynomial",
-    "UPoly",
     "addmul",
-    "compose_bivariate",
     "finish",
 ]
 
@@ -107,7 +106,9 @@ class Context:
     """Variable context: Cartesian coordinates x1..x<dim>, optionally + eps.
 
     Every Polynomial references exactly one Context; mixing contexts in an
-    operation raises :class:`ContextMismatchError`.
+    operation raises :class:`ContextMismatchError`.  The trailing formal
+    slot is ``eps`` in the perturbation probe and ``lam`` in the
+    even-dimensional generator.
     """
 
     dim: int
@@ -563,167 +564,3 @@ def _coeff_str(c) -> str:
         return f"{c.numerator}/{c.denominator}"
     return str(c)
 
-
-class UPoly:
-    """Univariate polynomial in ``lam`` with Polynomial coefficients.
-
-    ``coeffs[k]`` is the coefficient of lam^k; the leading stored coefficient
-    is nonzero (the zero UPoly has an empty coefficient list).
-    """
-
-    __slots__ = ("ctx", "coeffs")
-
-    def __init__(self, ctx: Context, coeffs: Iterable[Polynomial] = ()):
-        coeffs = list(coeffs)
-        for c in coeffs:
-            if c.ctx != ctx:
-                raise ContextMismatchError("UPoly coefficient from a different context")
-        while coeffs and coeffs[-1].is_zero:
-            coeffs.pop()
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "coeffs", tuple(coeffs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("UPoly is immutable")
-
-    @classmethod
-    def zero(cls, ctx: Context) -> "UPoly":
-        return cls(ctx)
-
-    @classmethod
-    def one(cls, ctx: Context) -> "UPoly":
-        return cls(ctx, [Polynomial.one(ctx)])
-
-    @classmethod
-    def from_scalars(cls, ctx: Context, scalars: Iterable) -> "UPoly":
-        return cls(ctx, [Polynomial.constant(ctx, s) for s in scalars])
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def degree(self) -> int:
-        """Degree in lam; -1 for the zero UPoly."""
-        return len(self.coeffs) - 1
-
-    def coefficient(self, k: int) -> Polynomial:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return Polynomial.zero(self.ctx)
-
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == Polynomial.one(self.ctx)
-
-    def __eq__(self, other):
-        if not isinstance(other, UPoly):
-            return NotImplemented
-        return self.ctx == other.ctx and self.coeffs == other.coeffs
-
-    def __add__(self, other: "UPoly") -> "UPoly":
-        if not isinstance(other, UPoly):
-            return NotImplemented
-        if self.ctx != other.ctx:
-            raise ContextMismatchError("UPoly context mismatch")
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UPoly(
-            self.ctx,
-            [self.coefficient(k) + other.coefficient(k) for k in range(n)],
-        )
-
-    def __neg__(self) -> "UPoly":
-        return UPoly(self.ctx, [-c for c in self.coeffs])
-
-    def __sub__(self, other: "UPoly") -> "UPoly":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, Polynomial):
-            return UPoly(self.ctx, [c * other for c in self.coeffs])
-        if not isinstance(other, UPoly):
-            return NotImplemented
-        if self.ctx != other.ctx:
-            raise ContextMismatchError("UPoly context mismatch")
-        if self.is_zero or other.is_zero:
-            return UPoly.zero(self.ctx)
-        out: list = [{} for _ in range(len(self.coeffs) + len(other.coeffs) - 1)]
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                addmul(out[i + j], a, b)
-        return UPoly(self.ctx, [finish(self.ctx, acc) for acc in out])
-
-    def shifted(self, k: int) -> "UPoly":
-        """Multiply by lam^k (k >= 0)."""
-        if self.is_zero or k == 0:
-            return self
-        return UPoly(self.ctx, [Polynomial.zero(self.ctx)] * k + list(self.coeffs))
-
-    def plus_part(self, k: int) -> "UPoly":
-        """Polynomial part of self(lam) / lam^k: drop coefficients below lam^k."""
-        return UPoly(self.ctx, self.coeffs[k:])
-
-    def divmod_monic(self, u: "UPoly") -> "tuple[UPoly, UPoly]":
-        """Euclidean division by a monic modulus: self = q*u + r, deg r < deg u.
-
-        The division is exact over the coefficient ring (no fractions are
-        introduced) precisely because u is monic.
-        """
-        if self.ctx != u.ctx:
-            raise ContextMismatchError("UPoly context mismatch")
-        if u.is_zero:
-            raise ZeroDivisionError("division by the zero UPoly")
-        if not u.is_monic():
-            raise ValueError("modulus must be monic")
-        d = u.degree()
-        rem = list(self.coeffs)
-        if len(rem) <= d:
-            return UPoly.zero(self.ctx), self
-        q = [Polynomial.zero(self.ctx)] * (len(rem) - d)
-        for s in range(len(rem) - 1, d - 1, -1):
-            c = rem[s]
-            if c.is_zero:
-                continue
-            q[s - d] = c
-            for t in range(d + 1):
-                rem[s - d + t] = rem[s - d + t] - c * u.coeffs[t]
-        return UPoly(self.ctx, q), UPoly(self.ctx, rem[:d])
-
-    def mod_monic(self, u: "UPoly") -> "UPoly":
-        """Remainder of Euclidean division by the monic modulus u."""
-        return self.divmod_monic(u)[1]
-
-    def __repr__(self):
-        if self.is_zero:
-            return "UPoly(0)"
-        body = " + ".join(
-            f"({c.render()})*lam^{k}" for k, c in enumerate(self.coeffs) if not c.is_zero
-        )
-        return f"UPoly({body})"
-
-
-def compose_bivariate(
-    phi: Sequence[tuple], v: "UPoly", ctx: Context | None = None
-) -> "UPoly":
-    """Evaluate a bivariate polynomial at (lam, v(lam)).
-
-    `phi` is a list of ``(a, b, coeff)`` triples meaning ``coeff * s^a * t^b``;
-    the result is ``sum coeff * lam^a * v(lam)^b`` as a UPoly.  `ctx` is only
-    required when `v` is the zero UPoly (its context is otherwise used).
-    """
-    if ctx is None:
-        ctx = v.ctx
-    elif v.ctx != ctx:
-        raise ContextMismatchError("UPoly context mismatch")
-    result = UPoly.zero(ctx)
-    powers = {0: UPoly.one(ctx)}
-
-    def v_pow(b: int) -> UPoly:
-        if b not in powers:
-            powers[b] = v_pow(b - 1) * v
-        return powers[b]
-
-    for a, b, coeff in phi:
-        if a < 0 or b < 0:
-            raise ValueError("phi exponents must be nonnegative")
-        term = v_pow(b).shifted(a) * Polynomial.constant(ctx, coeff)
-        result = result + term
-    return result

@@ -45,7 +45,6 @@ from tetraflows.graphflow import (
     gamma2,
 )
 from tetraflows.multivector import (
-    SCHOUTEN_SCALE,
     MultiVector,
     RawMatrix,
     is_poisson,

@@ -250,8 +250,15 @@ def test_gen_spec_file(tmp_path, capsys):
         [1, 2],
         {"components": {"1,2": 5}},
         {"dim": 3, "degree": 2, "components": {"1,2": 5}},
+        {"dim": 3, "degree": 2, "components": {"1,2": "x1"}, "epsilon": "no"},
     ],
-    ids=["no-dim", "top-level-list", "only-components", "non-string-component"],
+    ids=[
+        "no-dim",
+        "top-level-list",
+        "only-components",
+        "non-string-component",
+        "non-bool-epsilon",
+    ],
 )
 def test_malformed_bivector_document_is_a_one_line_usage_error(tmp_path, capsys, doc):
     path = tmp_path / "P.json"
@@ -262,7 +269,14 @@ def test_malformed_bivector_document_is_a_one_line_usage_error(tmp_path, capsys,
 
 
 @pytest.mark.parametrize(
-    "doc", [[1], {"kind": "det"}], ids=["top-level-list", "det-without-dim"]
+    "doc",
+    [
+        [1],
+        {"kind": "det"},
+        {"kind": "det", "dim": 3, "args": "x1"},
+        {"kind": "vanhaecke", "d": 2, "phi": [[2, 2]]},
+    ],
+    ids=["top-level-list", "det-without-dim", "args-not-a-list", "phi-pair-not-triple"],
 )
 def test_malformed_spec_document_is_a_one_line_usage_error(tmp_path, capsys, doc):
     path = tmp_path / "spec.json"

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -13,7 +14,6 @@ from tetraflows.generators import (
     generator_from_json_dict,
     generator_to_json_dict,
     premultiply,
-    to_oneform,
     vanhaecke_bracket,
 )
 from tetraflows.graphflow import gamma2
@@ -107,25 +107,9 @@ def test_premultiply_can_break_poisson_in_dim4():
 # -- the 3D one-form test -------------------------------------------------------
 
 
-def test_to_oneform_component_extraction():
-    mv = MultiVector(CTX3, 2, {(1, 2): Polynomial.one(CTX3)})
-    assert [p.render() for p in to_oneform(mv).comps] == ["0", "0", "-1"]
-    zero = MultiVector.zero(CTX3, 2)
-    assert all(p.is_zero for p in to_oneform(zero).comps)
-
-
-def test_to_oneform_of_generated_bracket():
-    spec = DetSpec(CTX3, [parse3("x1*x2 + x1*x3 + x2*x3")], parse3("x1^2 + x2"))
-    bi = premultiply(det_bracket(DetSpec(CTX3, spec.args)), spec.prefactor)
-    form = to_oneform(bi)
-    assert form.comps[0] == -bi.component((2, 3))
-    assert form.comps[1] == bi.component((1, 3))
-    assert form.comps[2] == -bi.component((1, 2))
-
-
-def test_to_oneform_requires_dim3():
+def test_form_obstruction_requires_dim3():
     with pytest.raises(ValueError):
-        to_oneform(p0())
+        form_obstruction(p0())
 
 
 def test_form_obstruction_zero_for_poisson():
@@ -197,9 +181,63 @@ def test_vanhaecke_calibrated_reading_is_the_unique_poisson_one():
     assert verdicts == {"d-j": True, "j-1": False}
 
 
+ORACLE_CASES = [
+    (1, [(2, 2, 1)]),
+    (2, [(2, 2, 1)]),
+    (2, [(1, 0, Fraction(1, 2)), (0, 2, -3), (3, 1, Fraction(2, 5))]),
+    (3, [(3, 1, 1)]),
+    (3, [(0, 0, Fraction(-7, 4)), (2, 1, Fraction(1, 3)), (1, 2, 5)]),
+    (4, [(2, 1, 1)]),
+]
+
+
+def _sympy_vanhaecke_entries(sympy, d, phi):
+    """{u_i, v_j} as coeff of lam^(d-j) in rem(phi(lam, v) [u/lam^(d-i+1)]_+, u)."""
+    lam = sympy.Symbol("lam")
+    xs = sympy.symbols(f"x1:{2 * d + 1}")
+    u = lam**d + sum(xs[k - 1] * lam ** (d - k) for k in range(1, d + 1))
+    v = sum(xs[d + k - 1] * lam ** (d - k) for k in range(1, d + 1))
+    phi_v = sum(sympy.Rational(str(c)) * lam**a * v**b for a, b, c in phi)
+    entries, max_steps = {}, 0
+    for i in range(1, d + 1):
+        u_plus = sympy.div(u, lam ** (d - i + 1), lam)[0]
+        prod = sympy.expand(phi_v * u_plus)
+        max_steps = max(max_steps, sympy.degree(prod, lam) - d + 1)
+        rem = sympy.Poly(sympy.rem(prod, u, lam), lam)
+        for j in range(1, d + 1):
+            coeff = sympy.Poly(rem.coeff_monomial(lam ** (d - j)), *xs)
+            terms = {e: Fraction(int(c.p), int(c.q)) for e, c in coeff.terms() if c}
+            if terms:
+                entries[(i, d + j)] = terms
+    return entries, max_steps
+
+
+@pytest.mark.parametrize("d, phi", ORACLE_CASES)
+def test_vanhaecke_bracket_matches_sympy_euclidean_remainder(d, phi):
+    sympy = pytest.importorskip("sympy")
+    expected, max_steps = _sympy_vanhaecke_entries(sympy, d, phi)
+    mv = vanhaecke_bracket(VanhaeckeSpec(d, phi))
+    assert {idx: dict(p.items()) for idx, p in mv.comps.items()} == expected
+    assert max_steps >= 2  # the reduction mod u takes several steps
+
+
+def test_vanhaecke_components_share_the_spec_context():
+    for d, phi in ORACLE_CASES:
+        spec = VanhaeckeSpec(d, phi)
+        mv = vanhaecke_bracket(spec)
+        assert mv.ctx is spec.ctx and mv.comps
+        assert all(p.ctx is spec.ctx for p in mv.comps.values())
+
+
 def test_vanhaecke_rejects_bad_d():
     with pytest.raises(GeneratorError):
         VanhaeckeSpec(0, [(1, 1, 1)])
+
+
+def test_vanhaecke_rejects_negative_phi_exponents():
+    for phi in ([(-1, 1, 1)], [(2, 2, 1), (0, -2, 3)]):
+        with pytest.raises(GeneratorError, match="phi exponents must be nonnegative"):
+            VanhaeckeSpec(2, phi)
 
 
 # -- spec serialization -----------------------------------------------------------
@@ -226,8 +264,6 @@ def test_generator_json_validation():
 
 
 def test_vanhaecke_multi_term_rational_phi():
-    from fractions import Fraction
-
     spec = VanhaeckeSpec(2, [(2, 2, Fraction(1, 3)), (1, 1, 2)])
     mv = vanhaecke_bracket(spec)
     assert is_poisson(mv)

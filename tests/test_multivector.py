@@ -7,7 +7,6 @@ import pytest
 import tetraflows.multivector as mv_module
 from tetraflows.graphflow import gamma1, gamma2
 from tetraflows.multivector import (
-    SCHOUTEN_SCALE,
     MultiVector,
     RawMatrix,
     bivector_from_raw,
@@ -130,7 +129,7 @@ def test_schouten_symmetric_and_bilinear():
 def test_schouten_is_twice_jacobiator_on_the_diagonal():
     rng = random.Random(12)
     p = random_bivector(rng, ctx4())
-    expected = jacobiator(p).scale(2 * SCHOUTEN_SCALE)
+    expected = jacobiator(p).scale(2)
     assert schouten(p, p) == expected
     # also when the two arguments are equal but distinct objects
     q = MultiVector(p.ctx, 2, dict(p.comps))
@@ -160,7 +159,7 @@ def test_equal_copies_take_the_self_bracket_path(monkeypatch):
         assert len(calls) == self_calls
         tensor = brute_jacobi_tensor(p)
         for idx in combinations(range(1, dim + 1), 3):
-            assert same.component(idx) == tensor[idx].scale(2 * SCHOUTEN_SCALE)
+            assert same.component(idx) == tensor[idx].scale(2)
 
 
 def test_schouten_degree_and_context_mismatch():

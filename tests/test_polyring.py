@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction
 
 import pytest
@@ -12,8 +11,6 @@ from tetraflows.polyring import (
     ExponentOverflowError,
     PolyParseError,
     Polynomial,
-    UPoly,
-    compose_bivariate,
 )
 
 from example4d import JACOBI_123_TERMS, REFERENCE_CORPUS
@@ -228,120 +225,3 @@ def test_leibniz_rule(p, q, i):
 @given(polys(), st.integers(1, 3), st.integers(1, 3))
 def test_commuting_partials(p, i, j):
     assert p.diff(i).diff(j) == p.diff(j).diff(i)
-
-
-# -- univariate layer -------------------------------------------------------
-
-
-def upoly_vars(ctx=Context(2)):
-    u1 = Polynomial.variable(ctx, 1)
-    u2 = Polynomial.variable(ctx, 2)
-    return ctx, u1, u2
-
-
-def test_upoly_square_binomial():
-    ctx, u1, _ = upoly_vars()
-    lam_plus_u1 = UPoly(ctx, [u1, Polynomial.one(ctx)])
-    sq = lam_plus_u1 * lam_plus_u1
-    assert sq.coeffs == (u1 * u1, u1.scale(2), Polynomial.one(ctx))
-
-
-def test_upoly_mul_identity():
-    ctx, u1, u2 = upoly_vars()
-    a = UPoly(ctx, [u2, u1])
-    assert a * UPoly.one(ctx) == a
-
-
-def test_upoly_linear_square():
-    # (v1*lam + v2)^2 = v1^2 lam^2 + 2 v1 v2 lam + v2^2
-    ctx, v1, v2 = upoly_vars()
-    v = UPoly(ctx, [v2, v1])
-    assert (v * v).coeffs == (v2 * v2, (v1 * v2).scale(2), v1 * v1)
-
-
-def monic_quadratic():
-    ctx, u1, u2 = upoly_vars()
-    return ctx, u1, u2, UPoly(ctx, [u2, u1, Polynomial.one(ctx)])
-
-
-def test_upoly_mod_single_step():
-    ctx, u1, u2, u = monic_quadratic()
-    lam2 = UPoly.from_scalars(ctx, [0, 0, 1])
-    assert lam2.mod_monic(u).coeffs == (-u2, -u1)
-
-
-def test_upoly_mod_low_degree_passthrough():
-    ctx, u1, u2, u = monic_quadratic()
-    r = UPoly(ctx, [u2, u1])
-    assert r.mod_monic(u) == r
-
-
-def test_upoly_mod_two_steps():
-    # lam^3 mod (lam^2 + u1 lam + u2) = (u1^2 - u2) lam + u1 u2
-    ctx, u1, u2, u = monic_quadratic()
-    lam3 = UPoly.from_scalars(ctx, [0, 0, 0, 1])
-    rem = lam3.mod_monic(u)
-    assert rem.coeffs == (u1 * u2, u1 * u1 - u2)
-
-
-def test_upoly_mod_rejects_non_monic():
-    ctx, u1, u2, _ = monic_quadratic()
-    bad = UPoly(ctx, [u2, u1, Polynomial.constant(ctx, 2)])
-    with pytest.raises(ValueError):
-        UPoly.one(ctx).mod_monic(bad)
-    with pytest.raises(ZeroDivisionError):
-        UPoly.one(ctx).mod_monic(UPoly.zero(ctx))
-
-
-def test_upoly_euclidean_reconstruction():
-    rng = random.Random(42)
-    ctx = Context(3)
-
-    def coeff():
-        mono = tuple(rng.randint(0, 2) for _ in range(3))
-        return Polynomial(ctx, {mono: rng.randint(-3, 3)})
-
-    for _ in range(25):
-        u = UPoly(ctx, [coeff() for _ in range(rng.randint(1, 3))] + [Polynomial.one(ctx)])
-        a = UPoly(ctx, [coeff() for _ in range(rng.randint(0, 6))])
-        q, r = a.divmod_monic(u)
-        assert q * u + r == a
-        assert r.degree() < u.degree()
-
-
-def test_plus_part_boundaries():
-    # u = lam^3 + u1 lam^2 + u2 lam + u3 over dim-3 coordinates
-    ctx = Context(3)
-    u1, u2, u3 = (Polynomial.variable(ctx, i) for i in (1, 2, 3))
-    u = UPoly(ctx, [u3, u2, u1, Polynomial.one(ctx)])
-    d = u.degree()
-    # i = 1: [u / lam^d]_+ = 1
-    assert u.plus_part(d) == UPoly.one(ctx)
-    # i = 2, d = 3: lam + u1
-    assert u.plus_part(d - 1).coeffs == (u1, Polynomial.one(ctx))
-    # i = d: lam^(d-1) + u1 lam^(d-2) + ... + u_(d-1)
-    assert u.plus_part(1).coeffs == (u2, u1, Polynomial.one(ctx))
-
-
-def test_compose_bivariate_cases():
-    ctx, u1, u2 = upoly_vars()
-    one = UPoly.one(ctx)
-    # constant phi
-    assert compose_bivariate([(0, 0, 1)], UPoly.zero(ctx), ctx) == one
-    # phi = s^2 t, v = v1 (degree d = 1): v1 * lam^2
-    v_const = UPoly(ctx, [u1])
-    assert compose_bivariate([(2, 1, 1)], v_const).coeffs == (
-        Polynomial.zero(ctx),
-        Polynomial.zero(ctx),
-        u1,
-    )
-    # phi = s^2 t^2, v = v1 lam + v2: v1^2 lam^4 + 2 v1 v2 lam^3 + v2^2 lam^2
-    v = UPoly(ctx, [u2, u1])
-    got = compose_bivariate([(2, 2, 1)], v)
-    assert got.coeffs == (
-        Polynomial.zero(ctx),
-        Polynomial.zero(ctx),
-        u2 * u2,
-        (u1 * u2).scale(2),
-        u1 * u1,
-    )
