@@ -3,8 +3,8 @@
 The package provides one exact sparse rational polynomial type (with a
 trailing formal slot used for eps and for the spectral parameter lam),
 skew multi-vectors with the Schouten bracket and Jacobi test, a graph DSL
-with a generic graph-to-operator evaluator that also computes the two
-tetrahedral flows, three generators of polynomial Poisson structures, and
+with one contraction engine that computes the two tetrahedral flows and the
+bracket as graph sums, three generators of polynomial Poisson structures, and
 the verification experiments over them (compatibility grids, the exact 1:6
 ratio solver, the eps-perturbation probe).
 """

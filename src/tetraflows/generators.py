@@ -26,7 +26,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Mapping
 
-from .multivector import MultiVector, is_poisson
+from .multivector import MultiVector, _json_field, is_poisson
 from .polyring import Context, ContextMismatchError, Polynomial
 
 __all__ = [
@@ -254,7 +254,7 @@ def generator_to_json_dict(spec) -> dict:
 def generator_from_json_dict(doc: Mapping):
     kind = doc.get("kind")
     if kind == "det":
-        ctx = Context(int(doc["dim"]))
+        ctx = Context(_json_field(doc, "dim", int))
         args = doc["args"]
         if not isinstance(args, list) or not all(isinstance(t, str) for t in args):
             raise TypeError('"args" must be a list of polynomial strings')
@@ -263,15 +263,16 @@ def generator_from_json_dict(doc: Mapping):
         prefactor = Polynomial.parse(pref, ctx) if pref is not None else None
         return DetSpec(ctx, args, prefactor)
     if kind == "vanhaecke":
-        d = int(doc["d"])
-        if "dim" in doc and int(doc["dim"]) != 2 * d:
+        d = _json_field(doc, "d", int)
+        if "dim" in doc and _json_field(doc, "dim", int) != 2 * d:
             raise GeneratorError(f"dim {doc['dim']} inconsistent with d = {d}")
         phi = doc["phi"]
         if not isinstance(phi, list) or not all(
-            isinstance(t, list) and len(t) == 3 for t in phi
+            isinstance(t, list) and len(t) == 3 and type(t[0]) is type(t[1]) is int
+            for t in phi
         ):
-            raise TypeError('"phi" must be a list of [a, b, coeff] triples')
-        phi = [(int(a), int(b), Fraction(str(c))) for a, b, c in phi]
+            raise TypeError('"phi" must be a list of [a, b, coeff] triples, a and b integers')
+        phi = [(a, b, Fraction(str(c))) for a, b, c in phi]
         return VanhaeckeSpec(d, phi)
     raise GeneratorError(f"unknown generator kind {kind!r}")
 

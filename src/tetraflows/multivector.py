@@ -8,30 +8,29 @@ P^{ji} = -P^{ij}, P^{ii} = 0.
 
 The Schouten bracket of two bi-vectors is the tri-vector
 
-    [[P,Q]]^{ijk} = s * sum_l ( d_l P^{ij} Q^{lk} + d_l Q^{ij} P^{lk}
-                              + d_l P^{jk} Q^{li} + d_l Q^{jk} P^{li}
-                              + d_l P^{ki} Q^{lj} + d_l Q^{ki} P^{lj} )
+    [[P,Q]]^{ijk} = sum_l ( d_l P^{ij} Q^{lk} + d_l Q^{ij} P^{lk}
+                          + d_l P^{jk} Q^{li} + d_l Q^{jk} P^{li}
+                          + d_l P^{ki} Q^{lj} + d_l Q^{ki} P^{lj} ),
 
-with s = 1, the normalization that reproduces the printed reference values
-bit-exactly; under it [[P,P]] equals twice the Jacobiator of P (the
-left-hand side of the Jacobi identity).  Every downstream vanishing
-statement is invariant under s.
+the normalization that reproduces the printed reference values bit-exactly;
+[[P,P]] is twice the Jacobiator of P (the left-hand side of the Jacobi
+identity).  It is computed as a graph sum: the graph "2; (S1,S2) (V1,S3)"
+gives R^{abc} = sum_l d_l P^{ab} Q^{lc}, and [[P,Q]] = sum_cyc (R_PQ + R_QP).
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
-from .polyring import Context, ContextMismatchError, Polynomial, addmul, finish
+from ._kgraph import graph_sum, parse_kgraph
+from .polyring import Context, ContextMismatchError, Polynomial
 
 __all__ = [
     "MultiVector",
     "RawMatrix",
     "bivector_from_raw",
-    "derivative_tensor",
     "schouten",
     "jacobiator",
     "is_poisson",
@@ -39,12 +38,18 @@ __all__ = [
 ]
 
 
+def _json_field(doc: Mapping, key: str, kind: type, *default):
+    """``doc[key]``, or the default when one is given and the key is absent;
+    it must have exactly the type ``kind``, so neither 3.7 nor true is an int."""
+    value = doc.get(key, *default) if default else doc[key]
+    if type(value) is not kind:
+        raise TypeError(f'"{key}" must be of type {kind.__name__}, got {value!r}')
+    return value
+
+
 def _json_context(doc: Mapping) -> Context:
-    """The Context of a document's "dim" and optional boolean "epsilon"."""
-    eps = doc.get("epsilon", False)
-    if not isinstance(eps, bool):
-        raise TypeError(f'"epsilon" must be true or false, got {eps!r}')
-    return Context(int(doc["dim"]), eps)
+    """The Context of a document's integer "dim" and optional boolean "epsilon"."""
+    return Context(_json_field(doc, "dim", int), _json_field(doc, "epsilon", bool, False))
 
 
 class MultiVector:
@@ -99,11 +104,6 @@ class MultiVector:
             return self.comps.get((i, j), Polynomial.zero(self.ctx))
         p = self.comps.get((j, i))
         return -p if p is not None else Polynomial.zero(self.ctx)
-
-    def full_matrix(self) -> "list[list[Polynomial]]":
-        """The n x n antisymmetric coefficient matrix of a bi-vector."""
-        n = self.ctx.dim
-        return [[self.entry(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
 
     def scale(self, c) -> "MultiVector":
         return mv_linear_combination([(c, self)])
@@ -182,7 +182,7 @@ class MultiVector:
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "MultiVector":
         ctx = _json_context(doc)
-        degree = int(doc["degree"])
+        degree = _json_field(doc, "degree", int)
         comps = {}
         for key, text in doc.get("components", {}).items():
             idx = tuple(int(s) for s in str(key).split(","))
@@ -225,12 +225,6 @@ class RawMatrix:
     def entry(self, i: int, j: int) -> Polynomial:
         """1-based entry M^{ij}."""
         return self.entries[i - 1][j - 1]
-
-    def transpose(self) -> "RawMatrix":
-        n = self.ctx.dim
-        return RawMatrix(
-            self.ctx, [[self.entries[j][i] for j in range(n)] for i in range(n)]
-        )
 
     def is_antisymmetric(self) -> bool:
         n = self.ctx.dim
@@ -279,83 +273,27 @@ def bivector_from_raw(m: RawMatrix) -> MultiVector:
     return MultiVector(m.ctx, 2, comps)
 
 
-def _require_bivectors(p: MultiVector, q: MultiVector) -> None:
-    if p.degree != 2 or q.degree != 2:
-        raise ValueError("expected bi-vectors (degree 2)")
-    if p.ctx != q.ctx:
-        raise ContextMismatchError("bi-vectors from different contexts")
-
-
-def derivative_tensor(p: MultiVector, m: int) -> dict:
-    """Nonzero m-th derivatives of a bi-vector's full matrix.
-
-    Keys are (a, b, c1, ..., cm) with c1 <= ... <= cm, values the nonzero
-    d^m P^{ab} / dx_{c1} ... dx_{cm}; derivatives commute, so every other
-    order of the c's has the same value.
-    """
-    n = p.ctx.dim
-    table = dict(p.comps)
-    for step in range(m):
-        table = {
-            key + (c,): d
-            for key, poly in table.items()
-            for c in range(key[-1] if step else 1, n + 1)
-            if (d := poly.diff(c))
-        }
-    table.update({(key[1], key[0]) + key[2:]: -poly for key, poly in table.items()})
-    return table
-
-
-def _jacobi_like(p: MultiVector, q: MultiVector, same: bool) -> dict:
-    """Components sum_l sum_cyc ( d_l P^{ab} Q^{lc} + d_l Q^{ab} P^{lc} ).
-
-    With ``same`` (p equals q) only the first of the two equal halves is
-    summed.
-    """
-    ctx = p.ctx
-    n = ctx.dim
-    dp = derivative_tensor(p, 1)
-    qm = q.full_matrix()
-    if not same:
-        dq = derivative_tensor(q, 1)
-        pm = p.full_matrix()
-    comps = {}
-    for i, j, k in combinations(range(1, n + 1), 3):
-        acc: dict = {}
-        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-            for l in range(1, n + 1):
-                d = dp.get((a, b, l))
-                if d is not None:
-                    addmul(acc, d, qm[l - 1][c - 1])
-                if not same:
-                    d = dq.get((a, b, l))
-                    if d is not None:
-                        addmul(acc, d, pm[l - 1][c - 1])
-        poly = finish(ctx, acc)
-        if not poly.is_zero:
-            comps[(i, j, k)] = poly
-    return comps
+_BRACKET_GRAPH = parse_kgraph("2; (S1,S2) (V1,S3)")
 
 
 def schouten(p: MultiVector, q: MultiVector) -> MultiVector:
-    """Schouten bracket of two bi-vectors (a tri-vector); symmetric in (p, q)."""
-    _require_bivectors(p, q)
-    same = p is q or p == q
-    comps = _jacobi_like(p, q, same)
-    if same:  # only one of the two equal halves was summed
-        comps = {idx: poly.scale(2) for idx, poly in comps.items()}
-    return MultiVector(p.ctx, 3, comps)
+    """Schouten bracket of two bi-vectors (a tri-vector); symmetric in (p, q).
+
+    The bracket graph summed over the assignments (P, Q) and (Q, P); when p
+    equals q the two are equal, so one of them is taken twice.
+    """
+    if p is q or p == q:
+        return jacobiator(p).scale(2)
+    return MultiVector(p.ctx, 3, graph_sum(_BRACKET_GRAPH, [(p, q), (q, p)], skew=True))
 
 
 def jacobiator(p: MultiVector) -> MultiVector:
     """Left-hand side of the Jacobi identity as a tri-vector.
 
     Jac^{ijk} = sum_l ( d_l P^{ij} P^{lk} + d_l P^{jk} P^{li} + d_l P^{ki} P^{lj} )
-    for i < j < k; [[P,P]] = 2 * Jac(P).
+    for i < j < k, the bracket graph with P on both vertices; [[P,P]] = 2 * Jac(P).
     """
-    if p.degree != 2:
-        raise ValueError("expected a bi-vector (degree 2)")
-    return MultiVector(p.ctx, 3, _jacobi_like(p, p, True))
+    return MultiVector(p.ctx, 3, graph_sum(_BRACKET_GRAPH, [(p, p)], skew=True))
 
 
 def is_poisson(p: MultiVector) -> bool:

@@ -277,11 +277,6 @@ class Polynomial:
         for mono, c in self.terms.items():
             yield unpack(mono), c
 
-    def total_degree(self) -> int:
-        """Total degree (eps counted); 0 for the zero polynomial."""
-        unpack = self.ctx.unpack
-        return max((sum(unpack(m)) for m in self.terms), default=0)
-
     def coefficient(self, exps: Sequence[int]):
         return self.terms.get(self.ctx.pack(exps), 0)
 

@@ -48,24 +48,25 @@ def brute_jacobi_tensor(p):
     return tensor
 
 
-def naive_evaluate_kgraph_raw(graph, p):
+def naive_graph_tensor(graph, bivectors):
     """Graph evaluation by full iteration over every edge assignment.
 
-    Enumerates all n^(2k) assignments and recomputes every factor from
-    scratch; returns the raw matrix as a nested list of polynomials.
+    Vertex v carries bivectors[v-1]; the graph may have any number m of
+    sinks.  Enumerates all n^(2k) assignments and recomputes every factor
+    from scratch; returns {(index into S1, ..., index into Sm): polynomial}
+    with the zero entries left out.
     """
-    ctx = p.ctx
+    ctx = bivectors[0].ctx
     n = ctx.dim
     k = graph.n_internal
     targets = [t for pair in graph.edges for t in pair]
-    s1 = targets.index(("S", 1))
-    s2 = targets.index(("S", 2))
-    zero = Polynomial.zero(ctx)
-    result = [[zero for _ in range(n)] for _ in range(n)]
+    m = max((i for kind, i in targets if kind == "S"), default=0)
+    sinks = [targets.index(("S", s)) for s in range(1, m + 1)]
+    tensor = {}
     for assign in product(range(1, n + 1), repeat=2 * k):
         term = Polynomial.one(ctx)
         for v in range(1, k + 1):
-            factor = p.entry(assign[2 * (v - 1)], assign[2 * (v - 1) + 1])
+            factor = bivectors[v - 1].entry(assign[2 * (v - 1)], assign[2 * (v - 1) + 1])
             for e, target in enumerate(targets):
                 if target == ("V", v):
                     factor = factor.diff(assign[e])
@@ -73,9 +74,18 @@ def naive_evaluate_kgraph_raw(graph, p):
             if term.is_zero:
                 break
         if not term.is_zero:
-            a, b = assign[s1], assign[s2]
-            result[a - 1][b - 1] = result[a - 1][b - 1] + term
-    return result
+            key = tuple(assign[e] for e in sinks)
+            tensor[key] = tensor.get(key, Polynomial.zero(ctx)) + term
+    return {key: poly for key, poly in tensor.items() if not poly.is_zero}
+
+
+def naive_evaluate_kgraph_raw(graph, p):
+    """The raw matrix of a two-sink graph with p on every vertex, by
+    naive_graph_tensor, as a nested list of polynomials."""
+    tensor = naive_graph_tensor(graph, [p] * graph.n_internal)
+    n = p.ctx.dim
+    zero = Polynomial.zero(p.ctx)
+    return [[tensor.get((a, b), zero) for b in range(1, n + 1)] for a in range(1, n + 1)]
 
 
 def _entry_derivative(p, a, b, *indices):

@@ -159,6 +159,15 @@ def test_graph_eval_wedge_echoes_input(capsys, p0_file):
         assert parse4(text).render() in out
 
 
+@pytest.mark.parametrize("text", ["2; (S1,S2) (V1,S3)", "2; (S1,V2) (V1,V1)"])
+def test_graph_eval_needs_two_sinks(capsys, p0_file, text):
+    # The text encoding accepts any number of sinks; graph eval prints a
+    # bi-vector, so it takes exactly S1 and S2.
+    code, out, err = run(capsys, "graph", "eval", text, p0_file)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_probe_appendix_style_instance(tmp_path, capsys):
     from tetraflows.generators import DetSpec, det_bracket, premultiply
     from tetraflows.polyring import Context, Polynomial
@@ -251,6 +260,9 @@ def test_gen_spec_file(tmp_path, capsys):
         {"components": {"1,2": 5}},
         {"dim": 3, "degree": 2, "components": {"1,2": 5}},
         {"dim": 3, "degree": 2, "components": {"1,2": "x1"}, "epsilon": "no"},
+        {"dim": 3.7, "degree": 2, "components": {"1,2": "x1"}},
+        {"dim": 3, "degree": 2.6, "components": {"1,2": "x1"}},
+        {"dim": True, "degree": 2, "components": {"1,2": "x1"}},
     ],
     ids=[
         "no-dim",
@@ -258,6 +270,9 @@ def test_gen_spec_file(tmp_path, capsys):
         "only-components",
         "non-string-component",
         "non-bool-epsilon",
+        "fractional-dim",
+        "fractional-degree",
+        "boolean-dim",
     ],
 )
 def test_malformed_bivector_document_is_a_one_line_usage_error(tmp_path, capsys, doc):
@@ -275,8 +290,21 @@ def test_malformed_bivector_document_is_a_one_line_usage_error(tmp_path, capsys,
         {"kind": "det"},
         {"kind": "det", "dim": 3, "args": "x1"},
         {"kind": "vanhaecke", "d": 2, "phi": [[2, 2]]},
+        {"kind": "vanhaecke", "d": 2.9, "phi": [[2, 2, "1"]]},
+        {"kind": "vanhaecke", "d": 2, "dim": 4.0, "phi": [[2, 2, "1"]]},
+        {"kind": "vanhaecke", "d": 2, "phi": [[2.5, 2, "1"]]},
+        {"kind": "det", "dim": 3.0, "args": ["x1"]},
     ],
-    ids=["top-level-list", "det-without-dim", "args-not-a-list", "phi-pair-not-triple"],
+    ids=[
+        "top-level-list",
+        "det-without-dim",
+        "args-not-a-list",
+        "phi-pair-not-triple",
+        "fractional-d",
+        "float-dim",
+        "fractional-phi-exponent",
+        "float-det-dim",
+    ],
 )
 def test_malformed_spec_document_is_a_one_line_usage_error(tmp_path, capsys, doc):
     path = tmp_path / "spec.json"

@@ -1,8 +1,12 @@
 import random
+import re
+from fractions import Fraction
+from itertools import combinations, permutations, product
 
 import pytest
 
-import tetraflows.graphflow as graphflow_module
+import tetraflows._kgraph as kgraph_module
+from tetraflows._kgraph import graph_sum
 from tetraflows.graphflow import (
     GAMMA1_GRAPH,
     GAMMA2_GRAPH,
@@ -26,6 +30,7 @@ from helpers import (
     brute_gamma1_raw,
     brute_gamma2_raw,
     naive_evaluate_kgraph_raw,
+    naive_graph_tensor,
     random_bivector,
 )
 
@@ -75,13 +80,25 @@ def test_evaluation_requires_single_edge_per_sink():
         evaluate_kgraph(bad, p0())
 
 
+def test_flow_evaluation_requires_exactly_two_sinks():
+    # A raw matrix has two indices: evaluate_kgraph keeps the two-sink
+    # contract, while the text encoding and the engine take m sinks.
+    assert parse_kgraph("2; (S1,S2) (V1,S3)").edges[1] == (("V", 1), ("S", 3))
+    for text in ("2; (S1,S2) (V1,S3)", "2; (S1,V2) (V1,V1)", "1; (S2,S3)"):
+        with pytest.raises(GraphStructureError, match="two sinks"):
+            evaluate_kgraph(parse_kgraph(text), p0())
+    with pytest.raises(GraphStructureError):
+        parse_kgraph("1; (S0,S1)")
+
+
 # -- evaluation semantics ----------------------------------------------------
 
 
 def test_wedge_graph_is_the_identity_encoding():
     bi = p0()
     result = evaluate_kgraph(WEDGE_GRAPH, bi)
-    assert result.raw.entries == tuple(tuple(row) for row in bi.full_matrix())
+    full = tuple(tuple(bi.entry(i, j) for j in range(1, 5)) for i in range(1, 5))
+    assert result.raw.entries == full
     assert result.skew == bi
 
 
@@ -156,8 +173,10 @@ def test_sink_swap_transposes_raw_and_negates_skew():
     for graph in (WEDGE_GRAPH, GAMMA1_GRAPH, GAMMA2_GRAPH):
         p = random_bivector(rng, Context(3), max_terms=2, max_degree=2)
         plain = evaluate_kgraph(graph, p)
-        swapped = evaluate_kgraph(graph.with_sinks_swapped(), p)
-        assert swapped.raw == plain.raw.transpose()
+        text = re.sub(r"S([12])", lambda m: "S" + "21"[int(m[1]) - 1], render_kgraph(graph))
+        swapped = evaluate_kgraph(parse_kgraph(text), p)
+        for i, j in product(range(1, 4), repeat=2):
+            assert swapped.raw.entry(i, j) == plain.raw.entry(j, i)
         assert swapped.skew == plain.skew.scale(-1)
 
 
@@ -172,8 +191,8 @@ def test_pruned_evaluator_matches_naive_full_iteration():
             assert evaluate_kgraph(graph, p).raw == RawMatrix(ctx, naive)
 
 
-def _random_graph(rng, k, sinkless):
-    """A random graph with one edge into each sink and no tadpole.
+def _random_graph(rng, k, sinkless, sinks=2):
+    """A random graph with one edge into each of its sinks and no tadpole.
 
     Its last ``sinkless`` vertices target only each other.  A vertex sends
     both edges to one target (a double edge) when it has no other choice,
@@ -181,7 +200,7 @@ def _random_graph(rng, k, sinkless):
     """
     main = k - sinkless
     targets = [None] * (2 * k)
-    for e, sink in zip(rng.sample(range(2 * main), 2), (1, 2)):
+    for e, sink in zip(rng.sample(range(2 * main), sinks), range(1, sinks + 1)):
         targets[e] = ("S", sink)
     for v in range(1, k + 1):
         block = range(1, main + 1) if v <= main else range(main + 1, k + 1)
@@ -229,8 +248,8 @@ def test_contraction_matches_naive_evaluation_on_random_graphs(monkeypatch):
         partial_folds.append(len(positions) < len(next(iter(tensor), ())))
         return fold(tensor, positions)
 
-    fold = graphflow_module._fold
-    monkeypatch.setattr(graphflow_module, "_fold", recording_fold)
+    fold = kgraph_module._fold
+    monkeypatch.setattr(kgraph_module, "_fold", recording_fold)
     rng = random.Random(28)
     ctx = Context(3)
     seen = set()
@@ -249,6 +268,43 @@ def test_contraction_matches_naive_evaluation_on_random_graphs(monkeypatch):
         seen.update(name for name, hit in features.items() if hit)
     assert seen == set(features)
     assert any(partial_folds), "no fold over part of the partner's edges"
+
+
+def test_three_sink_graph_sums_match_naive_evaluation():
+    # Seeded random graphs with three sinks and k <= 4 at n = 3, two
+    # distinct bi-vectors assigned at random to the vertices, and a sum over
+    # two assignments, checked against full iteration.  Without skew, a
+    # vertex holding two sinks is taken for a < b only; with skew, each
+    # product goes to the sorted key with the sign of the sort, which is the
+    # full antisymmetrization, halved when such a vertex counts its pair once.
+    rng = random.Random(29)
+    ctx = Context(3)
+    seen = set()
+    for k, sinkless in ((2, 0), (3, 0), (4, 0), (4, 2)) * 5:
+        graph = _random_graph(rng, k, sinkless, sinks=3)
+        pq = [random_bivector(rng, ctx, max_terms=3, max_degree=4) for _ in range(2)]
+        assignments = [tuple(rng.choice(pq) for _ in range(k)) for _ in range(2)]
+        pairs = [(l[1], r[1]) for l, r in graph.edges if l[0] == r[0] == "S"]
+        naive = {}
+        for ps in assignments:
+            for key, poly in naive_graph_tensor(graph, ps).items():
+                naive[key] = naive.get(key, Polynomial.zero(ctx)) + poly
+        half = {
+            key: poly
+            for key, poly in naive.items()
+            if all(key[i - 1] < key[j - 1] for i, j in pairs) and not poly.is_zero
+        }
+        assert graph_sum(graph, assignments) == half, render_kgraph(graph)
+        full = Polynomial.zero(ctx)
+        for perm in permutations(range(3)):
+            sign = (-1) ** sum(perm[a] > perm[b] for a, b in combinations(range(3), 2))
+            key = tuple(i + 1 for i in perm)
+            full = full + naive.get(key, Polynomial.zero(ctx)).scale(sign)
+        expected = full.scale(Fraction(1, 2) if pairs else 1)
+        skew = graph_sum(graph, assignments, skew=True)
+        assert skew == ({} if expected.is_zero else {(1, 2, 3): expected}), render_kgraph(graph)
+        seen.add(("paired" if pairs else "split", bool(skew)))
+    assert {("paired", True), ("split", True)} <= seen
 
 
 def test_dim2_balanced_flow_brackets_trivially():
