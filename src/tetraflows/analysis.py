@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
 from .generators import (
@@ -26,10 +26,9 @@ from .generators import (
 )
 from .graphflow import gamma1, gamma2
 from .multivector import MultiVector, is_poisson, mv_linear_combination, schouten
-from .polyring import Polynomial
+from .polyring import Polynomial, finish
 
 __all__ = [
-    "DEFAULT_SEED",
     "FLAG_NAMES",
     "CompatReport",
     "RatioSolution",
@@ -41,9 +40,6 @@ __all__ = [
     "reproduce_tables",
     "builtin_rows",
 ]
-
-# Fixed default seed for the randomized property suites (reproducible runs).
-DEFAULT_SEED = 20160613
 
 # The five grid columns; a True flag means "exactly zero".
 FLAG_NAMES = (
@@ -116,13 +112,22 @@ class RatioSolution:
 
 
 def find_ratios(p: MultiVector, basis: Sequence[MultiVector]) -> RatioSolution:
-    """Solve sum_i c_i * [[P, B_i]] = 0 exactly by coefficient matching."""
+    """Solve sum_i c_i * [[P, B_i]] = 0 exactly by coefficient matching.
+
+    The bracket is linear in P and in each B_i, so the brackets are taken
+    of the integer multiples D_P * P and s_i * B_i (D_P and s_i the lcm of
+    their coefficient denominators) and stay in integer arithmetic.  A null
+    vector v of the scaled columns maps back exactly to c_i = v_i * s_i, a
+    positive multiple of the unscaled solver's vector.
+    """
     basis = list(basis)
     if not basis:
         raise ValueError("empty basis")
     if not is_poisson(p):
         raise ValueError("input bi-vector is not Poisson")
-    brackets = [schouten(p, b) for b in basis]
+    p_int = p.scale(_denominator_lcm(p))
+    scales = [_denominator_lcm(b) for b in basis]
+    brackets = [schouten(p_int, b.scale(s)) for b, s in zip(basis, scales)]
     row_keys = sorted(
         {
             (idx, mono)
@@ -139,7 +144,9 @@ def find_ratios(p: MultiVector, basis: Sequence[MultiVector]) -> RatioSolution:
             row.append(Fraction(poly.terms.get(mono, 0)) if poly is not None else Fraction(0))
         matrix.append(row)
     kernel = _nullspace(matrix, len(basis))
-    return RatioSolution(len(kernel), tuple(_primitive(v) for v in kernel))
+    return RatioSolution(
+        len(kernel), tuple(_primitive([v * s for v, s in zip(vec, scales)]) for vec in kernel)
+    )
 
 
 def _nullspace(matrix: "list[list[Fraction]]", ncols: int) -> "list[list[Fraction]]":
@@ -199,6 +206,12 @@ def perturb_probe(p: MultiVector, delta: MultiVector) -> dict:
     context.  Orders with both parts zero are omitted (so an unperturbed
     Poisson input yields an empty map); the order-0 parts vanish by the
     precondition that P is Poisson.
+
+    The brackets run on the integer multiple D_P * P + eps * D_P * D_Delta
+    * Delta (D the lcm of the coefficient denominators), which is D_P * P~
+    with eps scaled by D_Delta.  [[P~, P~]] is quadratic and [[P~, Q(P~)]]
+    quintic in P~, so the order-k parts are divided back exactly by
+    D_P^2 * D_Delta^k and D_P^5 * D_Delta^k.
     """
     ctx = p.ctx
     if not ctx.has_epsilon:
@@ -209,8 +222,10 @@ def perturb_probe(p: MultiVector, delta: MultiVector) -> dict:
         raise ValueError("P and Delta must be eps-free")
     if not is_poisson(p):
         raise ValueError("P must be Poisson")
-    eps = Polynomial.epsilon(ctx)
-    p_tilde = p + delta.mul_poly(eps)
+    d_p = _denominator_lcm(p)
+    d_delta = _denominator_lcm(delta)
+    eps = Polynomial.epsilon(ctx).scale(d_p * d_delta)
+    p_tilde = p.scale(d_p) + delta.mul_poly(eps)
     jac = schouten(p_tilde, p_tilde)
     q_tilde = mv_linear_combination(
         [(1, gamma1(p_tilde).skew), (6, gamma2(p_tilde).skew)]
@@ -221,9 +236,31 @@ def perturb_probe(p: MultiVector, delta: MultiVector) -> dict:
     base = ctx.without_epsilon()
     zero = MultiVector.zero(base, 3)
     return {
-        k: (j_parts.get(k, zero), c_parts.get(k, zero))
+        k: (
+            _divided(j_parts.get(k, zero), d_p**2 * d_delta**k),
+            _divided(c_parts.get(k, zero), d_p**5 * d_delta**k),
+        )
         for k in sorted(set(j_parts) | set(c_parts))
     }
+
+
+def _denominator_lcm(mv: MultiVector) -> int:
+    """The lcm of the coefficient denominators of a multi-vector (1 if integral)."""
+    return lcm(*(c.denominator for poly in mv.comps.values() for c in poly.terms.values()))
+
+
+def _divided(mv: MultiVector, divisor: int) -> MultiVector:
+    """mv / divisor, each coefficient built once as an exact quotient."""
+    if divisor == 1:
+        return mv
+    return MultiVector(
+        mv.ctx,
+        mv.degree,
+        {
+            idx: finish(mv.ctx, {m: Fraction(c, divisor) for m, c in poly.terms.items()})
+            for idx, poly in mv.comps.items()
+        },
+    )
 
 
 # -- the builtin example grid ---------------------------------------------------

@@ -78,9 +78,12 @@ class VanhaeckeSpec:
     phi: tuple
 
     def __post_init__(self):
-        if self.d < 1:
-            raise GeneratorError("d must be >= 1")
-        phi = tuple((int(a), int(b), c) for a, b, c in self.phi)
+        # type(x) is int, as for JSON fields: neither 2.5 nor True is an int
+        if type(self.d) is not int or self.d < 1:
+            raise GeneratorError(f"d must be an integer >= 1, got {self.d!r}")
+        phi = tuple((a, b, c) for a, b, c in self.phi)
+        if any(type(a) is not int or type(b) is not int for a, b, _ in phi):
+            raise GeneratorError("phi exponents must be integers")
         if any(a < 0 or b < 0 for a, b, _ in phi):
             raise GeneratorError("phi exponents must be nonnegative")
         object.__setattr__(self, "phi", phi)
@@ -272,7 +275,10 @@ def generator_from_json_dict(doc: Mapping):
             for t in phi
         ):
             raise TypeError('"phi" must be a list of [a, b, coeff] triples, a and b integers')
-        phi = [(a, b, Fraction(str(c))) for a, b, c in phi]
+        try:
+            phi = [(a, b, Fraction(str(c))) for a, b, c in phi]
+        except ZeroDivisionError:
+            raise GeneratorError('a "phi" coefficient has a zero denominator') from None
         return VanhaeckeSpec(d, phi)
     raise GeneratorError(f"unknown generator kind {kind!r}")
 

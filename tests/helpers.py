@@ -5,10 +5,16 @@ plain nested loops and no pruning, caching, or index bookkeeping shared with
 the package, so they can serve as independent oracles.
 """
 
+from fractions import Fraction
 from itertools import product
 
-from tetraflows.multivector import MultiVector
+from tetraflows.analysis import RatioSolution, _nullspace, _primitive
+from tetraflows.graphflow import gamma1, gamma2
+from tetraflows.multivector import MultiVector, is_poisson, mv_linear_combination, schouten
 from tetraflows.polyring import Context, Polynomial
+
+# Fixed seed for the randomized property suites (reproducible runs).
+DEFAULT_SEED = 20160613
 
 
 def random_polynomial(rng, ctx, max_terms=3, max_degree=4, zero_ok=False):
@@ -154,3 +160,48 @@ def lie_derivative_bracket(p, vector_comps):
             if not acc.is_zero:
                 comps[(i, j)] = acc
     return MultiVector(ctx, 2, comps)
+
+
+def fraction_perturb_probe(p, delta):
+    """The eps-graded brackets of P~ = P + eps*Delta, computed on P~ itself
+    in Fraction arithmetic, with no integer scaling (reference for
+    ``analysis.perturb_probe``)."""
+    ctx = p.ctx
+    if not ctx.has_epsilon:
+        raise ValueError("context has no eps variable")
+    if delta.ctx != ctx or delta.degree != 2 or p.degree != 2:
+        raise ValueError("P and Delta must be bi-vectors over the same eps context")
+    if not p.is_epsilon_free() or not delta.is_epsilon_free():
+        raise ValueError("P and Delta must be eps-free")
+    if not is_poisson(p):
+        raise ValueError("P must be Poisson")
+    eps = Polynomial.epsilon(ctx)
+    p_tilde = p + delta.mul_poly(eps)
+    jac = schouten(p_tilde, p_tilde)
+    q_tilde = mv_linear_combination(
+        [(1, gamma1(p_tilde).skew), (6, gamma2(p_tilde).skew)]
+    )
+    compat = schouten(p_tilde, q_tilde)
+    j_parts = jac.epsilon_split()
+    c_parts = compat.epsilon_split()
+    base = ctx.without_epsilon()
+    zero = MultiVector.zero(base, 3)
+    return {
+        k: (j_parts.get(k, zero), c_parts.get(k, zero))
+        for k in sorted(set(j_parts) | set(c_parts))
+    }
+
+
+def fraction_find_ratios(p, basis):
+    """The null space of sum_i c_i * [[P, B_i]] = 0 from the unscaled
+    brackets in Fraction arithmetic (reference for ``analysis.find_ratios``)."""
+    brackets = [schouten(p, b) for b in basis]
+    row_keys = sorted(
+        {(idx, mono) for t in brackets for idx, poly in t.comps.items() for mono in poly.terms}
+    )
+    matrix = [
+        [Fraction(t.comps[idx].terms.get(mono, 0)) if idx in t.comps else Fraction(0) for t in brackets]
+        for idx, mono in row_keys
+    ]
+    kernel = _nullspace(matrix, len(basis))
+    return RatioSolution(len(kernel), tuple(_primitive(v) for v in kernel))

@@ -21,7 +21,6 @@ from types import SimpleNamespace
 import pytest
 
 from tetraflows.analysis import (
-    DEFAULT_SEED,
     builtin_rows,
     compat_report,
     find_ratios,
@@ -71,6 +70,7 @@ from example4d import (
     parse4,
 )
 from helpers import (
+    DEFAULT_SEED,
     brute_gamma1_raw,
     brute_gamma2_raw,
     brute_jacobi_tensor,

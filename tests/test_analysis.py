@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tetraflows.analysis import (
     FLAG_NAMES,
@@ -20,7 +22,7 @@ from tetraflows.multivector import MultiVector, is_poisson, mv_linear_combinatio
 from tetraflows.polyring import Context, Polynomial
 
 from example4d import ctx4, p0, p0_spec
-from helpers import random_bivector
+from helpers import fraction_find_ratios, fraction_perturb_probe, random_bivector
 
 CTX3 = Context(3)
 
@@ -152,6 +154,40 @@ def test_find_ratios_basis_vectors_solve_the_system():
         assert schouten(bi, combo).is_zero
 
 
+_RATIONALS = st.builds(Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 12))
+
+
+@st.composite
+def _polynomials(draw, coeffs, max_terms, max_exp, min_degree=0):
+    """A nonzero polynomial over CTX3 with at most max_terms terms, each of
+    total degree at least min_degree."""
+    exps = st.tuples(*[st.integers(0, max_exp)] * CTX3.dim).filter(
+        lambda e: sum(e) >= min_degree
+    )
+    terms = draw(st.dictionaries(exps, coeffs, min_size=1, max_size=max_terms))
+    return Polynomial(CTX3, terms)
+
+
+@st.composite
+def _rational_det_brackets(draw):
+    """A rational multiple of a small 3D determinant bracket (so Poisson),
+    with a nonconstant prefactor so that the flows are mostly nonzero."""
+    small_ints = st.integers(-3, 3).filter(bool)
+    g = draw(_polynomials(small_ints, 3, 2, min_degree=2))
+    prefactor = draw(_polynomials(small_ints, 2, 2, min_degree=1))
+    return det_bracket(DetSpec(CTX3, [g], prefactor)).scale(draw(_RATIONALS))
+
+
+@settings(max_examples=25, deadline=None)
+@given(_rational_det_brackets(), st.lists(_RATIONALS, min_size=2, max_size=3))
+def test_find_ratios_scaled_path_matches_fraction_reference(p, factors):
+    # rational multiples of gamma1, gamma2 and (optionally) gamma1 again
+    p1 = gamma1(p).skew
+    flows = [p1, gamma2(p).skew, p1]
+    basis = [flow.scale(c) for flow, c in zip(flows, factors)]
+    assert find_ratios(p, basis) == fraction_find_ratios(p, basis)
+
+
 def test_nullspace_and_primitive_scaling():
     rows = [[Fraction(6), Fraction(-1)], [Fraction(12), Fraction(-2)]]
     kernel = _nullspace(rows, 2)
@@ -212,6 +248,27 @@ def test_perturb_probe_appendix_instance():
     assert dict(compat1.comps) == {(1, 2, 3): Polynomial.parse("-7776*x1^4*x3^10", CTX3)}
     # order zero is absent: P itself is Poisson and compatible
     assert 0 not in orders
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    _rational_det_brackets(),
+    st.lists(st.none() | _polynomials(_RATIONALS, 2, 2), min_size=3, max_size=3),
+)
+def test_perturb_probe_scaled_path_matches_fraction_reference(p, delta_comps):
+    # P and Delta both carry denominators, so the kernel runs on
+    # D_P * P + eps * D_P * D_Delta * Delta and divides every order back
+    delta = MultiVector(
+        CTX3, 2, {ij: c for ij, c in zip(((1, 2), (1, 3), (2, 3)), delta_comps) if c is not None}
+    )
+    eps_ctx = CTX3.with_epsilon()
+    args = p.lift(eps_ctx), delta.lift(eps_ctx)
+    got = perturb_probe(*args)
+    want = fraction_perturb_probe(*args)
+    assert sorted(got) == sorted(want)
+    for k, (jac, compat) in want.items():
+        assert got[k][0] == jac, f"eps^{k} of [[P~,P~]]"
+        assert got[k][1] == compat, f"eps^{k} of [[P~,Q(P~)]]"
 
 
 def test_perturb_probe_preconditions():

@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tetraflows.cli import main
 from tetraflows.multivector import MultiVector
@@ -312,3 +318,65 @@ def test_malformed_spec_document_is_a_one_line_usage_error(tmp_path, capsys, doc
     code, out, err = run(capsys, "gen", "--spec", str(path))
     assert code == 2 and out == ""
     assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+
+
+# -- loader fuzzing ----------------------------------------------------------------
+
+# Leaves lean towards what the loaders read: small integers, rationals and
+# polynomial-like text, besides arbitrary text, floats, bools and null.
+_JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 4)
+    | st.floats()
+    | st.text(max_size=6)
+    | st.from_regex(r"\A-?\d{1,2}(/\d)?\Z")
+    | st.from_regex(r"\A(-?\d\*)?(x\d|eps)(\^\d)?([-+*]x\d)?\Z")
+)
+_JSON = st.recursive(
+    _JSON_LEAVES,
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=4), kids, max_size=3),
+    max_leaves=8,
+)
+_FIELDS = ("dim", "degree", "components", "epsilon", "kind", "args", "prefactor", "d", "phi")
+_INDEX_KEYS = st.from_regex(r"\A\d(,\d){0,2}\Z") | st.text(max_size=4)
+_DOCUMENTS = (
+    _JSON
+    | st.dictionaries(st.sampled_from(_FIELDS), _JSON, max_size=5)
+    | st.fixed_dictionaries(
+        {"dim": st.integers(2, 4), "degree": st.integers(1, 3)},
+        optional={"components": st.dictionaries(_INDEX_KEYS, _JSON, max_size=3), "epsilon": _JSON},
+    )
+    | st.fixed_dictionaries(
+        {"kind": st.just("det"), "dim": st.integers(2, 4), "args": st.lists(_JSON, max_size=2)},
+        optional={"prefactor": _JSON},
+    )
+    | st.fixed_dictionaries(
+        {
+            "kind": st.just("vanhaecke"),
+            "d": st.integers(0, 2),
+            "phi": st.lists(st.lists(_JSON, min_size=3, max_size=3) | _JSON, max_size=2),
+        },
+        optional={"dim": _JSON},
+    )
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_DOCUMENTS)
+@example({"kind": "vanhaecke", "d": 1, "phi": [[1, 1, "1/0"]]})
+def test_loaders_fuzz_load_or_fail_with_one_line_error(doc):
+    # every JSON value either loads or is a one-line usage error, never a
+    # traceback, through the multi-vector loader and the spec loader
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        path.write_text(json.dumps(doc))
+        for argv in (["jacobi", str(path)], ["gen", "--spec", str(path)]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            if code == 2:
+                assert out.getvalue() == ""
+                assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+            else:
+                assert code == 0 and err.getvalue() == "", (argv, code, err.getvalue())

@@ -234,6 +234,16 @@ def test_vanhaecke_rejects_bad_d():
         VanhaeckeSpec(0, [(1, 1, 1)])
 
 
+def test_vanhaecke_rejects_non_integer_d_and_phi_exponents():
+    # neither truncated (2.5 -> 2) nor accepted and left to fail later
+    for d in (2.5, True, "2"):
+        with pytest.raises(GeneratorError, match="d must be an integer"):
+            VanhaeckeSpec(d, [(2, 2, 1)])
+    for phi in ([(2.5, 2, 1)], [(2, 2.0, 1)], [(True, 2, 1)], [(2, 2, 1), (1, False, 1)]):
+        with pytest.raises(GeneratorError, match="phi exponents must be integers"):
+            VanhaeckeSpec(2, phi)
+
+
 def test_vanhaecke_rejects_negative_phi_exponents():
     for phi in ([(-1, 1, 1)], [(2, 2, 1), (0, -2, 3)]):
         with pytest.raises(GeneratorError, match="phi exponents must be nonnegative"):
