@@ -22,6 +22,7 @@ from itertools import combinations, permutations
 from operator import itemgetter
 
 from .polyring import ContextMismatchError, Polynomial, addmul, finish
+from .polyring import _denominator_lcm, _finish_divided
 
 
 class GraphParseError(ValueError):
@@ -138,6 +139,11 @@ def graph_sum(g: KGraph, assignments: list, skew: bool = False) -> dict:
     commute: a vertex whose in-edges (two or more) all meet its partner in
     one step is enumerated over ascending indices on them, after the
     partner is summed onto ascending indices on those edges.
+
+    Every product runs in integers: with D the lcm of the coefficient
+    denominators of all the bi-vectors, each distinct bi-vector is replaced
+    by one copy D * p, so every product of the k vertices carries D^k and
+    each result coefficient is divided by D^k once, at the end.
     """
     k = g.n_internal
     in_edges: dict = {v: [] for v in range(1, k + 1)}
@@ -155,11 +161,16 @@ def graph_sum(g: KGraph, assignments: list, skew: bool = False) -> dict:
     sinks = [sink_edges[s][0] for s in range(1, m + 1)]
     paired = [v for v, (l, r) in enumerate(g.edges, start=1) if l[0] == r[0] == "S"]
     ctx = assignments[0][0].ctx
-    for p in (p for ps in assignments for p in ps):
+    distinct = {id(p): p for ps in assignments for p in ps}
+    for p in distinct.values():
         if p.degree != 2:
             raise ValueError("expected a bi-vector (degree 2)")
         if p.ctx != ctx:
             raise ContextMismatchError("bi-vectors from different contexts")
+    scale = _denominator_lcm(poly for p in distinct.values() for poly in p.comps.values())
+    if scale != 1:
+        scaled = {key: p.scale(scale) for key, p in distinct.items()}
+        assignments = [tuple(scaled[id(p)] for p in ps) for ps in assignments]
 
     derivs: dict = {}  # (id(p), m, mirrored) -> derivative_tensor(p, m, mirrored)
 
@@ -217,7 +228,10 @@ def graph_sum(g: KGraph, assignments: list, skew: bool = False) -> dict:
         acc = plus.setdefault(key, {})
         for mono, c in terms.items():
             acc[mono] = acc.get(mono, 0) - c
-    return {key: poly for key, terms in plus.items() if (poly := finish(ctx, terms))}
+    divisor = scale**k
+    return {
+        key: poly for key, terms in plus.items() if (poly := _finish_divided(ctx, terms, divisor))
+    }
 
 
 @cache

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Sequence
 
 from .generators import (
@@ -26,7 +26,7 @@ from .generators import (
 )
 from .graphflow import gamma1, gamma2
 from .multivector import MultiVector, is_poisson, mv_linear_combination, schouten
-from .polyring import Polynomial, finish
+from .polyring import Polynomial, _denominator_lcm, _finish_divided
 
 __all__ = [
     "FLAG_NAMES",
@@ -125,8 +125,11 @@ def find_ratios(p: MultiVector, basis: Sequence[MultiVector]) -> RatioSolution:
         raise ValueError("empty basis")
     if not is_poisson(p):
         raise ValueError("input bi-vector is not Poisson")
-    p_int = p.scale(_denominator_lcm(p))
-    scales = [_denominator_lcm(b) for b in basis]
+    # graph_sum would clear these denominators inside each bracket, but it
+    # divides its result back, so the columns would reach the coefficient
+    # matching and the null space as Fractions; scaled here, they stay ints.
+    p_int = p.scale(_denominator_lcm(p.comps.values()))
+    scales = [_denominator_lcm(b.comps.values()) for b in basis]
     brackets = [schouten(p_int, b.scale(s)) for b, s in zip(basis, scales)]
     row_keys = sorted(
         {
@@ -222,8 +225,11 @@ def perturb_probe(p: MultiVector, delta: MultiVector) -> dict:
         raise ValueError("P and Delta must be eps-free")
     if not is_poisson(p):
         raise ValueError("P must be Poisson")
-    d_p = _denominator_lcm(p)
-    d_delta = _denominator_lcm(delta)
+    # graph_sum would clear these denominators inside each bracket, but it
+    # divides its result back, so the brackets would reach the eps split as
+    # Fractions; scaled here, they stay ints up to the one division per order.
+    d_p = _denominator_lcm(p.comps.values())
+    d_delta = _denominator_lcm(delta.comps.values())
     eps = Polynomial.epsilon(ctx).scale(d_p * d_delta)
     p_tilde = p.scale(d_p) + delta.mul_poly(eps)
     jac = schouten(p_tilde, p_tilde)
@@ -244,22 +250,12 @@ def perturb_probe(p: MultiVector, delta: MultiVector) -> dict:
     }
 
 
-def _denominator_lcm(mv: MultiVector) -> int:
-    """The lcm of the coefficient denominators of a multi-vector (1 if integral)."""
-    return lcm(*(c.denominator for poly in mv.comps.values() for c in poly.terms.values()))
-
-
 def _divided(mv: MultiVector, divisor: int) -> MultiVector:
     """mv / divisor, each coefficient built once as an exact quotient."""
-    if divisor == 1:
-        return mv
     return MultiVector(
         mv.ctx,
         mv.degree,
-        {
-            idx: finish(mv.ctx, {m: Fraction(c, divisor) for m, c in poly.terms.items()})
-            for idx, poly in mv.comps.items()
-        },
+        {idx: _finish_divided(mv.ctx, poly.terms, divisor) for idx, poly in mv.comps.items()},
     )
 
 

@@ -1,9 +1,9 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
-A polynomial lives in a :class:`Context` of ``n >= 2`` variables ``x1..xn``
-(plus, optionally, a formal variable ``eps`` occupying a trailing exponent
-slot) and is stored as a dict mapping packed monomials to nonzero
-rational coefficients.
+A polynomial lives in a :class:`Context` of ``n`` variables ``x1..xn``,
+``2 <= n < DIM_LIMIT`` (128), plus, optionally, a formal variable ``eps``
+occupying a trailing exponent slot, and is stored as a dict mapping packed
+monomials to nonzero rational coefficients.
 
 A monomial is packed into one Python int: every exponent slot is a field of
 ``EXP_BITS`` bits, slot 0 (``x1``) is the most significant field and the
@@ -44,6 +44,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
+from math import lcm
 from operator import or_
 from typing import Iterator, Mapping, Sequence
 
@@ -68,6 +69,10 @@ EXP_BITS = 16
 # Every exponent is below this; the field's top bit is the guard bit.
 EXPONENT_LIMIT = 1 << (EXP_BITS - 1)
 _FIELD = (1 << EXP_BITS) - 1
+# Every Context dim is below this.  Work grows with dim even on a one-term
+# document (a flow's raw matrix has dim^2 entries), so a larger dim is
+# refused before anything is built.
+DIM_LIMIT = 128
 
 
 class ContextMismatchError(ValueError):
@@ -108,7 +113,8 @@ class Context:
     Every Polynomial references exactly one Context; mixing contexts in an
     operation raises :class:`ContextMismatchError`.  The trailing formal
     slot is ``eps`` in the perturbation probe and ``lam`` in the
-    even-dimensional generator.
+    even-dimensional generator.  ``dim`` is an int from 2 to
+    ``DIM_LIMIT - 1``.
     """
 
     dim: int
@@ -117,10 +123,14 @@ class Context:
     guard: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not isinstance(self.dim, int) or self.dim < 2:
-            raise ValueError(f"Context dim must be an integer >= 2, got {self.dim!r}")
-        guard = sum(EXPONENT_LIMIT << (EXP_BITS * s) for s in range(self.nslots))
-        object.__setattr__(self, "guard", guard)
+        if not isinstance(self.dim, int) or not 2 <= self.dim < DIM_LIMIT:
+            raise ValueError(
+                f"Context dim must be an integer >= 2 and below {DIM_LIMIT}, got {self.dim!r}"
+            )
+        # EXPONENT_LIMIT in every field: the repunit (2^(EXP_BITS*nslots) - 1) /
+        # _FIELD has a 1 at the bottom of each field.
+        ones = ((1 << (EXP_BITS * self.nslots)) - 1) // _FIELD
+        object.__setattr__(self, "guard", ones * EXPONENT_LIMIT)
 
     @property
     def nslots(self) -> int:
@@ -202,6 +212,20 @@ def finish(ctx: Context, acc: dict) -> "Polynomial":
     if Fraction in set(map(type, acc.values())):
         acc = {m: _norm_coeff(c) for m, c in acc.items()}
     return Polynomial._raw(ctx, acc)
+
+
+def _denominator_lcm(polys) -> int:
+    """The lcm of the coefficient denominators of some polynomials (1 if all
+    are integral)."""
+    return lcm(*(c.denominator for p in polys for c in p.terms.values()))
+
+
+def _finish_divided(ctx: Context, acc: dict, divisor: int) -> "Polynomial":
+    """:func:`finish` of ``acc`` divided by a positive int, each coefficient
+    built once as the exact quotient ``Fraction(c, divisor)``."""
+    if divisor != 1:
+        acc = {m: Fraction(c, divisor) for m, c in acc.items()}
+    return finish(ctx, acc)
 
 
 class Polynomial:

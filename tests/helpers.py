@@ -6,7 +6,7 @@ the package, so they can serve as independent oracles.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 from tetraflows.analysis import RatioSolution, _nullspace, _primitive
 from tetraflows.graphflow import gamma1, gamma2
@@ -83,6 +83,30 @@ def naive_graph_tensor(graph, bivectors):
             key = tuple(assign[e] for e in sinks)
             tensor[key] = tensor.get(key, Polynomial.zero(ctx)) + term
     return {key: poly for key, poly in tensor.items() if not poly.is_zero}
+
+
+def naive_graph_sum(graph, assignments, skew=False):
+    """The contract of ``_kgraph.graph_sum`` from naive_graph_tensor.
+
+    Sums the naive tensors of the assignments, keeping at a vertex that
+    holds two sinks i, j only the entries with index(Si) < index(Sj).  With
+    ``skew``, entries with a repeated index are dropped and every other
+    entry moves to its sorted key, negated when the sort is odd.
+    """
+    ctx = assignments[0][0].ctx
+    pairs = [(l[1], r[1]) for l, r in graph.edges if l[0] == r[0] == "S"]
+    total = {}
+    for bivectors in assignments:
+        for key, poly in naive_graph_tensor(graph, bivectors).items():
+            if not all(key[i - 1] < key[j - 1] for i, j in pairs):
+                continue
+            if skew:
+                if len(set(key)) < len(key):
+                    continue
+                odd = sum(a > b for a, b in combinations(key, 2)) % 2
+                key, poly = tuple(sorted(key)), -poly if odd else poly
+            total[key] = total.get(key, Polynomial.zero(ctx)) + poly
+    return {key: poly for key, poly in total.items() if not poly.is_zero}
 
 
 def naive_evaluate_kgraph_raw(graph, p):
@@ -163,9 +187,9 @@ def lie_derivative_bracket(p, vector_comps):
 
 
 def fraction_perturb_probe(p, delta):
-    """The eps-graded brackets of P~ = P + eps*Delta, computed on P~ itself
-    in Fraction arithmetic, with no integer scaling (reference for
-    ``analysis.perturb_probe``)."""
+    """The eps-graded brackets of P~ = P + eps*Delta, computed on P~ itself,
+    with no integer scaling outside the brackets and no division per order
+    (reference for ``analysis.perturb_probe``)."""
     ctx = p.ctx
     if not ctx.has_epsilon:
         raise ValueError("context has no eps variable")
@@ -194,7 +218,8 @@ def fraction_perturb_probe(p, delta):
 
 def fraction_find_ratios(p, basis):
     """The null space of sum_i c_i * [[P, B_i]] = 0 from the unscaled
-    brackets in Fraction arithmetic (reference for ``analysis.find_ratios``)."""
+    brackets, matched in Fraction arithmetic (reference for
+    ``analysis.find_ratios``)."""
     brackets = [schouten(p, b) for b in basis]
     row_keys = sorted(
         {(idx, mono) for t in brackets for idx, poly in t.comps.items() for mono in poly.terms}

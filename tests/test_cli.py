@@ -3,6 +3,7 @@ import io
 import json
 import random
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from tetraflows.cli import main
 from tetraflows.multivector import MultiVector
+from tetraflows.polyring import DIM_LIMIT
 
 from example4d import BRACKET_P0_P1, P0_UPPER, ctx4, p0, parse4
 from helpers import brute_jacobi_tensor, random_bivector
@@ -246,6 +248,18 @@ def test_exponent_limit_is_a_one_line_usage_error(capsys):
     assert err.startswith("error: exponent 999999999 of x1 is not below the limit 32768")
 
 
+@pytest.mark.parametrize("command", ["jacobi", "gen"])
+def test_huge_dim_is_a_one_line_usage_error_within_a_second(tmp_path, capsys, command):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"dim": 100000000, "degree": 2, "components": {"1,2": "x1"}}))
+    argv = ["jacobi", str(path)] if command == "jacobi" else ["gen", "--det", "--dim", "100000000"]
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert err.startswith(f"error: Context dim must be an integer >= 2 and below {DIM_LIMIT}")
+
+
 def test_gen_spec_file(tmp_path, capsys):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(
@@ -340,21 +354,25 @@ _JSON = st.recursive(
 )
 _FIELDS = ("dim", "degree", "components", "epsilon", "kind", "args", "prefactor", "d", "phi")
 _INDEX_KEYS = st.from_regex(r"\A\d(,\d){0,2}\Z") | st.text(max_size=4)
+# dim and d also take a few values above the ceiling, which the loaders
+# must refuse at once instead of building a huge context.  (Not as leaves:
+# a phi exponent that large runs unbounded, see ROADMAP.)
+_DIMS = st.integers(2, 4) | st.sampled_from((DIM_LIMIT, DIM_LIMIT + 1, 10**8))
 _DOCUMENTS = (
     _JSON
     | st.dictionaries(st.sampled_from(_FIELDS), _JSON, max_size=5)
     | st.fixed_dictionaries(
-        {"dim": st.integers(2, 4), "degree": st.integers(1, 3)},
+        {"dim": _DIMS, "degree": st.integers(1, 3)},
         optional={"components": st.dictionaries(_INDEX_KEYS, _JSON, max_size=3), "epsilon": _JSON},
     )
     | st.fixed_dictionaries(
-        {"kind": st.just("det"), "dim": st.integers(2, 4), "args": st.lists(_JSON, max_size=2)},
+        {"kind": st.just("det"), "dim": _DIMS, "args": st.lists(_JSON, max_size=2)},
         optional={"prefactor": _JSON},
     )
     | st.fixed_dictionaries(
         {
             "kind": st.just("vanhaecke"),
-            "d": st.integers(0, 2),
+            "d": st.integers(0, 2) | st.sampled_from((DIM_LIMIT // 2, 10**8)),
             "phi": st.lists(st.lists(_JSON, min_size=3, max_size=3) | _JSON, max_size=2),
         },
         optional={"dim": _JSON},

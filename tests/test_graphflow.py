@@ -7,6 +7,8 @@ import pytest
 
 import tetraflows._kgraph as kgraph_module
 from tetraflows._kgraph import graph_sum
+from tetraflows.analysis import builtin_rows
+from tetraflows.generators import build_bivector
 from tetraflows.graphflow import (
     GAMMA1_GRAPH,
     GAMMA2_GRAPH,
@@ -22,7 +24,7 @@ from tetraflows.graphflow import (
     parse_kgraph,
     render_kgraph,
 )
-from tetraflows.multivector import MultiVector, RawMatrix, is_poisson, jacobiator, schouten
+from tetraflows.multivector import _BRACKET_GRAPH, MultiVector, RawMatrix, is_poisson, jacobiator, schouten
 from tetraflows.polyring import Context, Polynomial
 
 from example4d import P1_UPPER, P2_RAW, P2_SKEW, ctx4, p0, parse4
@@ -30,6 +32,7 @@ from helpers import (
     brute_gamma1_raw,
     brute_gamma2_raw,
     naive_evaluate_kgraph_raw,
+    naive_graph_sum,
     naive_graph_tensor,
     random_bivector,
 )
@@ -305,6 +308,99 @@ def test_three_sink_graph_sums_match_naive_evaluation():
         assert skew == ({} if expected.is_zero else {(1, 2, 3): expected}), render_kgraph(graph)
         seen.add(("paired" if pairs else "split", bool(skew)))
     assert {("paired", True), ("split", True)} <= seen
+
+
+# -- integer arithmetic for rational bi-vectors ------------------------------------
+
+
+def _rational_bivector(rng, ctx, extra=None):
+    """A random bi-vector whose components have denominators 1..12, plus
+    eps times ``extra`` when given."""
+    p = random_bivector(rng, ctx, max_terms=3, max_degree=4)
+    if extra is not None:
+        p = p + extra.mul_poly(Polynomial.epsilon(ctx))
+    comps = {idx: poly.scale(Fraction(1, rng.randint(1, 12))) for idx, poly in p.comps.items()}
+    return MultiVector(ctx, 2, comps)
+
+
+def _denominators(bivectors):
+    return {c.denominator for p in bivectors for poly in p.comps.values() for c in poly.terms.values()}
+
+
+def test_rational_graph_sums_match_naive_fraction_evaluation():
+    # graph_sum scales every distinct bi-vector of a call by the lcm D of all
+    # their denominators and divides the result by D^k.  Checked against
+    # the naive evaluator, which runs in plain Fraction arithmetic, in both
+    # modes: the flows, the bracket graph, the one-vertex wedge, and seeded
+    # random graphs with two and three sinks, each summed over assignments
+    # of two bi-vectors with different denominators; then once over eps.
+    rng = random.Random(30)
+    ctx = Context(3)
+    graphs = [GAMMA1_GRAPH, GAMMA2_GRAPH, _BRACKET_GRAPH, WEDGE_GRAPH]
+    graphs += [_random_graph(rng, k, 0) for k in (2, 3, 4)]
+    graphs += [_random_graph(rng, k, 0, sinks=3) for k in (2, 3, 4)]
+    nonzero = set()
+    for graph in graphs:
+        k = graph.n_internal
+        p, q = _rational_bivector(rng, ctx), _rational_bivector(rng, ctx)
+        assert _denominators([p]) != _denominators([q]) and _denominators([p, q]) != {1}
+        assignments = [tuple(rng.choice((p, q)) for _ in range(k)) for _ in range(2)]
+        for skew in (False, True):
+            got = graph_sum(graph, assignments, skew=skew)
+            assert got == naive_graph_sum(graph, assignments, skew), (render_kgraph(graph), skew)
+            if got and _denominators(assignments[0]) != {1}:
+                nonzero.add((k, skew))
+    assert {(1, False), (2, True), (4, False), (4, True)} <= nonzero
+    eps_ctx = Context(3, has_epsilon=True)
+    p = _rational_bivector(rng, eps_ctx, extra=_rational_bivector(rng, eps_ctx))
+    q = _rational_bivector(rng, eps_ctx)
+    for graph, assignments in ((_BRACKET_GRAPH, [(p, q), (q, p)]), (GAMMA2_GRAPH, [(p, q, p, p)])):
+        for skew in (False, True):
+            got = graph_sum(graph, assignments, skew=skew)
+            assert got and got == naive_graph_sum(graph, assignments, skew)
+
+
+def test_rational_bracket_runs_its_products_on_ints(monkeypatch):
+    # Grid row 8: P2 = gamma2(P0).skew has half-integer coefficients, and no
+    # Fraction coefficient reaches the engine's products in [[P0, P2]].
+    p0 = build_bivector(next(spec for rid, _, spec, _ in builtin_rows() if rid == 8))
+    p2 = gamma2(p0).skew
+    assert 2 in _denominators([p2])
+    fractions = []
+
+    def counting_addmul(acc, a, b):
+        fractions.append(sum(isinstance(c, Fraction) for x in (a, b) for c in x.terms.values()))
+        addmul(acc, a, b)
+
+    addmul = kgraph_module.addmul
+    monkeypatch.setattr(kgraph_module, "addmul", counting_addmul)
+    bracket = schouten(p0, p2)
+    assert fractions and sum(fractions) == 0
+    monkeypatch.undo()
+    # the bracket is bilinear: [[P0, P2]] = [[P0, 2*P2]] / 2, the latter integral
+    assert bracket == schouten(p0, p2.scale(2)).scale(Fraction(1, 2))
+
+
+def test_rational_bivectors_share_one_derivative_table_each(monkeypatch):
+    # One scaled copy per distinct bi-vector, not per vertex: a flow of a
+    # rational bi-vector builds as many derivative tables as of an integral one.
+    tables = []
+
+    def counting_tensor(p, m, mirrored):
+        tables.append((m, mirrored))
+        return derivative_tensor(p, m, mirrored)
+
+    derivative_tensor = kgraph_module.derivative_tensor
+    monkeypatch.setattr(kgraph_module, "derivative_tensor", counting_tensor)
+    p = _rational_bivector(random.Random(31), Context(3))
+    assert _denominators([p]) != {1}
+    counts = []
+    for bivector in (p, p.scale(27720)):  # 27720 = lcm(1, ..., 12)
+        for graph in (GAMMA1_GRAPH, GAMMA2_GRAPH):
+            tables.clear()
+            graph_sum(graph, [(bivector,) * 4])
+            counts.append(len(tables))
+    assert counts[:2] == counts[2:] == [2, 2]
 
 
 def test_dim2_balanced_flow_brackets_trivially():

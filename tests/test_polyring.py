@@ -5,6 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tetraflows.polyring import (
+    DIM_LIMIT,
+    EXP_BITS,
     EXPONENT_LIMIT,
     Context,
     ContextMismatchError,
@@ -176,6 +178,25 @@ def test_product_overflow_raises_instead_of_carrying():
     with pytest.raises(ExponentOverflowError):
         e * Polynomial.epsilon(eps_ctx)
     assert issubclass(ExponentOverflowError, ValueError)
+
+
+def test_context_dim_is_bounded_and_guards_every_field():
+    for dim in (2, 3, DIM_LIMIT - 1):
+        for has_epsilon in (False, True):
+            ctx = Context(dim, has_epsilon)
+            expected = sum(EXPONENT_LIMIT << (EXP_BITS * s) for s in range(ctx.nslots))
+            assert ctx.guard == expected
+    # the guard catches an overflow in the first and in the last slot
+    ctx = Context(DIM_LIMIT - 1, has_epsilon=True)
+    for slot in (0, ctx.nslots - 1):
+        exps = [0] * ctx.nslots
+        exps[slot] = EXPONENT_LIMIT - 1
+        p = Polynomial(ctx, {tuple(exps): 1})
+        with pytest.raises(ExponentOverflowError):
+            p * p
+    for dim in (DIM_LIMIT, 10**8, 1, 2.0):
+        with pytest.raises(ValueError, match=f"below {DIM_LIMIT}"):
+            Context(dim)
 
 
 def test_roundtrip_on_reference_corpus():
