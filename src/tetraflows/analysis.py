@@ -24,7 +24,7 @@ from .generators import (
     generator_from_json_dict,
     generator_to_json_dict,
 )
-from .graphflow import gamma1, gamma2
+from .graphflow import balanced_flow, gamma1, gamma2
 from .multivector import MultiVector, is_poisson, mv_linear_combination, schouten
 from .polyring import Polynomial, _denominator_lcm, _finish_divided
 
@@ -112,25 +112,13 @@ class RatioSolution:
 
 
 def find_ratios(p: MultiVector, basis: Sequence[MultiVector]) -> RatioSolution:
-    """Solve sum_i c_i * [[P, B_i]] = 0 exactly by coefficient matching.
-
-    The bracket is linear in P and in each B_i, so the brackets are taken
-    of the integer multiples D_P * P and s_i * B_i (D_P and s_i the lcm of
-    their coefficient denominators) and stay in integer arithmetic.  A null
-    vector v of the scaled columns maps back exactly to c_i = v_i * s_i, a
-    positive multiple of the unscaled solver's vector.
-    """
+    """Solve sum_i c_i * [[P, B_i]] = 0 exactly by coefficient matching."""
     basis = list(basis)
     if not basis:
         raise ValueError("empty basis")
     if not is_poisson(p):
         raise ValueError("input bi-vector is not Poisson")
-    # graph_sum would clear these denominators inside each bracket, but it
-    # divides its result back, so the columns would reach the coefficient
-    # matching and the null space as Fractions; scaled here, they stay ints.
-    p_int = p.scale(_denominator_lcm(p.comps.values()))
-    scales = [_denominator_lcm(b.comps.values()) for b in basis]
-    brackets = [schouten(p_int, b.scale(s)) for b, s in zip(basis, scales)]
+    brackets = [schouten(p, b) for b in basis]
     row_keys = sorted(
         {
             (idx, mono)
@@ -147,9 +135,7 @@ def find_ratios(p: MultiVector, basis: Sequence[MultiVector]) -> RatioSolution:
             row.append(Fraction(poly.terms.get(mono, 0)) if poly is not None else Fraction(0))
         matrix.append(row)
     kernel = _nullspace(matrix, len(basis))
-    return RatioSolution(
-        len(kernel), tuple(_primitive([v * s for v, s in zip(vec, scales)]) for vec in kernel)
-    )
+    return RatioSolution(len(kernel), tuple(_primitive(v) for v in kernel))
 
 
 def _nullspace(matrix: "list[list[Fraction]]", ncols: int) -> "list[list[Fraction]]":
@@ -233,10 +219,7 @@ def perturb_probe(p: MultiVector, delta: MultiVector) -> dict:
     eps = Polynomial.epsilon(ctx).scale(d_p * d_delta)
     p_tilde = p.scale(d_p) + delta.mul_poly(eps)
     jac = schouten(p_tilde, p_tilde)
-    q_tilde = mv_linear_combination(
-        [(1, gamma1(p_tilde).skew), (6, gamma2(p_tilde).skew)]
-    )
-    compat = schouten(p_tilde, q_tilde)
+    compat = schouten(p_tilde, balanced_flow(p_tilde, 1, 6))
     j_parts = jac.epsilon_split()
     c_parts = compat.epsilon_split()
     base = ctx.without_epsilon()
@@ -376,20 +359,9 @@ class TablesReport:
                 {
                     "id": r.row_id,
                     "table": r.table,
-                    "spec": generator_to_json_dict(r.spec),
-                    "flags": r.report.flags_dict(),
                     "expected": dict(zip(FLAG_NAMES, r.expected)),
                     "matches": r.matches,
-                    **(
-                        {
-                            "witnesses": {
-                                name: mv.to_json_dict()
-                                for name, mv in sorted(r.report.witnesses.items())
-                            }
-                        }
-                        if include_witnesses
-                        else {}
-                    ),
+                    **r.report.to_json_dict(include_witnesses),
                 }
                 for r in self.rows
             ],

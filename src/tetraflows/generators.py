@@ -86,6 +86,8 @@ class VanhaeckeSpec:
             raise GeneratorError("phi exponents must be integers")
         if any(a < 0 or b < 0 for a, b, _ in phi):
             raise GeneratorError("phi exponents must be nonnegative")
+        if any(type(c) not in (int, Fraction) for _, _, c in phi):
+            raise GeneratorError("phi coefficients must be exact: int or Fraction")
         object.__setattr__(self, "phi", phi)
 
     @cached_property
@@ -172,8 +174,17 @@ def form_obstruction(p: MultiVector) -> Polynomial:
     return c12 * p3 - c13 * p2 + c23 * p1
 
 
-def _vanhaecke_u_matrix(spec: VanhaeckeSpec, lam_power) -> "dict[tuple, Polynomial]":
-    """Entries U^{ij} = {u_i, v_j} for one lam-coefficient reading."""
+def vanhaecke_bracket(spec: VanhaeckeSpec) -> MultiVector:
+    """Bracket on R^(2d): {u_i,u_j} = {v_i,v_j} = 0 and
+
+    {u_i, v_j} = coeff of lam^(d-j) in
+                 phi(lam, v(lam)) * [u(lam)/lam^(d-i+1)]_+  mod u(lam)
+
+    (of the two natural readings of the lam-coefficient, lam^(d-j) and
+    lam^(j-1), the one that makes the bracket Poisson).  The result is
+    verified to be Poisson; a failure signals an implementation bug and
+    raises :class:`GeneratorError`.
+    """
     d = spec.d
     ctx = spec.ctx
     # lam is the trailing formal slot.  Horner's rule builds
@@ -189,7 +200,7 @@ def _vanhaecke_u_matrix(spec: VanhaeckeSpec, lam_power) -> "dict[tuple, Polynomi
     phi_of_v = Polynomial.zero(lctx)
     for a, b, coeff in spec.phi:
         phi_of_v = phi_of_v + (lam**a * v**b).scale(coeff)
-    entries = {}
+    comps = {}
     u_plus = Polynomial.one(lctx)  # [u(lam) / lam^(d-i+1)]_+
     for i in range(1, d + 1):
         # Reduce mod the monic u: cancel the top power of lam until it is below d.
@@ -199,30 +210,11 @@ def _vanhaecke_u_matrix(spec: VanhaeckeSpec, lam_power) -> "dict[tuple, Polynomi
             rem = rem - parts[top].lift(lctx) * lam ** (top - d) * u
             parts = rem.epsilon_split()
         for j in range(1, d + 1):
-            c = parts.get(lam_power(j, d))
+            c = parts.get(d - j)
             if c:
-                entries[(i, j)] = Polynomial(ctx, dict(c.items()))
+                comps[(i, d + j)] = Polynomial(ctx, dict(c.items()))
         u_plus = u_plus * lam + Polynomial.variable(lctx, i)
-    return entries
-
-
-def vanhaecke_bracket(spec: VanhaeckeSpec) -> MultiVector:
-    """Bracket on R^(2d): {u_i,u_j} = {v_i,v_j} = 0 and
-
-    {u_i, v_j} = coeff of lam^(d-j) in
-                 phi(lam, v(lam)) * [u(lam)/lam^(d-i+1)]_+  mod u(lam)
-
-    (of the two natural readings of the lam-coefficient, lam^(d-j) and
-    lam^(j-1), the one that makes the bracket Poisson).  The result is
-    verified to be Poisson; a failure signals an implementation bug and
-    raises :class:`GeneratorError`.
-    """
-    d = spec.d
-    entries = _vanhaecke_u_matrix(spec, lambda j, d: d - j)
-    comps = {
-        (i, d + j): poly for (i, j), poly in entries.items()
-    }
-    mv = MultiVector(spec.ctx, 2, comps)
+    mv = MultiVector(ctx, 2, comps)
     if not is_poisson(mv):
         raise GeneratorError(
             "even-dimensional bracket failed the Jacobi identity; "
@@ -249,7 +241,7 @@ def generator_to_json_dict(spec) -> dict:
             "kind": "vanhaecke",
             "dim": 2 * spec.d,
             "d": spec.d,
-            "phi": [[a, b, _scalar_str(c)] for a, b, c in spec.phi],
+            "phi": [[a, b, str(c)] for a, b, c in spec.phi],
         }
     raise TypeError(f"not a generator spec: {type(spec).__name__}")
 
@@ -290,9 +282,3 @@ def build_bivector(spec) -> MultiVector:
     if isinstance(spec, VanhaeckeSpec):
         return vanhaecke_bracket(spec)
     raise TypeError(f"not a generator spec: {type(spec).__name__}")
-
-
-def _scalar_str(c) -> str:
-    if isinstance(c, Fraction) and c.denominator != 1:
-        return f"{c.numerator}/{c.denominator}"
-    return str(int(c))

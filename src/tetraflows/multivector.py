@@ -20,7 +20,6 @@ gives R^{abc} = sum_l d_l P^{ab} Q^{lc}, and [[P,Q]] = sum_cyc (R_PQ + R_QP).
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -47,19 +46,14 @@ def _json_field(doc: Mapping, key: str, kind: type, *default):
     return value
 
 
-def _json_context(doc: Mapping) -> Context:
-    """The Context of a document's integer "dim" and optional boolean "epsilon"."""
-    return Context(_json_field(doc, "dim", int), _json_field(doc, "epsilon", bool, False))
-
-
 class MultiVector:
-    """Degree-k (k = 1, 2, 3) skew multi-vector with Polynomial components."""
+    """Degree-k (k = 2, 3) skew multi-vector with Polynomial components."""
 
     __slots__ = ("ctx", "degree", "comps")
 
     def __init__(self, ctx: Context, degree: int, comps: Mapping | None = None):
-        if degree not in (1, 2, 3):
-            raise ValueError(f"degree must be 1, 2 or 3, got {degree}")
+        if degree not in (2, 3):
+            raise ValueError(f"degree must be 2 or 3, got {degree}")
         clean = {}
         if comps:
             for idx, poly in comps.items():
@@ -89,10 +83,6 @@ class MultiVector:
     @property
     def is_zero(self) -> bool:
         return not self.comps
-
-    def component(self, idx: Sequence[int]) -> Polynomial:
-        """Component at a strictly increasing index tuple (zero if absent)."""
-        return self.comps.get(tuple(idx), Polynomial.zero(self.ctx))
 
     def entry(self, i: int, j: int) -> Polynomial:
         """Full-matrix reading of a bi-vector: P^{ij} for any i, j."""
@@ -181,20 +171,13 @@ class MultiVector:
 
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "MultiVector":
-        ctx = _json_context(doc)
+        ctx = Context(_json_field(doc, "dim", int), _json_field(doc, "epsilon", bool, False))
         degree = _json_field(doc, "degree", int)
         comps = {}
         for key, text in doc.get("components", {}).items():
             idx = tuple(int(s) for s in str(key).split(","))
             comps[idx] = Polynomial.parse(text, ctx)
         return cls(ctx, degree, comps)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "MultiVector":
-        return cls.from_json_dict(json.loads(text))
 
 
 class RawMatrix:
@@ -217,22 +200,9 @@ class RawMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("RawMatrix is immutable")
 
-    @classmethod
-    def zero(cls, ctx: Context) -> "RawMatrix":
-        z = Polynomial.zero(ctx)
-        return cls(ctx, [[z] * ctx.dim for _ in range(ctx.dim)])
-
     def entry(self, i: int, j: int) -> Polynomial:
         """1-based entry M^{ij}."""
         return self.entries[i - 1][j - 1]
-
-    def is_antisymmetric(self) -> bool:
-        n = self.ctx.dim
-        return all(
-            (self.entries[i][j] + self.entries[j][i]).is_zero
-            for i in range(n)
-            for j in range(i, n)
-        )
 
     def __eq__(self, other):
         if not isinstance(other, RawMatrix):
@@ -247,14 +217,6 @@ class RawMatrix:
         if self.ctx.has_epsilon:
             doc["epsilon"] = True
         return doc
-
-    @classmethod
-    def from_json_dict(cls, doc: Mapping) -> "RawMatrix":
-        ctx = _json_context(doc)
-        entries = [
-            [Polynomial.parse(text, ctx) for text in row] for row in doc["entries"]
-        ]
-        return cls(ctx, entries)
 
 
 def bivector_from_raw(m: RawMatrix) -> MultiVector:

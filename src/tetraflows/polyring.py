@@ -49,7 +49,6 @@ from operator import or_
 from typing import Iterator, Mapping, Sequence
 
 __all__ = [
-    "Coeff",
     "Context",
     "ContextMismatchError",
     "EXPONENT_LIMIT",
@@ -60,9 +59,6 @@ __all__ = [
     "addmul",
     "finish",
 ]
-
-# Rational scalar as stored in term maps: int when integral, Fraction otherwise.
-Coeff = "int | Fraction"
 
 # Width of one packed exponent field, its guard bit included.
 EXP_BITS = 16
@@ -98,10 +94,10 @@ class PolyParseError(ValueError):
 
 
 def _norm_coeff(c):
-    """Collapse integral Fractions to int; reject non-rational scalars."""
+    """Collapse integral Fractions to int; reject non-rational scalars (bool too)."""
     if isinstance(c, Fraction):
         return c.numerator if c.denominator == 1 else c
-    if isinstance(c, int):
+    if isinstance(c, int) and not isinstance(c, bool):
         return c
     raise TypeError(f"coefficient must be int or Fraction, got {type(c).__name__}")
 
@@ -263,7 +259,7 @@ class Polynomial:
 
     @classmethod
     def constant(cls, ctx: Context, value) -> "Polynomial":
-        value = _norm_coeff(value if isinstance(value, (int, Fraction)) else Fraction(value))
+        value = _norm_coeff(value)
         if value == 0:
             return cls.zero(ctx)
         return cls._raw(ctx, {0: value})
@@ -301,9 +297,6 @@ class Polynomial:
         for mono, c in self.terms.items():
             yield unpack(mono), c
 
-    def coefficient(self, exps: Sequence[int]):
-        return self.terms.get(self.ctx.pack(exps), 0)
-
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
@@ -311,9 +304,6 @@ class Polynomial:
 
     def __bool__(self) -> bool:
         return bool(self.terms)
-
-    def __hash__(self):
-        return hash((self.ctx, frozenset(self.terms.items())))
 
     # -- ring operations ---------------------------------------------------
 
@@ -358,7 +348,7 @@ class Polynomial:
         return NotImplemented
 
     def scale(self, c) -> "Polynomial":
-        c = _norm_coeff(c if isinstance(c, (int, Fraction)) else Fraction(c))
+        c = _norm_coeff(c)
         if c == 0:
             return Polynomial.zero(self.ctx)
         if c == 1:

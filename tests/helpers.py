@@ -5,12 +5,12 @@ plain nested loops and no pruning, caching, or index bookkeeping shared with
 the package, so they can serve as independent oracles.
 """
 
-from fractions import Fraction
 from itertools import combinations, product
+from math import gcd
 
-from tetraflows.analysis import RatioSolution, _nullspace, _primitive
+from tetraflows.analysis import RatioSolution
 from tetraflows.graphflow import gamma1, gamma2
-from tetraflows.multivector import MultiVector, is_poisson, mv_linear_combination, schouten
+from tetraflows.multivector import MultiVector, mv_linear_combination
 from tetraflows.polyring import Context, Polynomial
 
 # Fixed seed for the randomized property suites (reproducible runs).
@@ -186,30 +186,38 @@ def lie_derivative_bracket(p, vector_comps):
     return MultiVector(ctx, 2, comps)
 
 
+def brute_schouten(p, q):
+    """The Schouten bracket of two bi-vectors from the six-term formula of
+    the ``multivector`` docstring, one plain polynomial sum per i < j < k:
+
+    [[P,Q]]^{ijk} = sum_l ( d_l P^{ij} Q^{lk} + d_l Q^{ij} P^{lk}
+                          + d_l P^{jk} Q^{li} + d_l Q^{jk} P^{li}
+                          + d_l P^{ki} Q^{lj} + d_l Q^{ki} P^{lj} ).
+    """
+    n = p.ctx.dim
+    comps = {}
+    for i, j, k in combinations(range(1, n + 1), 3):
+        acc = Polynomial.zero(p.ctx)
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            for l in range(1, n + 1):
+                acc = acc + p.entry(a, b).diff(l) * q.entry(l, c)
+                acc = acc + q.entry(a, b).diff(l) * p.entry(l, c)
+        if not acc.is_zero:
+            comps[(i, j, k)] = acc
+    return MultiVector(p.ctx, 3, comps)
+
+
 def fraction_perturb_probe(p, delta):
-    """The eps-graded brackets of P~ = P + eps*Delta, computed on P~ itself,
-    with no integer scaling outside the brackets and no division per order
-    (reference for ``analysis.perturb_probe``)."""
-    ctx = p.ctx
-    if not ctx.has_epsilon:
-        raise ValueError("context has no eps variable")
-    if delta.ctx != ctx or delta.degree != 2 or p.degree != 2:
-        raise ValueError("P and Delta must be bi-vectors over the same eps context")
-    if not p.is_epsilon_free() or not delta.is_epsilon_free():
-        raise ValueError("P and Delta must be eps-free")
-    if not is_poisson(p):
-        raise ValueError("P must be Poisson")
-    eps = Polynomial.epsilon(ctx)
+    """The eps-graded brackets of P~ = P + eps*Delta, taken by brute_schouten
+    on P~ itself, with no integer scaling and no division per order
+    (reference for ``analysis.perturb_probe``; the flows of P~ are the
+    package's, checked against naive_graph_sum elsewhere)."""
+    eps = Polynomial.epsilon(p.ctx)
     p_tilde = p + delta.mul_poly(eps)
-    jac = schouten(p_tilde, p_tilde)
-    q_tilde = mv_linear_combination(
-        [(1, gamma1(p_tilde).skew), (6, gamma2(p_tilde).skew)]
-    )
-    compat = schouten(p_tilde, q_tilde)
-    j_parts = jac.epsilon_split()
-    c_parts = compat.epsilon_split()
-    base = ctx.without_epsilon()
-    zero = MultiVector.zero(base, 3)
+    q_tilde = mv_linear_combination([(1, gamma1(p_tilde).skew), (6, gamma2(p_tilde).skew)])
+    j_parts = brute_schouten(p_tilde, p_tilde).epsilon_split()
+    c_parts = brute_schouten(p_tilde, q_tilde).epsilon_split()
+    zero = MultiVector(p.ctx.without_epsilon(), 3)
     return {
         k: (j_parts.get(k, zero), c_parts.get(k, zero))
         for k in sorted(set(j_parts) | set(c_parts))
@@ -217,16 +225,24 @@ def fraction_perturb_probe(p, delta):
 
 
 def fraction_find_ratios(p, basis):
-    """The null space of sum_i c_i * [[P, B_i]] = 0 from the unscaled
-    brackets, matched in Fraction arithmetic (reference for
+    """The null space of sum_i c_i * [[P, B_i]] = 0 from brute_schouten
+    brackets by sympy's Matrix.nullspace, each vector scaled to primitive
+    integers with its first nonzero entry positive (reference for
     ``analysis.find_ratios``)."""
-    brackets = [schouten(p, b) for b in basis]
-    row_keys = sorted(
-        {(idx, mono) for t in brackets for idx, poly in t.comps.items() for mono in poly.terms}
-    )
-    matrix = [
-        [Fraction(t.comps[idx].terms.get(mono, 0)) if idx in t.comps else Fraction(0) for t in brackets]
-        for idx, mono in row_keys
+    import sympy
+
+    brackets = [brute_schouten(p, b) for b in basis]
+    rows = sorted({(idx, m) for t in brackets for idx, poly in t.comps.items() for m in poly.terms})
+    entries = [
+        sympy.Rational(t.comps[idx].terms.get(m, 0) if idx in t.comps else 0)
+        for idx, m in rows
+        for t in brackets
     ]
-    kernel = _nullspace(matrix, len(basis))
-    return RatioSolution(len(kernel), tuple(_primitive(v) for v in kernel))
+    vectors = []
+    for v in sympy.Matrix(len(rows), len(basis), entries).nullspace():
+        den = sympy.ilcm(1, *(x.q for x in v))
+        ints = [int(x * den) for x in v]
+        g = gcd(*ints)
+        sign = -1 if next(x for x in ints if x) < 0 else 1
+        vectors.append(tuple(sign * x // g for x in ints))
+    return RatioSolution(len(vectors), tuple(vectors))

@@ -105,7 +105,8 @@ def test_criterion_1_generator_matrix_and_jacobi(ref):
 
 def test_criterion_2_first_flow_matrix(ref):
     raw = ref.flow1.raw
-    ok = raw.is_antisymmetric() and all(
+    e = raw.entries
+    ok = all((e[i][j] + e[j][i]).is_zero for i in range(4) for j in range(i, 4)) and all(
         raw.entry(i, j) == parse4(text) and raw.entry(j, i) == -parse4(text)
         for (i, j), text in P1_UPPER.items()
     )
@@ -231,7 +232,8 @@ def test_criterion_8b_skew_vanishing_graph_on_random_input():
             if p.is_zero or is_poisson(p):
                 continue
             checked += 1
-            assert evaluate_kgraph(SKEW_VANISHING_GRAPH, p).raw == RawMatrix.zero(ctx)
+            raw = evaluate_kgraph(SKEW_VANISHING_GRAPH, p).raw
+            assert all(q.is_zero for row in raw.entries for q in row)
     _report("8b", True, f"double-loop graph vanishes on 20 random non-Poisson bi-vectors (seed {DEFAULT_SEED + 1})")
 
 
@@ -270,7 +272,7 @@ def test_criterion_9a_jacobiator_brute_force_oracle():
             for i in range(1, dim + 1):
                 for j in range(i + 1, dim + 1):
                     for k in range(j + 1, dim + 1):
-                        assert jac.component((i, j, k)) == tensor[(i, j, k)]
+                        assert jac.comps.get((i, j, k), Polynomial.zero(ctx)) == tensor[(i, j, k)]
     _report("9a", True, f"Jacobiator agrees with the brute-force triple loop (seed {DEFAULT_SEED + 3})")
 
 

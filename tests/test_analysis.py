@@ -180,7 +180,7 @@ def _rational_det_brackets(draw):
 
 @settings(max_examples=25, deadline=None)
 @given(_rational_det_brackets(), st.lists(_RATIONALS, min_size=2, max_size=3))
-def test_find_ratios_scaled_path_matches_fraction_reference(p, factors):
+def test_find_ratios_matches_brute_force_sympy_reference(p, factors):
     # rational multiples of gamma1, gamma2 and (optionally) gamma1 again
     p1 = gamma1(p).skew
     flows = [p1, gamma2(p).skew, p1]

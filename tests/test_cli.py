@@ -14,7 +14,7 @@ from tetraflows.cli import main
 from tetraflows.multivector import MultiVector
 from tetraflows.polyring import DIM_LIMIT
 
-from example4d import BRACKET_P0_P1, P0_UPPER, ctx4, p0, parse4
+from example4d import BRACKET_P0_P1, P0_UPPER, P2_RAW, ctx4, p0, parse4
 from helpers import brute_jacobi_tensor, random_bivector
 
 
@@ -27,7 +27,7 @@ def run(capsys, *argv):
 @pytest.fixture()
 def p0_file(tmp_path):
     path = tmp_path / "P0.json"
-    path.write_text(p0().to_json())
+    path.write_text(json.dumps(p0().to_json_dict()))
     return str(path)
 
 
@@ -77,12 +77,16 @@ def test_flow_gamma1_and_raw(tmp_path, capsys, p0_file):
     code, out, _ = run(capsys, "flow", p0_file, "--which", "gamma1", "--output", str(out_path))
     assert code == 0
     p1 = MultiVector.from_json_dict(json.loads(out_path.read_text()))
-    assert p1.component((1, 2)) == parse4("-24480*x1*x2^9*x3^20*x4^4")
+    assert p1.comps.get((1, 2)) == parse4("-24480*x1*x2^9*x3^20*x4^4")
 
     code, out, _ = run(capsys, "flow", p0_file, "--which", "gamma2", "--raw")
     assert code == 0
     assert "raw matrix:" in out
     assert "16920*x1^2*x2^8*x3^20*x4^4" in out
+    code, out, _ = run(capsys, "flow", p0_file, "--which", "gamma2", "--raw", "--format", "json")
+    assert code == 0
+    raw = json.loads(out)["artifact"]["raw"]
+    assert raw == {"dim": 4, "entries": [[parse4(t).render() for t in row] for row in P2_RAW]}
 
 
 def test_flow_balanced_zero_weights(capsys, p0_file):
@@ -120,7 +124,7 @@ def test_bracket_of_a_file_with_itself(tmp_path, capsys):
     # self-bracket 2 * Jac(P) of the brute-force Jacobi tensor.
     p = random_bivector(random.Random(21), ctx4(), max_terms=3)
     path = tmp_path / "P.json"
-    path.write_text(p.to_json())
+    path.write_text(json.dumps(p.to_json_dict()))
     tensor = brute_jacobi_tensor(p)
     expected = MultiVector(
         p.ctx, 3, {idx: tensor[idx].scale(2) for idx in ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4))}
@@ -192,8 +196,8 @@ def test_probe_appendix_style_instance(tmp_path, capsys):
     )
     p_path = tmp_path / "P.json"
     d_path = tmp_path / "D.json"
-    p_path.write_text(bi.to_json())
-    d_path.write_text(delta.to_json())
+    p_path.write_text(json.dumps(bi.to_json_dict()))
+    d_path.write_text(json.dumps(delta.to_json_dict()))
     code, out, _ = run(capsys, "probe", str(p_path), str(d_path))
     assert code == 0
     assert "eps^1 of [[P~,P~]]" in out

@@ -7,7 +7,6 @@ from tetraflows.generators import (
     DetSpec,
     GeneratorError,
     VanhaeckeSpec,
-    _vanhaecke_u_matrix,
     build_bivector,
     det_bracket,
     form_obstruction,
@@ -36,9 +35,9 @@ def parse3(text):
 def test_det_bracket_constant_symplectic_like():
     spec = DetSpec(CTX3, [parse3("x3")])
     mv = det_bracket(spec)
-    assert mv.component((1, 2)) == Polynomial.one(CTX3)
-    assert mv.component((1, 3)).is_zero
-    assert mv.component((2, 3)).is_zero
+    assert mv.comps.get((1, 2)) == Polynomial.one(CTX3)
+    assert (1, 3) not in mv.comps
+    assert (2, 3) not in mv.comps
 
 
 def test_det_bracket_reproduces_reference_matrix():
@@ -98,7 +97,7 @@ def test_premultiply_can_break_poisson_in_dim4():
     assert is_poisson(symplectic)
     skewed = premultiply(symplectic, parse4("x1"))
     assert not is_poisson(skewed)
-    assert jacobiator(skewed).component((2, 3, 4)) == parse4("-x1")
+    assert jacobiator(skewed).comps.get((2, 3, 4)) == parse4("-x1")
     # Also with a polynomial generator: x1 times the d=2 bracket below.
     bracket = vanhaecke_bracket(VanhaeckeSpec(2, [(2, 2, 1)]))
     assert not is_poisson(premultiply(bracket, Polynomial.variable(bracket.ctx, 1)))
@@ -133,7 +132,7 @@ def test_form_obstruction_equals_jacobiator_component():
                 comps[idx] = poly
         mv = MultiVector(CTX3, 2, comps)
         obstruction = form_obstruction(mv)
-        jac123 = jacobiator(mv).component((1, 2, 3))
+        jac123 = jacobiator(mv).comps.get((1, 2, 3), Polynomial.zero(CTX3))
         if first is None and not jac123.is_zero:
             first = True
             assert obstruction == jac123  # pins the constant to 1
@@ -149,9 +148,9 @@ def test_vanhaecke_d1_hand_values():
     mv = vanhaecke_bracket(VanhaeckeSpec(1, [(2, 2, 1)]))
     ctx = mv.ctx
     assert ctx.dim == 2
-    assert mv.component((1, 2)) == Polynomial.parse("x1^2*x2^2", ctx)
+    assert mv.comps.get((1, 2)) == Polynomial.parse("x1^2*x2^2", ctx)
     # constant phi: {u1, v1} = 1
-    assert vanhaecke_bracket(VanhaeckeSpec(1, [(0, 0, 1)])).component((1, 2)) == Polynomial.one(ctx)
+    assert vanhaecke_bracket(VanhaeckeSpec(1, [(0, 0, 1)])).comps.get((1, 2)) == Polynomial.one(ctx)
 
 
 def test_vanhaecke_d2_is_poisson_with_nonzero_second_flow():
@@ -169,16 +168,15 @@ def test_vanhaecke_block_shape():
 
 def test_vanhaecke_calibrated_reading_is_the_unique_poisson_one():
     # {u_i, v_j} is read off the remainder as the coefficient of lam^(d-j);
-    # the other natural reading, lam^(j-1), is not Poisson.
+    # the other natural reading, lam^(j-1), is the same U block with its
+    # columns reversed (j -> d+1-j, so the key d+j -> 3d+1-(d+j)), and it is
+    # not Poisson.
     spec = VanhaeckeSpec(2, [(2, 2, 1)])
-    verdicts = {}
-    for name, reading in (("d-j", lambda j, d: d - j), ("j-1", lambda j, d: j - 1)):
-        entries = _vanhaecke_u_matrix(spec, reading)
-        mv = MultiVector(spec.ctx, 2, {(i, spec.d + j): p for (i, j), p in entries.items()})
-        verdicts[name] = is_poisson(mv)
-        if name == "d-j":
-            assert mv == vanhaecke_bracket(spec)
-    assert verdicts == {"d-j": True, "j-1": False}
+    d = spec.d
+    mv = vanhaecke_bracket(spec)
+    other = MultiVector(spec.ctx, 2, {(i, 3 * d + 1 - k): p for (i, k), p in mv.comps.items()})
+    assert other != mv
+    assert {"d-j": is_poisson(mv), "j-1": is_poisson(other)} == {"d-j": True, "j-1": False}
 
 
 ORACLE_CASES = [
@@ -242,6 +240,13 @@ def test_vanhaecke_rejects_non_integer_d_and_phi_exponents():
     for phi in ([(2.5, 2, 1)], [(2, 2.0, 1)], [(True, 2, 1)], [(2, 2, 1), (1, False, 1)]):
         with pytest.raises(GeneratorError, match="phi exponents must be integers"):
             VanhaeckeSpec(2, phi)
+
+
+def test_vanhaecke_rejects_inexact_phi_coefficients():
+    # a float 2.5 used to build the bracket with 5/2 but serialise as "2"
+    for c in (2.5, 0.1, True, "1", None):
+        with pytest.raises(GeneratorError, match="phi coefficients must be exact"):
+            VanhaeckeSpec(2, [(1, 1, 1), (1, 1, c)])
 
 
 def test_vanhaecke_rejects_negative_phi_exponents():

@@ -107,7 +107,8 @@ def test_wedge_graph_is_the_identity_encoding():
 
 def test_gamma1_closed_form_matches_reference_matrix():
     res = gamma1(p0())
-    assert res.raw.is_antisymmetric()
+    e = res.raw.entries
+    assert all((e[i][j] + e[j][i]).is_zero for i in range(4) for j in range(i, 4))
     for (i, j), text in P1_UPPER.items():
         assert res.raw.entry(i, j) == parse4(text)
         assert res.raw.entry(j, i) == -parse4(text)
@@ -127,8 +128,8 @@ def test_gamma_flows_vanish_on_low_degree_coefficients():
     ctx = ctx4()
     # constant coefficients: all derivatives vanish for both flows
     const = MultiVector(ctx, 2, {(1, 2): Polynomial.one(ctx), (3, 4): Polynomial.one(ctx)})
-    assert gamma1(const).skew.is_zero and gamma1(const).raw == RawMatrix.zero(ctx)
-    assert gamma2(const).skew.is_zero and gamma2(const).raw == RawMatrix.zero(ctx)
+    for flow in (gamma1(const), gamma2(const)):
+        assert flow.skew.is_zero and all(p.is_zero for row in flow.raw.entries for p in row)
     # affine coefficients: third derivatives vanish, so gamma1 is zero
     affine = MultiVector(
         ctx, 2, {(1, 2): parse4("x3 + 1"), (1, 3): parse4("x4"), (2, 4): parse4("2*x1 - x2")}
@@ -157,7 +158,8 @@ def test_gamma1_raw_is_antisymmetric_for_random_input():
     rng = random.Random(22)
     for dim in (3, 4):
         p = random_bivector(rng, Context(dim))
-        assert gamma1(p).raw.is_antisymmetric()
+        e = gamma1(p).raw.entries
+        assert all((e[i][j] + e[j][i]).is_zero for i in range(dim) for j in range(i, dim))
 
 
 def test_skew_vanishing_graph_kills_arbitrary_skew_input():
@@ -168,7 +170,7 @@ def test_skew_vanishing_graph_kills_arbitrary_skew_input():
         while is_poisson(p):  # the vanishing must not rely on the Jacobi identity
             p = random_bivector(rng, ctx)
         res = evaluate_kgraph(SKEW_VANISHING_GRAPH, p)
-        assert res.raw == RawMatrix.zero(ctx)
+        assert all(q.is_zero for row in res.raw.entries for q in row)
 
 
 def test_sink_swap_transposes_raw_and_negates_skew():
@@ -261,7 +263,7 @@ def test_contraction_matches_naive_evaluation_on_random_graphs(monkeypatch):
         p = random_bivector(rng, ctx, max_terms=3, max_degree=4)
         raw = evaluate_kgraph(graph, p).raw
         assert raw == RawMatrix(ctx, naive_evaluate_kgraph_raw(graph, p)), render_kgraph(graph)
-        nonzero = raw != RawMatrix.zero(ctx)
+        nonzero = any(not q.is_zero for row in raw.entries for q in row)
         sink_vertices = {v for v, pair in enumerate(graph.edges) for t in pair if t[0] == "S"}
         features = {
             "double edge": any(l == r for l, r in graph.edges),

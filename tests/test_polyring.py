@@ -90,6 +90,18 @@ def test_scale_normalizes_integral_fractions():
     assert isinstance(next(iter(p.terms.values())), int)
 
 
+def test_scalars_are_int_or_fraction_only():
+    # a float is never rounded to a nearby rational, and a bool is no int
+    with pytest.raises(TypeError):
+        Polynomial.constant(CTX4, 0.1)
+    with pytest.raises(TypeError):
+        parse("x1").scale(0.5)
+    for c in (True, 1.0, "1"):
+        with pytest.raises(TypeError):
+            Polynomial(CTX4, {(0, 0, 0, 0): c})
+    assert Polynomial.constant(CTX4, Fraction(1, 10)).render() == "1/10"
+
+
 # -- parse / render ---------------------------------------------------------
 
 
@@ -155,7 +167,7 @@ def test_parse_rejects_exponents_at_the_limit():
 
 def test_constructor_rejects_exponents_at_the_limit():
     top = EXPONENT_LIMIT - 1
-    assert Polynomial(CTX3, {(top, 0, top): 2}).coefficient((top, 0, top)) == 2
+    assert Polynomial(CTX3, {(top, 0, top): 2}).terms.get(CTX3.pack((top, 0, top)), 0) == 2
     with pytest.raises(ExponentOverflowError):
         Polynomial(CTX3, {(0, EXPONENT_LIMIT, 0): 1})
     with pytest.raises(ExponentOverflowError):
