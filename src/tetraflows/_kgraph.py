@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cache
 from itertools import combinations, permutations
 from operator import itemgetter
 
-from .polyring import ContextMismatchError, Polynomial, addmul, finish
-from .polyring import _denominator_lcm, _finish_divided
+from .polyring import ContextMismatchError, Polynomial, _denominator_lcm, addmul, addto, finish
 
 
 class GraphParseError(ValueError):
@@ -225,12 +225,10 @@ def graph_sum(g: KGraph, assignments: list, skew: bool = False) -> dict:
                 _contract(ea, ta, eb, tb, lambda key: sink_slot(pick(key)))
 
     for key, terms in minus.items():
-        acc = plus.setdefault(key, {})
-        for mono, c in terms.items():
-            acc[mono] = acc.get(mono, 0) - c
-    divisor = scale**k
+        addto(plus.setdefault(key, {}), terms, -1)
+    inverse = Fraction(1, scale**k)
     return {
-        key: poly for key, terms in plus.items() if (poly := _finish_divided(ctx, terms, divisor))
+        key: poly for key, terms in plus.items() if (poly := finish(ctx, terms).scale(inverse))
     }
 
 
@@ -276,14 +274,12 @@ def _fold(tensor: dict, positions: list) -> dict:
         groups.setdefault(tuple(key), []).append(poly)
     out = {}
     for key, polys in groups.items():
-        if len(polys) == 1:
-            out[key] = polys[0]
-            continue
-        acc = dict(polys[0].terms)
-        for poly in polys[1:]:
-            for mono, c in poly.terms.items():
-                acc[mono] = acc.get(mono, 0) + c
-        total = finish(polys[0].ctx, acc)
+        total = polys[0]
+        if len(polys) > 1:  # a lone contributor passes through unchanged
+            acc: dict = {}
+            for poly in polys:
+                addto(acc, poly.terms)
+            total = finish(total.ctx, acc)
         if total:
             out[key] = total
     return out

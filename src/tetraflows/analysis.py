@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
 from .generators import (
@@ -26,7 +26,7 @@ from .generators import (
 )
 from .graphflow import balanced_flow, gamma1, gamma2
 from .multivector import MultiVector, is_poisson, mv_linear_combination, schouten
-from .polyring import Polynomial, _denominator_lcm, _finish_divided
+from .polyring import Polynomial, _denominator_lcm
 
 __all__ = [
     "FLAG_NAMES",
@@ -171,13 +171,9 @@ def _nullspace(matrix: "list[list[Fraction]]", ncols: int) -> "list[list[Fractio
 
 def _primitive(vec: "list[Fraction]") -> tuple:
     """Scale a rational vector to primitive integers, first nonzero positive."""
-    denom = 1
-    for x in vec:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
+    denom = lcm(*(x.denominator for x in vec))
     ints = [int(x * denom) for x in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
+    g = gcd(*ints)
     if g > 1:
         ints = [x // g for x in ints]
     lead = next((x for x in ints if x != 0), 1)
@@ -226,20 +222,11 @@ def perturb_probe(p: MultiVector, delta: MultiVector) -> dict:
     zero = MultiVector.zero(base, 3)
     return {
         k: (
-            _divided(j_parts.get(k, zero), d_p**2 * d_delta**k),
-            _divided(c_parts.get(k, zero), d_p**5 * d_delta**k),
+            j_parts.get(k, zero).scale(Fraction(1, d_p**2 * d_delta**k)),
+            c_parts.get(k, zero).scale(Fraction(1, d_p**5 * d_delta**k)),
         )
         for k in sorted(set(j_parts) | set(c_parts))
     }
-
-
-def _divided(mv: MultiVector, divisor: int) -> MultiVector:
-    """mv / divisor, each coefficient built once as an exact quotient."""
-    return MultiVector(
-        mv.ctx,
-        mv.degree,
-        {idx: _finish_divided(mv.ctx, poly.terms, divisor) for idx, poly in mv.comps.items()},
-    )
 
 
 # -- the builtin example grid ---------------------------------------------------

@@ -40,7 +40,7 @@ from .graphflow import (
     parse_kgraph,
 )
 from .multivector import MultiVector, is_poisson, jacobiator, schouten
-from .polyring import Context, Polynomial
+from .polyring import Context, PolyParseError, Polynomial
 
 __all__ = ["main"]
 
@@ -155,19 +155,23 @@ def _dispatch(args) -> int:
 def _load_doc(path: str, build):
     """Build an object from the JSON document in ``path``.
 
-    A document of the wrong shape (not an object, a missing field, a field
-    of the wrong type) is a usage error naming the file.
+    A file that is not JSON, or a document of the wrong shape (not an
+    object, a missing field, a field of the wrong type) or with a bad value,
+    is a usage error naming the file.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise _UsageError(f"{path}: expected a JSON object, got {type(doc).__name__}")
     try:
-        return build(doc)
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        if isinstance(doc, dict):
+            return build(doc)
+        detail = f"expected a JSON object, got {type(doc).__name__}"
     except KeyError as exc:
-        raise _UsageError(f"{path}: missing field {exc.args[0]!r}") from None
+        detail = f"missing field {exc.args[0]!r}"
     except (TypeError, AttributeError) as exc:
-        raise _UsageError(f"{path}: malformed document ({exc})") from None
+        detail = f"malformed document ({exc})"
+    except ValueError as exc:
+        detail = str(exc)
+    raise _UsageError(f"{path}: {detail}")
 
 
 def _load_mv(path: str) -> MultiVector:
@@ -209,14 +213,22 @@ def _parse_rational(text: str) -> Fraction:
         raise _UsageError(f"bad rational {text!r}: {exc}") from None
 
 
-_PHI_X = re.compile(r"\bx(?!\d)")
-_PHI_Y = re.compile(r"\by(?!\d)")
+_PHI_VAR = re.compile(r"\b[xy](?!\d)")
 
 
 def _parse_phi(text: str) -> "list[tuple]":
-    """Parse a bivariate polynomial in x, y into (a, b, coeff) triples."""
-    translated = _PHI_Y.sub("x2", _PHI_X.sub("x1", text))
-    poly = Polynomial.parse(translated, Context(2))
+    """Parse a bivariate polynomial in x, y into (a, b, coeff) triples.
+
+    x and y are read as x1 and x2; a parse error gives its position in ``text``.
+    """
+    starts = [m.start() for m in _PHI_VAR.finditer(text)]
+    translated = _PHI_VAR.sub(lambda m: "x1" if m.group() == "x" else "x2", text)
+    try:
+        poly = Polynomial.parse(translated, Context(2))
+    except PolyParseError as exc:
+        # the i-th rewrite put one character at start + i + 1 of `translated`
+        inserted = sum(start + i + 1 < exc.position for i, start in enumerate(starts))
+        raise PolyParseError(exc.message, exc.position - inserted) from None
     return sorted((a, b, c) for (a, b), c in poly.items())
 
 

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from ._kgraph import graph_sum, parse_kgraph
-from .polyring import Context, ContextMismatchError, Polynomial
+from .polyring import Context, ContextMismatchError, Polynomial, _norm_coeff, addto, finish
 
 __all__ = [
     "MultiVector",
@@ -270,16 +270,13 @@ def mv_linear_combination(terms: Iterable[tuple]) -> MultiVector:
         raise ValueError("empty linear combination")
     ctx = terms[0][1].ctx
     degree = terms[0][1].degree
-    acc: dict = {}
+    acc: dict = {}  # component index -> term dict
     for c, mv in terms:
         if mv.ctx != ctx:
             raise ContextMismatchError("mixed contexts in linear combination")
         if mv.degree != degree:
             raise ValueError("mixed degrees in linear combination")
+        c = _norm_coeff(c)
         for idx, poly in mv.comps.items():
-            contrib = poly.scale(c)
-            if contrib.is_zero:
-                continue
-            cur = acc.get(idx)
-            acc[idx] = contrib if cur is None else cur + contrib
-    return MultiVector(ctx, degree, {idx: p for idx, p in acc.items() if not p.is_zero})
+            addto(acc.setdefault(idx, {}), poly.terms, c)
+    return MultiVector(ctx, degree, {idx: finish(ctx, t) for idx, t in acc.items()})

@@ -21,10 +21,13 @@ can set, so a sum of two valid fields never carries into the next slot.
 Parsing, the constructor and products reject larger exponents with a
 ``ValueError`` (:class:`PolyParseError` or :class:`ExponentOverflowError`).
 
-Products are accumulated by :func:`addmul`, which adds ``a * b`` into a
-mutable term dict, and :func:`finish`, which turns that dict into a
-canonical :class:`Polynomial`.  A sum of products is built in one dict,
-with no temporary polynomial per product and no copy per addition.
+Arithmetic runs through three functions: :func:`addmul` adds ``a * b``
+into a mutable term dict, :func:`addto` adds ``c`` times a term map into
+one, and :func:`finish` turns the dict into a canonical
+:class:`Polynomial`.  Sums, scalings, sums of products and exact divisions
+are each built in one dict, with no temporary polynomial per product or
+summand and no copy per addition; only :func:`finish` makes a result
+canonical.
 
 Coefficients are kept as plain ``int`` whenever the value is integral and as
 ``fractions.Fraction`` otherwise; the two compare and hash equal, so the term
@@ -57,6 +60,7 @@ __all__ = [
     "PolyParseError",
     "Polynomial",
     "addmul",
+    "addto",
     "finish",
 ]
 
@@ -90,7 +94,7 @@ class PolyParseError(ValueError):
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
-        self.position = position
+        self.message, self.position = message, position
 
 
 def _norm_coeff(c):
@@ -193,8 +197,29 @@ def addmul(acc: dict, a: "Polynomial", b: "Polynomial") -> None:
             acc[m] = get(m, 0) + c1 * c2
 
 
+def addto(acc: dict, terms: Mapping, c=1) -> None:
+    """Accumulate ``c`` times the term map ``terms`` into the term dict ``acc``.
+
+    ``c`` is an int or Fraction.  Like :func:`addmul` it leaves ``acc``
+    non-canonical until :func:`finish`.  An empty ``acc`` takes a copy of
+    ``terms`` (``c == 1``) or of ``{m: c * v}``, so no coefficient is
+    built as ``0 + c * v``.  This is the only addition loop of the module.
+    """
+    if not acc:
+        acc.update(terms if c == 1 else {m: c * v for m, v in terms.items()})
+        return
+    get = acc.get
+    if c == 1:  # no multiplication: 1 * v is slow for a Fraction v
+        for m, v in terms.items():
+            acc[m] = get(m, 0) + v
+    else:
+        for m, v in terms.items():
+            acc[m] = get(m, 0) + c * v
+
+
 def finish(ctx: Context, acc: dict) -> "Polynomial":
-    """The canonical Polynomial of a term dict filled by :func:`addmul`.
+    """The canonical Polynomial of a term dict filled by :func:`addmul` and
+    :func:`addto`; the only place a result is made canonical.
 
     Raises :class:`ExponentOverflowError` if a product set a guard bit, drops
     zero terms and turns integral Fractions into ints.  ``acc`` is consumed:
@@ -216,14 +241,6 @@ def _denominator_lcm(polys) -> int:
     return lcm(*(c.denominator for p in polys for c in p.terms.values()))
 
 
-def _finish_divided(ctx: Context, acc: dict, divisor: int) -> "Polynomial":
-    """:func:`finish` of ``acc`` divided by a positive int, each coefficient
-    built once as the exact quotient ``Fraction(c, divisor)``."""
-    if divisor != 1:
-        acc = {m: Fraction(c, divisor) for m, c in acc.items()}
-    return finish(ctx, acc)
-
-
 class Polynomial:
     """Immutable sparse polynomial in canonical form (no zero terms stored)."""
 
@@ -231,14 +248,9 @@ class Polynomial:
 
     def __init__(self, ctx: Context, terms: Mapping[tuple, object] | None = None):
         """Build from a map of exponent tuples to rational coefficients."""
-        clean = {}
-        if terms:
-            for mono, c in terms.items():
-                c = _norm_coeff(c)
-                if c != 0:
-                    clean[ctx.pack(mono)] = c
+        acc = {ctx.pack(mono): _norm_coeff(c) for mono, c in (terms or {}).items()}
         object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", finish(ctx, acc).terms)
 
     @staticmethod
     def _raw(ctx: Context, terms: dict) -> "Polynomial":
@@ -259,10 +271,7 @@ class Polynomial:
 
     @classmethod
     def constant(cls, ctx: Context, value) -> "Polynomial":
-        value = _norm_coeff(value)
-        if value == 0:
-            return cls.zero(ctx)
-        return cls._raw(ctx, {0: value})
+        return cls(ctx, {(0,) * ctx.nslots: value})
 
     @classmethod
     def one(cls, ctx: Context) -> "Polynomial":
@@ -308,54 +317,42 @@ class Polynomial:
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
+        return self._sum(other, 1)
+
+    def __sub__(self, other: "Polynomial") -> "Polynomial":
+        return self._sum(other, -1)
+
+    def _sum(self, other, sign: int):
         if not isinstance(other, Polynomial):
             return NotImplemented
         _require_same_ctx(self, other)
-        if not self.terms:
-            return other
         if not other.terms:
             return self
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            s = out.get(mono, 0) + c
-            if s:
-                out[mono] = _norm_coeff(s) if isinstance(s, Fraction) else s
-            else:
-                out.pop(mono, None)
-        return Polynomial._raw(self.ctx, out)
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self + (-other)
+        if not self.terms and sign == 1:
+            return other
+        acc = dict(self.terms)
+        addto(acc, other.terms, sign)
+        return finish(self.ctx, acc)
 
     def __neg__(self) -> "Polynomial":
         return Polynomial._raw(self.ctx, {m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other):
-        # Polynomial first: isinstance against Fraction is a slow ABC check.
-        if isinstance(other, Polynomial):
-            acc: dict = {}
-            addmul(acc, self, other)
-            return finish(self.ctx, acc)
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
+        if not isinstance(other, Polynomial):
+            return NotImplemented
+        acc: dict = {}
+        addmul(acc, self, other)
+        return finish(self.ctx, acc)
 
     def scale(self, c) -> "Polynomial":
+        """The scalar product ``c * self``; ``scale(Fraction(1, D))`` is the
+        exact division by D."""
         c = _norm_coeff(c)
-        if c == 0:
-            return Polynomial.zero(self.ctx)
         if c == 1:
             return self
-        return Polynomial._raw(
-            self.ctx, {m: _norm_coeff(v * c) for m, v in self.terms.items()}
-        )
+        acc: dict = {}
+        addto(acc, self.terms, c)
+        return finish(self.ctx, acc)
 
     def __pow__(self, k: int) -> "Polynomial":
         if not isinstance(k, int) or k < 0:
@@ -375,8 +372,8 @@ class Polynomial:
         for mono, c in self.terms.items():
             e = (mono >> shift) & _FIELD
             if e:
-                out[mono - unit] = _norm_coeff(c * e) if isinstance(c, Fraction) else c * e
-        return Polynomial._raw(self.ctx, out)
+                out[mono - unit] = c * e
+        return finish(self.ctx, out)
 
     # -- eps handling ------------------------------------------------------
 
@@ -553,11 +550,11 @@ class Polynomial:
                 name = self.ctx.slot_name(slot)
                 factors.append(name if e == 1 else f"{name}^{e}")
             if not factors:
-                body = _coeff_str(mag)
+                body = str(mag)
             elif mag == 1:
                 body = "*".join(factors)
             else:
-                body = _coeff_str(mag) + "*" + "*".join(factors)
+                body = str(mag) + "*" + "*".join(factors)
             if not pieces:
                 pieces.append(("-" if neg else "") + body)
             else:
@@ -566,10 +563,3 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({self.render()!r})"
-
-
-def _coeff_str(c) -> str:
-    if isinstance(c, Fraction):
-        return f"{c.numerator}/{c.denominator}"
-    return str(c)
-

@@ -261,7 +261,8 @@ def test_huge_dim_is_a_one_line_usage_error_within_a_second(tmp_path, capsys, co
     code, out, err = run(capsys, *argv)
     assert time.perf_counter() - start < 1.0
     assert code == 2 and out == "" and err.count("\n") == 1
-    assert err.startswith(f"error: Context dim must be an integer >= 2 and below {DIM_LIMIT}")
+    named = f"{path}: " if command == "jacobi" else ""  # a loader error names its file
+    assert err.startswith(f"error: {named}Context dim must be an integer >= 2 and below {DIM_LIMIT}")
 
 
 def test_gen_spec_file(tmp_path, capsys):
@@ -336,6 +337,41 @@ def test_malformed_spec_document_is_a_one_line_usage_error(tmp_path, capsys, doc
     code, out, err = run(capsys, "gen", "--spec", str(path))
     assert code == 2 and out == ""
     assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        json.dumps({"dim": 3, "degree": 2, "components": {"a,b": "x1"}}),
+        json.dumps({"dim": 3, "degree": 2, "components": {"1,5": "x1"}}),
+        json.dumps({"dim": 3, "degree": 2, "components": {"1,2": "x1^"}}),
+        json.dumps({"dim": 3, "degree": 1, "components": {"1": "x1"}}),
+        "{not json",
+    ],
+    ids=["non-integer-index", "index-above-dim", "bad-polynomial", "degree-1", "not-json"],
+)
+def test_loader_errors_name_the_file(tmp_path, capsys, p0_file, text):
+    # with two input files, the error must say which one is wrong
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    code, out, err = run(capsys, "bracket", p0_file, str(bad))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "phi, message, position",
+    [
+        ("x^2*y^2*z", "unexpected character 'z'", 8),
+        ("x^-1", "expected positive exponent", 2),
+        ("y^2 + x^", "expected positive exponent", 8),
+        ("x*y 3", "expected '+' or '-', found '3'", 4),
+    ],
+)
+def test_phi_parse_errors_give_the_position_in_the_text(capsys, phi, message, position):
+    code, out, err = run(capsys, "gen", "--vanhaecke", "--d", "2", "--phi", phi)
+    assert code == 2 and out == ""
+    assert err == f"error: {message} (at position {position})\n"
 
 
 # -- loader fuzzing ----------------------------------------------------------------

@@ -9,17 +9,20 @@ sympy, checks products and derivatives where it is installed.
 """
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tetraflows.multivector import MultiVector, mv_linear_combination
 from tetraflows.polyring import (
     EXPONENT_LIMIT,
     Context,
     ExponentOverflowError,
     Polynomial,
     addmul,
+    addto,
     finish,
 )
 
@@ -37,6 +40,10 @@ def ref_add(a, b):
     for m, c in b.items():
         out[m] = out.get(m, 0) + c
     return ref_clean(out)
+
+
+def ref_scale(a, c):
+    return ref_clean({m: c * v for m, v in a.items()})
 
 
 def ref_pairs_overflow(a, b):
@@ -196,6 +203,71 @@ def test_addmul_then_finish_is_a_sum_of_products(case):
         addmul(acc, Polynomial(ctx, a), Polynomial(ctx, b))
         expected = ref_add(expected, ref_mul(a, b))
     assert view(finish(ctx, acc)) == expected
+
+
+# Factors that make Fraction coefficients integral, and ones that keep them
+# (or make them) Fractions; 0, 1 and -1 are the edge cases of every path.
+scalars = st.one_of(
+    st.sampled_from((0, 1, -1, 2, 6, -12, Fraction(1, 2), Fraction(-3, 2))),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ctx_and_polys(3), scalars, st.booleans())
+def test_addto_then_finish_matches_reference(case, c, into_empty):
+    ctx, (a, b, d) = case
+    pa, pb, pd = (Polynomial(ctx, t) for t in (a, b, d))
+    acc: dict = {} if into_empty else dict(pa.terms)
+    expected = {} if into_empty else a
+    for coeff, poly, ref in ((c, pb, b), (1, pd, d), (-1, pb, b)):
+        addto(acc, poly.terms, coeff)
+        expected = ref_add(expected, ref_scale(ref, coeff))
+    assert view(finish(ctx, acc)) == expected
+    # the operands are read, never shared or changed
+    assert (view(pa), view(pb), view(pd)) == (a, b, d)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ctx_and_polys(2), scalars)
+def test_sub_and_scale_keep_canonical_coefficients(case, c):
+    ctx, (a, b) = case
+    pa, pb = Polynomial(ctx, a), Polynomial(ctx, b)
+    zero = Polynomial.zero(ctx)
+    assert view(pa - pa) == {}
+    assert view(zero - pb) == ref_scale(b, -1)
+    assert view(pa - zero) == a
+    assert view(pa.scale(c)) == ref_scale(a, c)
+    # scaling by the denominator lcm clears every Fraction
+    clear = lcm(*(Fraction(v).denominator for v in a.values()))
+    assert view(pa.scale(clear)) == ref_scale(a, clear)
+    assert view(pa.scale(Fraction(1, clear)).scale(clear)) == a
+
+
+@settings(max_examples=100, deadline=None)
+@given(ctx_and_polys(3), scalars)
+def test_mv_linear_combination_keeps_canonical_coefficients(case, c):
+    ctx, (a, b, d) = case
+    m = MultiVector(ctx, 2, {(1, 2): Polynomial(ctx, a), (1, ctx.dim): Polynomial(ctx, b)})
+    n = MultiVector(ctx, 2, {(1, 2): Polynomial(ctx, d)})
+    half = Fraction(1, 2)
+
+    def ref(combination):
+        out: dict = {}
+        for coeff, mv in combination:
+            for idx, poly in mv.comps.items():
+                out[idx] = ref_add(out.get(idx, {}), ref_scale(view(poly), coeff))
+        return {idx: t for idx, t in out.items() if t}
+
+    for combination in (
+        [(half, m), (half, m)],  # halves that add up to whole coefficients
+        [(half, m), (half, n), (-half, m)],  # halves that cancel
+        [(c, m), (-c, m), (1, n)],
+        [(c, m), (half, n)],
+        [(c, m)],
+    ):
+        result = mv_linear_combination(combination)
+        assert {idx: view(poly) for idx, poly in result.comps.items()} == ref(combination)
 
 
 def test_finish_rejects_an_overflowed_sum_of_products():
