@@ -23,7 +23,6 @@ from .generators import (
     build_bivector,
     det_bracket,
     form_obstruction,
-    premultiply,
     vanhaecke_bracket,
 )
 from .graphflow import (
@@ -75,7 +74,6 @@ __all__ = [
     "mv_linear_combination",
     "parse_kgraph",
     "perturb_probe",
-    "premultiply",
     "render_kgraph",
     "reproduce_tables",
     "schouten",

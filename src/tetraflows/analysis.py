@@ -80,8 +80,6 @@ def compat_report(p0: MultiVector, spec=None) -> CompatReport:
     Refuses non-Poisson input: the grid semantics presuppose that P0 is
     Poisson.
     """
-    if p0.degree != 2:
-        raise ValueError("expected a bi-vector (degree 2)")
     if not is_poisson(p0):
         raise ValueError("input bi-vector is not Poisson; the report is undefined")
     p1 = gamma1(p0).skew

@@ -228,7 +228,11 @@ def _parse_phi(text: str) -> "list[tuple]":
     except PolyParseError as exc:
         # the i-th rewrite put one character at start + i + 1 of `translated`
         inserted = sum(start + i + 1 < exc.position for i, start in enumerate(starts))
-        raise PolyParseError(exc.message, exc.position - inserted) from None
+        at, message = exc.position - inserted, exc.message
+        if at in starts:  # the offending token is a rewritten x or y: name it as typed
+            rewritten = translated[exc.position : exc.position + 2]
+            message = message.replace(repr(rewritten), repr(text[at]))
+        raise PolyParseError(message, at) from None
     return sorted((a, b, c) for (a, b), c in poly.items())
 
 

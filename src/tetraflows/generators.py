@@ -1,18 +1,23 @@
 """Generators of polynomial Poisson bi-vectors.
 
-Three constructions are provided:
+Two constructions are provided:
 
 * the determinant (Nambu) bracket on R^n, n >= 3:
   {a, b} = det Jac(g_1, ..., g_{n-2}, a, b) for a fixed argument tuple g,
   optionally pre-multiplied by a polynomial factor;
-* pre-multiplication of a 3D bi-vector by a polynomial, with the associated
-  one-form obstruction test (the coefficient of dx^dy^dz in dP ^ P, which
-  vanishes exactly when the bi-vector is Poisson);
 * the even-dimensional bracket on the 2d coefficients of a monic u(lam) of
   degree d and a v(lam) of degree d-1, driven by a bivariate polynomial phi
   and Euclidean reduction mod u(lam).  lam is the trailing formal slot of
   the context (the eps slot of the perturbation probe), so u, v and the
   remainders are ordinary polynomials.
+
+Pre-multiplying any bi-vector by a polynomial is ``MultiVector.mul_poly``;
+``form_obstruction`` gives the one-form test of the Poisson property for a
+pre-multiplied 3D bi-vector.
+
+Generators only build.  They run no Jacobi test: each consumer that needs a
+Poisson bi-vector (``tetraflows gen``, ``compat_report``, ``find_ratios``,
+``perturb_probe``) checks it once.
 
 Coordinates for the even-dimensional construction are ordered
 u_1..u_d, v_1..v_d and mapped onto x1..x(2d); the resulting matrix has the
@@ -26,7 +31,8 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Mapping
 
-from .multivector import MultiVector, _json_field, is_poisson
+from .multivector import MultiVector, _json_field
+from .multivector import is_poisson  # noqa: F401 (bench/selftest.py traces this name)
 from .polyring import Context, ContextMismatchError, Polynomial
 
 __all__ = [
@@ -34,7 +40,6 @@ __all__ = [
     "DetSpec",
     "VanhaeckeSpec",
     "det_bracket",
-    "premultiply",
     "form_obstruction",
     "vanhaecke_bracket",
     "generator_from_json_dict",
@@ -43,7 +48,7 @@ __all__ = [
 ]
 
 class GeneratorError(ValueError):
-    """A generator received inconsistent data or produced a non-Poisson result."""
+    """A generator spec holds inconsistent or out-of-range data."""
 
 
 @dataclass(frozen=True)
@@ -139,23 +144,9 @@ def det_bracket(spec: DetSpec) -> MultiVector:
             ei[i - 1] = one
             ej = [zero] * n
             ej[j - 1] = one
-            p = _det(grads + [ei, ej], ctx)
-            if spec.prefactor is not None:
-                p = spec.prefactor * p
-            if not p.is_zero:
-                comps[(i, j)] = p
-    return MultiVector(ctx, 2, comps)
-
-
-def premultiply(p: MultiVector, f: Polynomial) -> MultiVector:
-    """Componentwise product f * P.
-
-    In dimension 3 this preserves the Poisson property; in dimension >= 4 it
-    generally does not.
-    """
-    if p.degree != 2:
-        raise ValueError("expected a bi-vector (degree 2)")
-    return p.mul_poly(f)
+            comps[(i, j)] = _det(grads + [ei, ej], ctx)
+    mv = MultiVector(ctx, 2, comps)
+    return mv if spec.prefactor is None else mv.mul_poly(spec.prefactor)
 
 
 def form_obstruction(p: MultiVector) -> Polynomial:
@@ -181,9 +172,8 @@ def vanhaecke_bracket(spec: VanhaeckeSpec) -> MultiVector:
                  phi(lam, v(lam)) * [u(lam)/lam^(d-i+1)]_+  mod u(lam)
 
     (of the two natural readings of the lam-coefficient, lam^(d-j) and
-    lam^(j-1), the one that makes the bracket Poisson).  The result is
-    verified to be Poisson; a failure signals an implementation bug and
-    raises :class:`GeneratorError`.
+    lam^(j-1), the one that makes the bracket Poisson).  The result is not
+    tested here; a consumer that needs it Poisson runs the Jacobi test.
     """
     d = spec.d
     ctx = spec.ctx
@@ -214,13 +204,7 @@ def vanhaecke_bracket(spec: VanhaeckeSpec) -> MultiVector:
             if c:
                 comps[(i, d + j)] = Polynomial(ctx, dict(c.items()))
         u_plus = u_plus * lam + Polynomial.variable(lctx, i)
-    mv = MultiVector(ctx, 2, comps)
-    if not is_poisson(mv):
-        raise GeneratorError(
-            "even-dimensional bracket failed the Jacobi identity; "
-            "this indicates an implementation bug"
-        )
-    return mv
+    return MultiVector(ctx, 2, comps)
 
 
 # -- GeneratorSpec serialization ------------------------------------------------

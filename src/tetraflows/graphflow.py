@@ -49,8 +49,6 @@ __all__ = [
     "balanced_flow",
     "GAMMA1_GRAPH",
     "GAMMA2_GRAPH",
-    "SKEW_VANISHING_GRAPH",
-    "WEDGE_GRAPH",
 ]
 
 
@@ -99,10 +97,6 @@ def balanced_flow(p: MultiVector, a, b) -> MultiVector:
     return mv_linear_combination([(a, gamma1(p).skew), (b, gamma2(p).skew)])
 
 
-# The two tetrahedra of the module docstring, the single-wedge graph encoding
-# the bi-vector itself, and the graph that vanishes for every skew input by
-# the symmetry of its double loops.
+# The two tetrahedra of the module docstring.
 GAMMA1_GRAPH = parse_kgraph("4; (S1,S2) (V1,V4) (V1,V2) (V1,V3)")
 GAMMA2_GRAPH = parse_kgraph("4; (S1,V4) (V1,S2) (V2,V1) (V3,V2)")
-WEDGE_GRAPH = parse_kgraph("1; (S1,S2)")
-SKEW_VANISHING_GRAPH = parse_kgraph("4; (S1,S2) (V1,V4) (V1,V4) (V2,V3)")

@@ -9,12 +9,17 @@ from itertools import combinations, product
 from math import gcd
 
 from tetraflows.analysis import RatioSolution
-from tetraflows.graphflow import gamma1, gamma2
+from tetraflows.graphflow import gamma1, gamma2, parse_kgraph
 from tetraflows.multivector import MultiVector, mv_linear_combination
 from tetraflows.polyring import Context, Polynomial
 
 # Fixed seed for the randomized property suites (reproducible runs).
 DEFAULT_SEED = 20160613
+
+# The single-wedge graph encoding the bi-vector itself, and the graph that
+# vanishes for every skew input by the symmetry of its double loops.
+WEDGE_GRAPH = parse_kgraph("1; (S1,S2)")
+SKEW_VANISHING_GRAPH = parse_kgraph("4; (S1,S2) (V1,V4) (V1,V4) (V2,V3)")
 
 
 def random_polynomial(rng, ctx, max_terms=3, max_degree=4, zero_ok=False):

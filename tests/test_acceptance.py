@@ -30,14 +30,11 @@ from tetraflows.generators import (
     DetSpec,
     VanhaeckeSpec,
     det_bracket,
-    premultiply,
     vanhaecke_bracket,
 )
 from tetraflows.graphflow import (
     GAMMA1_GRAPH,
     GAMMA2_GRAPH,
-    SKEW_VANISHING_GRAPH,
-    WEDGE_GRAPH,
     balanced_flow,
     evaluate_kgraph,
     gamma1,
@@ -71,6 +68,8 @@ from example4d import (
 )
 from helpers import (
     DEFAULT_SEED,
+    SKEW_VANISHING_GRAPH,
+    WEDGE_GRAPH,
     brute_gamma1_raw,
     brute_gamma2_raw,
     brute_jacobi_tensor,
@@ -213,7 +212,7 @@ def test_criterion_8a_random_3d_balanced_compatibility():
     while count < 50:
         g = random_polynomial(rng, ctx, max_terms=2, max_degree=4)
         f = random_polynomial(rng, ctx, max_terms=2, max_degree=4)
-        bi = premultiply(det_bracket(DetSpec(ctx, [g])), f)
+        bi = det_bracket(DetSpec(ctx, [g])).mul_poly(f)
         if bi.is_zero:
             continue
         count += 1

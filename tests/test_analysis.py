@@ -16,7 +16,7 @@ from tetraflows.analysis import (
     perturb_probe,
     reproduce_tables,
 )
-from tetraflows.generators import DetSpec, build_bivector, det_bracket, premultiply
+from tetraflows.generators import DetSpec, build_bivector, det_bracket
 from tetraflows.graphflow import gamma1, gamma2
 from tetraflows.multivector import MultiVector, is_poisson, mv_linear_combination, schouten
 from tetraflows.polyring import Context, Polynomial
@@ -68,6 +68,9 @@ def test_compat_report_refuses_non_poisson_input():
         p = random_bivector(rng, ctx4())
     with pytest.raises(ValueError):
         compat_report(p)
+    tri = MultiVector(ctx4(), 3, {(1, 2, 3): Polynomial.parse("x4", ctx4())})
+    with pytest.raises(ValueError, match="degree 2"):
+        compat_report(tri)
 
 
 def test_q_bracket_is_the_bilinear_combination_of_the_two_brackets():
@@ -122,10 +125,9 @@ def test_find_ratios_single_element_cases():
 def test_find_ratios_rejects_empty_basis_and_non_poisson():
     with pytest.raises(ValueError):
         find_ratios(p0(), [])
-    skewed = premultiply(
-        MultiVector(ctx4(), 2, {(1, 3): Polynomial.one(ctx4()), (2, 4): Polynomial.one(ctx4())}),
-        Polynomial.parse("x1", ctx4()),
-    )
+    skewed = MultiVector(
+        ctx4(), 2, {(1, 3): Polynomial.one(ctx4()), (2, 4): Polynomial.one(ctx4())}
+    ).mul_poly(Polynomial.parse("x1", ctx4()))
     with pytest.raises(ValueError):
         find_ratios(skewed, [skewed])
 
@@ -204,9 +206,8 @@ def appendix_instance():
     # 3D bracket from argument g = x3^3 with prefactor f = x1^2; the
     # perturbation has components (y^2 z, y^3 z^2, 0) in (x, y, z) = (x1, x2, x3).
     base = CTX3
-    bi = premultiply(
-        det_bracket(DetSpec(base, [Polynomial.parse("x3^3", base)])),
-        Polynomial.parse("x1^2", base),
+    bi = det_bracket(DetSpec(base, [Polynomial.parse("x3^3", base)])).mul_poly(
+        Polynomial.parse("x1^2", base)
     )
     delta = MultiVector(
         base,

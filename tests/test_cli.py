@@ -4,12 +4,15 @@ import json
 import random
 import tempfile
 import time
+from hashlib import sha256
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tetraflows import multivector
+from tetraflows.analysis import builtin_rows, reproduce_tables
 from tetraflows.cli import main
 from tetraflows.multivector import MultiVector
 from tetraflows.polyring import DIM_LIMIT
@@ -181,13 +184,12 @@ def test_graph_eval_needs_two_sinks(capsys, p0_file, text):
 
 
 def test_probe_appendix_style_instance(tmp_path, capsys):
-    from tetraflows.generators import DetSpec, det_bracket, premultiply
+    from tetraflows.generators import DetSpec, det_bracket
     from tetraflows.polyring import Context, Polynomial
 
     ctx = Context(3)
-    bi = premultiply(
-        det_bracket(DetSpec(ctx, [Polynomial.parse("x3^3", ctx)])),
-        Polynomial.parse("x1^2", ctx),
+    bi = det_bracket(DetSpec(ctx, [Polynomial.parse("x3^3", ctx)])).mul_poly(
+        Polynomial.parse("x1^2", ctx)
     )
     delta = MultiVector(
         ctx,
@@ -214,6 +216,17 @@ def test_tables_grid(capsys):
 def test_tables_json_document_carries_witnesses(capsys):
     code, out, _ = run(capsys, "tables", "--format", "json")
     assert code == 0
+    # Both digests of `tables --format json`: as printed, and re-dumped the
+    # way `--no-witnesses` prints it.
+    assert sha256(out.encode()).hexdigest() == (
+        "e142fb9aa5fadcae014b76984a49726b2a5b9b859c401c748bba195ac5948fdb"
+    )
+    bare = json.loads(out)
+    for row in bare["artifact"]["rows"]:
+        del row["witnesses"]
+    assert sha256((json.dumps(bare, sort_keys=True, indent=2) + "\n").encode()).hexdigest() == (
+        "206222b308fde6148e31866e27efac0395e0e70df100fd859a58a5d6a466972d"
+    )
     doc = json.loads(out)["artifact"]
     assert doc["all_match"] is True
     assert [row["id"] for row in doc["rows"]] == list(range(1, 12))
@@ -275,6 +288,20 @@ def test_gen_spec_file(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["is_poisson"] is True
     assert MultiVector.from_json_dict(doc["artifact"]) == p0()
+
+
+@pytest.mark.parametrize("consumer", ["gen", "tables"])
+def test_each_consumer_runs_one_jacobi_test(monkeypatch, capsys, consumer):
+    # Generators only build; the consumer that needs P0 Poisson tests it once.
+    calls = []
+    jacobiator = multivector.jacobiator
+    monkeypatch.setattr(multivector, "jacobiator", lambda p: calls.append(p) or jacobiator(p))
+    if consumer == "gen":
+        code, out, _ = run(capsys, "gen", "--vanhaecke", "--d", "2", "--phi", "x^2*y^2")
+        assert code == 0 and out.startswith("poisson: true")
+    else:
+        assert reproduce_tables([r for r in builtin_rows() if r[0] == 7]).all_match
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize(
@@ -366,6 +393,7 @@ def test_loader_errors_name_the_file(tmp_path, capsys, p0_file, text):
         ("x^-1", "expected positive exponent", 2),
         ("y^2 + x^", "expected positive exponent", 8),
         ("x*y 3", "expected '+' or '-', found '3'", 4),
+        ("x*y x", "expected '+' or '-', found 'x'", 4),
     ],
 )
 def test_phi_parse_errors_give_the_position_in_the_text(capsys, phi, message, position):

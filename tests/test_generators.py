@@ -12,7 +12,6 @@ from tetraflows.generators import (
     form_obstruction,
     generator_from_json_dict,
     generator_to_json_dict,
-    premultiply,
     vanhaecke_bracket,
 )
 from tetraflows.graphflow import gamma2
@@ -75,8 +74,8 @@ def test_det_bracket_is_poisson_randomized():
 
 def test_premultiply_by_one_and_zero():
     bi = p0()
-    assert premultiply(bi, Polynomial.one(bi.ctx)) == bi
-    assert premultiply(bi, Polynomial.zero(bi.ctx)).is_zero
+    assert bi.mul_poly(Polynomial.one(bi.ctx)) == bi
+    assert bi.mul_poly(Polynomial.zero(bi.ctx)).is_zero
 
 
 def test_premultiply_preserves_poisson_in_dim3():
@@ -84,7 +83,7 @@ def test_premultiply_preserves_poisson_in_dim3():
     for _ in range(6):
         g = random_polynomial(rng, CTX3, max_terms=2, max_degree=4)
         f = random_polynomial(rng, CTX3, max_terms=2, max_degree=4)
-        bi = premultiply(det_bracket(DetSpec(CTX3, [g])), f)
+        bi = det_bracket(DetSpec(CTX3, [g])).mul_poly(f)
         assert is_poisson(bi)
 
 
@@ -95,12 +94,12 @@ def test_premultiply_can_break_poisson_in_dim4():
     one = Polynomial.one(ctx)
     symplectic = MultiVector(ctx, 2, {(1, 3): one, (2, 4): one})
     assert is_poisson(symplectic)
-    skewed = premultiply(symplectic, parse4("x1"))
+    skewed = symplectic.mul_poly(parse4("x1"))
     assert not is_poisson(skewed)
     assert jacobiator(skewed).comps.get((2, 3, 4)) == parse4("-x1")
     # Also with a polynomial generator: x1 times the d=2 bracket below.
     bracket = vanhaecke_bracket(VanhaeckeSpec(2, [(2, 2, 1)]))
-    assert not is_poisson(premultiply(bracket, Polynomial.variable(bracket.ctx, 1)))
+    assert not is_poisson(bracket.mul_poly(Polynomial.variable(bracket.ctx, 1)))
 
 
 # -- the 3D one-form test -------------------------------------------------------
@@ -113,7 +112,7 @@ def test_form_obstruction_requires_dim3():
 
 def test_form_obstruction_zero_for_poisson():
     spec = DetSpec(CTX3, [parse3("x1^5*x2^3*x3^4 + x1^2*x3^5 + x1*x2^5*x3")], parse3("x1^3 + x2^2"))
-    bi = premultiply(det_bracket(DetSpec(CTX3, spec.args)), spec.prefactor)
+    bi = det_bracket(DetSpec(CTX3, spec.args)).mul_poly(spec.prefactor)
     assert form_obstruction(bi).is_zero
     const = MultiVector(CTX3, 2, {(1, 2): Polynomial.constant(CTX3, 5)})
     assert form_obstruction(const).is_zero

@@ -12,8 +12,6 @@ from tetraflows.generators import build_bivector
 from tetraflows.graphflow import (
     GAMMA1_GRAPH,
     GAMMA2_GRAPH,
-    SKEW_VANISHING_GRAPH,
-    WEDGE_GRAPH,
     GraphParseError,
     GraphStructureError,
     KGraph,
@@ -29,6 +27,8 @@ from tetraflows.polyring import Context, Polynomial
 
 from example4d import P1_UPPER, P2_RAW, P2_SKEW, ctx4, p0, parse4
 from helpers import (
+    SKEW_VANISHING_GRAPH,
+    WEDGE_GRAPH,
     brute_gamma1_raw,
     brute_gamma2_raw,
     naive_evaluate_kgraph_raw,
