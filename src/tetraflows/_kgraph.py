@@ -8,6 +8,9 @@ corresponding partial derivative to that vertex's bi-vector, and the L/R
 out-edges of a vertex pick its first/second superscript.  The edge into
 each sink carries a free index of the resulting tensor.
 
+Every tensor of the engine maps index tuples to term dicts (see
+``polyring``); only the entries of a result become Polynomials.
+
 Text encoding: ``"<k>; (t,t) (t,t) ..."`` with one ordered target pair per
 internal vertex; a target is ``S<i>`` or ``V<idx>``.  Tadpoles
 (self-loops) are rejected; double edges and two-edge loops are allowed.
@@ -19,10 +22,11 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 from operator import itemgetter
 
-from .polyring import ContextMismatchError, Polynomial, _denominator_lcm, addmul, addto, finish
+from .polyring import ContextMismatchError, _denominator_lcm, addmul, addto, finish
+from .polyring import _check_guard, _diff, _nonzero
 
 
 class GraphParseError(ValueError):
@@ -101,21 +105,22 @@ def render_kgraph(g: KGraph) -> str:
 def derivative_tensor(p, m: int, mirrored: bool) -> dict:
     """Nonzero m-th derivatives of a bi-vector's matrix, a < b unless mirrored.
 
-    Keys are (a, b, c1, ..., cm) with c1 <= ... <= cm, values the nonzero
-    d^m P^{ab} / dx_{c1} ... dx_{cm}; derivatives commute, so every other
-    order of the c's has the same value.
+    Keys are (a, b, c1, ..., cm) with c1 <= ... <= cm, values the term maps
+    of the nonzero d^m P^{ab} / dx_{c1} ... dx_{cm}; derivatives commute,
+    so every other order of the c's has the same value.
     """
     n = p.ctx.dim
-    table = dict(p.comps)
+    shifts = [None] + [p.ctx.slot_shift(c - 1) for c in range(1, n + 1)]
+    table = {key: poly.terms for key, poly in p.comps.items()}
     for step in range(m):
         table = {
             key + (c,): d
-            for key, poly in table.items()
+            for key, terms in table.items()
             for c in range(key[-1] if step else 1, n + 1)
-            if (d := poly.diff(c))
+            if (d := _diff(terms, shifts[c]))
         }
     if mirrored:
-        table.update({(key[1], key[0]) + key[2:]: -poly for key, poly in table.items()})
+        table |= {(k[1], k[0]) + k[2:]: {m: -c for m, c in t.items()} for k, t in table.items()}
     return table
 
 
@@ -133,8 +138,9 @@ def graph_sum(g: KGraph, assignments: list, skew: bool = False) -> dict:
     ``skew`` the pair counts once.
 
     Every vertex is a sparse tensor over its edges (L, R, in-edges): {index
-    tuple: derivative of P^{LR} along the in-edge indices}.  Tensors are
-    contracted pairwise along shared edges (see ``_next_pair``), and the
+    tuple: term map of the derivative of P^{LR} along the in-edge indices}.
+    Tensors are contracted pairwise along shared edges (see ``_next_pair``);
+    after a step, the guard bits are checked and zero terms dropped.  The
     products of the last step go straight into the result.  Derivatives
     commute: a vertex whose in-edges (two or more) all meet its partner in
     one step is enumerated over ascending indices on them, after the
@@ -183,8 +189,8 @@ def graph_sum(g: KGraph, assignments: list, skew: bool = False) -> dict:
         if ascending or m < 2:
             return table
         return {
-            key[:2] + cs: poly
-            for key, poly in table.items()
+            key[:2] + cs: terms
+            for key, terms in table.items()
             for cs in set(permutations(key[2:]))
         }
 
@@ -201,7 +207,7 @@ def graph_sum(g: KGraph, assignments: list, skew: bool = False) -> dict:
         # picks its expansion.  A lone vertex is contracted with the unit tensor.
         operands = [((2 * v - 2, 2 * v - 1, *in_edges[v]), v) for v in range(1, k + 1)]
         if k == 1:
-            operands.append(((), {(): Polynomial.one(ctx)}))
+            operands.append(((), {(): {0: 1}}))
         while len(operands) > 1:
             i, j = _next_pair(operands)
             (eb, tb), (ea, ta) = operands.pop(j), operands.pop(i)
@@ -218,7 +224,8 @@ def graph_sum(g: KGraph, assignments: list, skew: bool = False) -> dict:
             edges = tuple(e for e in ea + eb if e not in shared)
             if operands:
                 acc = _contract(ea, ta, eb, tb, lambda key: {})
-                tensor = {key: poly for key, terms in acc.items() if (poly := finish(ctx, terms))}
+                _check_guard(ctx, list(chain.from_iterable(acc.values())))
+                tensor = {key: kept for key, terms in acc.items() if (kept := _nonzero(terms))}
                 operands.append((edges, tensor))
             else:
                 pick = _picker([edges.index(e) for e in sinks])
@@ -264,22 +271,23 @@ def _picker(positions: list):
 
 
 def _fold(tensor: dict, positions: list) -> dict:
-    """Sum a tensor onto ascending indices at ``positions``."""
+    """Sum a tensor of term dicts onto ascending indices at ``positions``."""
     pick = _picker(positions)
+    # Each key with its sorted picked indices appended, read back in key order.
+    width = len(next(iter(tensor), ()))
+    order = [width + positions.index(at) if at in positions else at for at in range(width)]
+    rebuild = _picker(order)
     groups: dict = {}
-    for key, poly in tensor.items():
-        key = list(key)
-        for at, c in zip(positions, sorted(pick(key))):
-            key[at] = c
-        groups.setdefault(tuple(key), []).append(poly)
+    for key, terms in tensor.items():
+        groups.setdefault(rebuild(key + tuple(sorted(pick(key)))), []).append(terms)
     out = {}
-    for key, polys in groups.items():
-        total = polys[0]
-        if len(polys) > 1:  # a lone contributor passes through unchanged
+    for key, parts in groups.items():
+        total = parts[0]
+        if len(parts) > 1:  # a lone contributor passes through unchanged
             acc: dict = {}
-            for poly in polys:
-                addto(acc, poly.terms)
-            total = finish(total.ctx, acc)
+            for terms in parts:
+                addto(acc, terms)
+            total = _nonzero(acc)
         if total:
             out[key] = total
     return out
@@ -289,7 +297,7 @@ def _contract(ea: tuple, ta: dict, eb: tuple, tb: dict, slot) -> dict:
     """Add the contraction of two tensors along their shared edges into term
     dicts, one per key over the free edges (a's, then b's): ``slot(key)``
     gives the dict at the key's first product, or None to drop the key.
-    Returns {key: term dict or None}.
+    Returns {key: term dict or None}.  No context is checked here.
     """
     shared = [e for e in ea if e in eb]
     link_a = _picker([ea.index(e) for e in shared])
@@ -297,8 +305,8 @@ def _contract(ea: tuple, ta: dict, eb: tuple, tb: dict, slot) -> dict:
     rest_a = _picker([at for at, e in enumerate(ea) if e not in eb])
     rest_b = _picker([at for at, e in enumerate(eb) if e not in ea])
     groups: dict = {}
-    for key, poly in tb.items():
-        groups.setdefault(link_b(key), []).append((rest_b(key), poly))
+    for key, terms in tb.items():
+        groups.setdefault(link_b(key), []).append((rest_b(key), terms))
     slots: dict = {}
     for key, pa in ta.items():
         head = rest_a(key)

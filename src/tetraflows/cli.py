@@ -232,6 +232,8 @@ def _parse_phi(text: str) -> "list[tuple]":
         if at in starts:  # the offending token is a rewritten x or y: name it as typed
             rewritten = translated[exc.position : exc.position + 2]
             message = message.replace(repr(rewritten), repr(text[at]))
+        for slot, name in (("x1", "x"), ("x2", "y")):  # an exponent error names the slot
+            message = message.replace(f" of {slot} ", f" of {name} ")
         raise PolyParseError(message, at) from None
     return sorted((a, b, c) for (a, b), c in poly.items())
 

@@ -21,13 +21,13 @@ can set, so a sum of two valid fields never carries into the next slot.
 Parsing, the constructor and products reject larger exponents with a
 ``ValueError`` (:class:`PolyParseError` or :class:`ExponentOverflowError`).
 
-Arithmetic runs through three functions: :func:`addmul` adds ``a * b``
-into a mutable term dict, :func:`addto` adds ``c`` times a term map into
-one, and :func:`finish` turns the dict into a canonical
-:class:`Polynomial`.  Sums, scalings, sums of products and exact divisions
-are each built in one dict, with no temporary polynomial per product or
-summand and no copy per addition; only :func:`finish` makes a result
-canonical.
+Arithmetic runs through three functions on term maps (monomial ->
+coefficient): :func:`addmul` adds the product of two term maps into a
+mutable term dict, :func:`addto` adds ``c`` times a term map into one, and
+:func:`finish` turns the dict into a canonical :class:`Polynomial`.  Sums,
+scalings, sums of products, exact divisions and graph contractions are each
+built in such dicts, with no temporary polynomial per product or summand;
+only :func:`finish` makes a result canonical.
 
 Coefficients are kept as plain ``int`` whenever the value is integral and as
 ``fractions.Fraction`` otherwise; the two compare and hash equal, so the term
@@ -178,15 +178,13 @@ def _require_same_ctx(a: "Polynomial", b: "Polynomial") -> None:
         raise ContextMismatchError(f"context mismatch: {a.ctx} vs {b.ctx}")
 
 
-def addmul(acc: dict, a: "Polynomial", b: "Polynomial") -> None:
-    """Accumulate the terms of ``a * b`` into the term dict ``acc``.
+def addmul(acc: dict, ta: Mapping, tb: Mapping) -> None:
+    """Accumulate the product of the term maps ``ta`` and ``tb`` (of one
+    context, which is not checked here) into the term dict ``acc``.
 
-    ``acc`` maps packed monomials to coefficients and may hold zero or
-    non-canonical coefficients until :func:`finish` turns it into a
-    Polynomial.  This is the only multiplication loop of the module.
+    ``acc`` may hold zero or non-canonical coefficients until :func:`finish`
+    turns it into a Polynomial.  This is the only multiplication loop.
     """
-    _require_same_ctx(a, b)
-    ta, tb = a.terms, b.terms
     if len(ta) > len(tb):  # fewer outer iterations on the smaller operand
         ta, tb = tb, ta
     tb = tb.items()
@@ -217,6 +215,19 @@ def addto(acc: dict, terms: Mapping, c=1) -> None:
             acc[m] = get(m, 0) + c * v
 
 
+def _check_guard(ctx: Context, monos) -> None:
+    """Raise :class:`ExponentOverflowError` if a product set a guard bit in
+    one of the packed monomials of the collection ``monos``."""
+    if monos and reduce(or_, monos) & ctx.guard:
+        mono = next(m for m in monos if m & ctx.guard)
+        raise ExponentOverflowError(f"product exponent overflow in {ctx.unpack(mono)!r}")
+
+
+def _nonzero(acc: dict) -> dict:
+    """``acc`` without its zero terms; ``acc`` itself when it has none."""
+    return {m: c for m, c in acc.items() if c} if 0 in acc.values() else acc
+
+
 def finish(ctx: Context, acc: dict) -> "Polynomial":
     """The canonical Polynomial of a term dict filled by :func:`addmul` and
     :func:`addto`; the only place a result is made canonical.
@@ -225,14 +236,23 @@ def finish(ctx: Context, acc: dict) -> "Polynomial":
     zero terms and turns integral Fractions into ints.  ``acc`` is consumed:
     it may become the result's term map.
     """
-    if acc and reduce(or_, acc) & ctx.guard:
-        mono = next(m for m in acc if m & ctx.guard)
-        raise ExponentOverflowError(f"product exponent overflow in {ctx.unpack(mono)!r}")
-    if 0 in acc.values():
-        acc = {m: c for m, c in acc.items() if c}
+    _check_guard(ctx, acc)
+    acc = _nonzero(acc)
     if Fraction in set(map(type, acc.values())):
         acc = {m: _norm_coeff(c) for m, c in acc.items()}
     return Polynomial._raw(ctx, acc)
+
+
+def _diff(terms: Mapping, shift: int) -> dict:
+    """The term dict of the derivative of a term map along the slot at bit
+    offset ``shift``; the only differentiation loop.  It adds no zero term."""
+    unit = 1 << shift
+    out = {}
+    for mono, c in terms.items():
+        e = (mono >> shift) & _FIELD
+        if e:
+            out[mono - unit] = c * e
+    return out
 
 
 def _denominator_lcm(polys) -> int:
@@ -340,8 +360,9 @@ class Polynomial:
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
+        _require_same_ctx(self, other)
         acc: dict = {}
-        addmul(acc, self, other)
+        addmul(acc, self.terms, other.terms)
         return finish(self.ctx, acc)
 
     def scale(self, c) -> "Polynomial":
@@ -366,14 +387,7 @@ class Polynomial:
         """Partial derivative with respect to x_i (1-based, 1 <= i <= dim)."""
         if not 1 <= i <= self.ctx.dim:
             raise ValueError(f"variable index {i} out of range 1..{self.ctx.dim}")
-        shift = self.ctx.slot_shift(i - 1)
-        unit = 1 << shift
-        out = {}
-        for mono, c in self.terms.items():
-            e = (mono >> shift) & _FIELD
-            if e:
-                out[mono - unit] = c * e
-        return finish(self.ctx, out)
+        return finish(self.ctx, _diff(self.terms, self.ctx.slot_shift(i - 1)))
 
     # -- eps handling ------------------------------------------------------
 

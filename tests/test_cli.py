@@ -394,6 +394,9 @@ def test_loader_errors_name_the_file(tmp_path, capsys, p0_file, text):
         ("y^2 + x^", "expected positive exponent", 8),
         ("x*y 3", "expected '+' or '-', found '3'", 4),
         ("x*y x", "expected '+' or '-', found 'x'", 4),
+        ("x^99999", "exponent 99999 of x is not below the limit 32768", 2),
+        ("x*y^40000", "exponent 40000 of y is not below the limit 32768", 4),
+        ("y^40000", "exponent 40000 of y is not below the limit 32768", 2),
     ],
 )
 def test_phi_parse_errors_give_the_position_in_the_text(capsys, phi, message, position):

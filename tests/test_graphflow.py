@@ -23,7 +23,7 @@ from tetraflows.graphflow import (
     render_kgraph,
 )
 from tetraflows.multivector import _BRACKET_GRAPH, MultiVector, RawMatrix, is_poisson, jacobiator, schouten
-from tetraflows.polyring import Context, Polynomial
+from tetraflows.polyring import EXPONENT_LIMIT, Context, ExponentOverflowError, Polynomial
 
 from example4d import P1_UPPER, P2_RAW, P2_SKEW, ctx4, p0, parse4
 from helpers import (
@@ -371,7 +371,7 @@ def test_rational_bracket_runs_its_products_on_ints(monkeypatch):
     fractions = []
 
     def counting_addmul(acc, a, b):
-        fractions.append(sum(isinstance(c, Fraction) for x in (a, b) for c in x.terms.values()))
+        fractions.append(sum(isinstance(c, Fraction) for x in (a, b) for c in x.values()))
         addmul(acc, a, b)
 
     addmul = kgraph_module.addmul
@@ -403,6 +403,22 @@ def test_rational_bivectors_share_one_derivative_table_each(monkeypatch):
             graph_sum(graph, [(bivector,) * 4])
             counts.append(len(tables))
     assert counts[:2] == counts[2:] == [2, 2]
+
+
+def test_exponent_overflow_inside_a_flow_fails_loudly():
+    # Every entry of P carries x3^E with 4E - 6 >= 2^16: a product of two
+    # vertex factors sets the guard bit of x3, and a product of all four
+    # would carry past it into x2 and leave a field that looks valid.  The
+    # check after each contraction step catches it before the carry.
+    ctx = Context(3)
+    e = EXPONENT_LIMIT // 2 + 2
+    comps = {
+        (1, 2): Polynomial(ctx, {(2, 1, e): 1}),
+        (1, 3): Polynomial(ctx, {(1, 2, e): 1}),
+        (2, 3): Polynomial(ctx, {(1, 1, e): -1}),
+    }
+    with pytest.raises(ExponentOverflowError):
+        gamma1(MultiVector(ctx, 2, comps))
 
 
 def test_dim2_balanced_flow_brackets_trivially():

@@ -200,7 +200,7 @@ def test_addmul_then_finish_is_a_sum_of_products(case):
     acc: dict = {}
     expected: dict = {}
     for a, b in zip(polys[::2], polys[1::2]):
-        addmul(acc, Polynomial(ctx, a), Polynomial(ctx, b))
+        addmul(acc, Polynomial(ctx, a).terms, Polynomial(ctx, b).terms)
         expected = ref_add(expected, ref_mul(a, b))
     assert view(finish(ctx, acc)) == expected
 
@@ -273,8 +273,8 @@ def test_mv_linear_combination_keeps_canonical_coefficients(case, c):
 def test_finish_rejects_an_overflowed_sum_of_products():
     ctx = Context(2)
     acc: dict = {}
-    addmul(acc, Polynomial(ctx, {(1, 0): 1}), Polynomial(ctx, {(2, 0): 1}))
-    addmul(acc, Polynomial(ctx, {(TOP, 0): 1}), Polynomial(ctx, {(0, 1): 1, (1, 0): 1}))
+    addmul(acc, Polynomial(ctx, {(1, 0): 1}).terms, Polynomial(ctx, {(2, 0): 1}).terms)
+    addmul(acc, Polynomial(ctx, {(TOP, 0): 1}).terms, Polynomial(ctx, {(0, 1): 1, (1, 0): 1}).terms)
     with pytest.raises(ExponentOverflowError):
         finish(ctx, acc)
 
