@@ -38,7 +38,6 @@ from .graphflow import (
 from .multivector import (
     MultiVector,
     RawMatrix,
-    bivector_from_raw,
     is_poisson,
     jacobiator,
     mv_linear_combination,
@@ -60,7 +59,6 @@ __all__ = [
     "RawMatrix",
     "VanhaeckeSpec",
     "balanced_flow",
-    "bivector_from_raw",
     "build_bivector",
     "compat_report",
     "det_bracket",

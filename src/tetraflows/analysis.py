@@ -117,22 +117,12 @@ def find_ratios(p: MultiVector, basis: Sequence[MultiVector]) -> RatioSolution:
     if not is_poisson(p):
         raise ValueError("input bi-vector is not Poisson")
     brackets = [schouten(p, b) for b in basis]
-    row_keys = sorted(
-        {
-            (idx, mono)
-            for t in brackets
-            for idx, poly in t.comps.items()
-            for mono in poly.terms
-        }
-    )
-    matrix = []
-    for idx, mono in row_keys:
-        row = []
-        for t in brackets:
-            poly = t.comps.get(idx)
-            row.append(Fraction(poly.terms.get(mono, 0)) if poly is not None else Fraction(0))
-        matrix.append(row)
-    kernel = _nullspace(matrix, len(basis))
+    rows: dict = {}  # (component, monomial) -> row of coefficients
+    for col, t in enumerate(brackets):
+        for idx, poly in t.comps.items():
+            for mono, c in poly.terms.items():
+                rows.setdefault((idx, mono), [Fraction(0)] * len(basis))[col] = Fraction(c)
+    kernel = _nullspace(list(rows.values()), len(basis))
     return RatioSolution(len(kernel), tuple(_primitive(v) for v in kernel))
 
 
@@ -190,11 +180,10 @@ def perturb_probe(p: MultiVector, delta: MultiVector) -> dict:
     Poisson input yields an empty map); the order-0 parts vanish by the
     precondition that P is Poisson.
 
-    The brackets run on the integer multiple D_P * P + eps * D_P * D_Delta
-    * Delta (D the lcm of the coefficient denominators), which is D_P * P~
-    with eps scaled by D_Delta.  [[P~, P~]] is quadratic and [[P~, Q(P~)]]
-    quintic in P~, so the order-k parts are divided back exactly by
-    D_P^2 * D_Delta^k and D_P^5 * D_Delta^k.
+    The brackets run on the integer multiple D * P~ (D the lcm of the
+    coefficient denominators of P and Delta together).  [[P~, P~]] is
+    quadratic and [[P~, Q(P~)]] quintic in P~, so every order of the first
+    is divided back exactly by D^2 and every order of the second by D^5.
     """
     ctx = p.ctx
     if not ctx.has_epsilon:
@@ -207,11 +196,9 @@ def perturb_probe(p: MultiVector, delta: MultiVector) -> dict:
         raise ValueError("P must be Poisson")
     # graph_sum would clear these denominators inside each bracket, but it
     # divides its result back, so the brackets would reach the eps split as
-    # Fractions; scaled here, they stay ints up to the one division per order.
-    d_p = _denominator_lcm(p.comps.values())
-    d_delta = _denominator_lcm(delta.comps.values())
-    eps = Polynomial.epsilon(ctx).scale(d_p * d_delta)
-    p_tilde = p.scale(d_p) + delta.mul_poly(eps)
+    # Fractions; scaled here, they stay ints up to the one division per part.
+    d = _denominator_lcm([*p.comps.values(), *delta.comps.values()])
+    p_tilde = (p + delta.mul_poly(Polynomial.epsilon(ctx))).scale(d)
     jac = schouten(p_tilde, p_tilde)
     compat = schouten(p_tilde, balanced_flow(p_tilde, 1, 6))
     j_parts = jac.epsilon_split()
@@ -220,8 +207,8 @@ def perturb_probe(p: MultiVector, delta: MultiVector) -> dict:
     zero = MultiVector.zero(base, 3)
     return {
         k: (
-            j_parts.get(k, zero).scale(Fraction(1, d_p**2 * d_delta**k)),
-            c_parts.get(k, zero).scale(Fraction(1, d_p**5 * d_delta**k)),
+            j_parts.get(k, zero).scale(Fraction(1, d**2)),
+            c_parts.get(k, zero).scale(Fraction(1, d**5)),
         )
         for k in sorted(set(j_parts) | set(c_parts))
     }
@@ -369,7 +356,9 @@ class TablesReport:
                 f"{'ok' if r.matches else 'MISMATCH'}"
             )
         lines.append(
-            f"result: {'all 11 rows match' if self.all_match else 'MISMATCH with the reference grid'}"
+            f"result: all {len(self.rows)} rows match"
+            if self.all_match
+            else "result: MISMATCH with the reference grid"
         )
         return "\n".join(lines)
 

@@ -102,49 +102,39 @@ class VanhaeckeSpec:
         return Context(2 * self.d)
 
 
-def _det(rows: "list[list[Polynomial]]", ctx: Context) -> Polynomial:
-    """Exact determinant by cofactor expansion along the sparsest row."""
-    n = len(rows)
-    cols = tuple(range(n))
-
-    def expand(row_ids, col_ids):
-        if len(row_ids) == 1:
-            return rows[row_ids[0]][col_ids[0]]
-        best = min(
-            row_ids,
-            key=lambda r: sum(0 if rows[r][c].is_zero else 1 for c in col_ids),
-        )
-        rest = tuple(r for r in row_ids if r != best)
-        acc = Polynomial.zero(ctx)
-        for pos, c in enumerate(col_ids):
-            e = rows[best][c]
-            if e.is_zero:
-                continue
-            minor = expand(rest, col_ids[:pos] + col_ids[pos + 1 :])
-            if minor.is_zero:
-                continue
-            sign = (-1) ** (row_ids.index(best) + pos)
-            acc = acc + (e * minor if sign > 0 else -(e * minor))
-        return acc
-
-    return expand(cols, cols)
+def _det(rows: "list[list[Polynomial]]", cols: tuple) -> Polynomial:
+    """Exact determinant of the square matrix of ``rows`` restricted to the
+    columns ``cols``, by cofactor expansion along the sparsest row."""
+    if len(rows) == 1:
+        return rows[0][cols[0]]
+    best = min(range(len(rows)), key=lambda r: sum(not rows[r][c].is_zero for c in cols))
+    rest = rows[:best] + rows[best + 1 :]
+    acc = Polynomial.zero(rows[0][0].ctx)
+    for pos, c in enumerate(cols):
+        e = rows[best][c]
+        if e.is_zero:
+            continue
+        minor = _det(rest, cols[:pos] + cols[pos + 1 :])
+        if not minor.is_zero:
+            acc = acc + e * minor if (best + pos) % 2 == 0 else acc - e * minor
+    return acc
 
 
 def det_bracket(spec: DetSpec) -> MultiVector:
-    """Nambu-type bracket: comp[(i,j)] = f * det Jac(g_1..g_{n-2}, x_i, x_j)."""
+    """Nambu-type bracket: comp[(i,j)] = f * det Jac(g_1..g_{n-2}, x_i, x_j).
+
+    Expanding along the two unit rows of x_i and x_j, the determinant is
+    (-1)^(i+j+1) times the minor of the gradient matrix of the g's without
+    the columns i and j.
+    """
     ctx = spec.ctx
     n = ctx.dim
     grads = [[g.diff(c) for c in range(1, n + 1)] for g in spec.args]
-    zero = Polynomial.zero(ctx)
-    one = Polynomial.one(ctx)
     comps = {}
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            ei = [zero] * n
-            ei[i - 1] = one
-            ej = [zero] * n
-            ej[j - 1] = one
-            comps[(i, j)] = _det(grads + [ei, ej], ctx)
+            minor = _det(grads, tuple(c for c in range(n) if c not in (i - 1, j - 1)))
+            comps[(i, j)] = minor if (i + j) % 2 else -minor
     mv = MultiVector(ctx, 2, comps)
     return mv if spec.prefactor is None else mv.mul_poly(spec.prefactor)
 
@@ -202,7 +192,7 @@ def vanhaecke_bracket(spec: VanhaeckeSpec) -> MultiVector:
         for j in range(1, d + 1):
             c = parts.get(d - j)
             if c:
-                comps[(i, d + j)] = Polynomial(ctx, dict(c.items()))
+                comps[(i, d + j)] = Polynomial._raw(ctx, c.terms)
         u_plus = u_plus * lam + Polynomial.variable(lctx, i)
     return MultiVector(ctx, 2, comps)
 

@@ -24,6 +24,7 @@ have a nonzero diagonal.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from ._kgraph import (
     GraphParseError,
@@ -33,7 +34,7 @@ from ._kgraph import (
     parse_kgraph,
     render_kgraph,
 )
-from .multivector import MultiVector, RawMatrix, bivector_from_raw, mv_linear_combination
+from .multivector import MultiVector, RawMatrix, mv_linear_combination
 from .polyring import Polynomial
 
 __all__ = [
@@ -65,7 +66,8 @@ def evaluate_kgraph(g: KGraph, p: MultiVector) -> FlowResult:
 
     Entry (a, b) of the raw matrix is the graph with P on every vertex,
     index a on the edge into S1 and b on the edge into S2.  A vertex holding
-    both sinks makes the matrix antisymmetric.
+    both sinks makes the matrix antisymmetric, and its upper triangle is the
+    skew part; otherwise the skew part is (M^{ab} - M^{ba}) / 2.
     """
     if {t for pair in g.edges for t in pair if t[0] == "S"} != {("S", 1), ("S", 2)}:
         raise GraphStructureError("flow evaluation needs exactly the two sinks S1 and S2")
@@ -77,8 +79,13 @@ def evaluate_kgraph(g: KGraph, p: MultiVector) -> FlowResult:
         result[a - 1][b - 1] = poly
         if paired:  # graph_sum leaves out the mirror entries
             result[b - 1][a - 1] = -poly
-    raw = RawMatrix(p.ctx, result)
-    return FlowResult(raw, bivector_from_raw(raw))
+    half = Fraction(1, 2)
+    skew = {
+        (a + 1, b + 1): result[a][b] if paired else (result[a][b] - result[b][a]).scale(half)
+        for a in range(n)
+        for b in range(a + 1, n)
+    }
+    return FlowResult(RawMatrix(p.ctx, result), MultiVector(p.ctx, 2, skew))
 
 
 def gamma1(p: MultiVector) -> FlowResult:

@@ -20,7 +20,6 @@ gives R^{abc} = sum_l d_l P^{ab} Q^{lc}, and [[P,Q]] = sum_cyc (R_PQ + R_QP).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from ._kgraph import graph_sum, parse_kgraph
@@ -29,7 +28,6 @@ from .polyring import Context, ContextMismatchError, Polynomial, _norm_coeff, ad
 __all__ = [
     "MultiVector",
     "RawMatrix",
-    "bivector_from_raw",
     "schouten",
     "jacobiator",
     "is_poisson",
@@ -217,22 +215,6 @@ class RawMatrix:
         if self.ctx.has_epsilon:
             doc["epsilon"] = True
         return doc
-
-
-def bivector_from_raw(m: RawMatrix) -> MultiVector:
-    """Antisymmetrize a raw matrix: comps[(i,j)] = (M^{ij} - M^{ji}) / 2.
-
-    The symmetric part of the matrix is discarded.
-    """
-    half = Fraction(1, 2)
-    comps = {}
-    n = m.ctx.dim
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            p = (m.entry(i, j) - m.entry(j, i)).scale(half)
-            if not p.is_zero:
-                comps[(i, j)] = p
-    return MultiVector(m.ctx, 2, comps)
 
 
 _BRACKET_GRAPH = parse_kgraph("2; (S1,S2) (V1,S3)")

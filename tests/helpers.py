@@ -5,6 +5,7 @@ plain nested loops and no pruning, caching, or index bookkeeping shared with
 the package, so they can serve as independent oracles.
 """
 
+from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
 
@@ -121,6 +122,16 @@ def naive_evaluate_kgraph_raw(graph, p):
     n = p.ctx.dim
     zero = Polynomial.zero(p.ctx)
     return [[tensor.get((a, b), zero) for b in range(1, n + 1)] for a in range(1, n + 1)]
+
+
+def skew_of_raw(raw):
+    """The bi-vector with comps (a, b) = (M^{ab} - M^{ba}) / 2 of a raw matrix."""
+    n = raw.ctx.dim
+    comps = {
+        (a, b): (raw.entry(a, b) - raw.entry(b, a)).scale(Fraction(1, 2))
+        for a, b in combinations(range(1, n + 1), 2)
+    }
+    return MultiVector(raw.ctx, 2, comps)
 
 
 def _entry_derivative(p, a, b, *indices):

@@ -257,8 +257,8 @@ def test_perturb_probe_appendix_instance():
     st.lists(st.none() | _polynomials(_RATIONALS, 2, 2), min_size=3, max_size=3),
 )
 def test_perturb_probe_scaled_path_matches_fraction_reference(p, delta_comps):
-    # P and Delta both carry denominators, so the kernel runs on
-    # D_P * P + eps * D_P * D_Delta * Delta and divides every order back
+    # P and Delta both carry denominators, so the kernel runs on D * P~ (D
+    # the lcm of all of them) and divides every order back by D^2 or D^5
     delta = MultiVector(
         CTX3, 2, {ij: c for ij, c in zip(((1, 2), (1, 3), (2, 3)), delta_comps) if c is not None}
     )
@@ -308,3 +308,8 @@ def test_reproduce_tables_subset():
     assert all(set(row["flags"]) == set(FLAG_NAMES) for row in doc["rows"])
     text = report.render_text()
     assert "MISMATCH" not in text
+
+
+def test_render_text_counts_the_rows_it_shows():
+    text = reproduce_tables(builtin_rows()[:2]).render_text()
+    assert text.splitlines()[-1] == "result: all 2 rows match"

@@ -35,6 +35,7 @@ from helpers import (
     naive_graph_sum,
     naive_graph_tensor,
     random_bivector,
+    skew_of_raw,
 )
 
 
@@ -261,8 +262,10 @@ def test_contraction_matches_naive_evaluation_on_random_graphs(monkeypatch):
     for k, sinkless in ((2, 0), (3, 0), (4, 0), (4, 3)) * 5 + ((5, 4),):
         graph = _random_graph(rng, k, sinkless)
         p = random_bivector(rng, ctx, max_terms=3, max_degree=4)
-        raw = evaluate_kgraph(graph, p).raw
+        flow = evaluate_kgraph(graph, p)
+        raw = flow.raw
         assert raw == RawMatrix(ctx, naive_evaluate_kgraph_raw(graph, p)), render_kgraph(graph)
+        assert flow.skew == skew_of_raw(raw), render_kgraph(graph)
         nonzero = any(not q.is_zero for row in raw.entries for q in row)
         sink_vertices = {v for v, pair in enumerate(graph.edges) for t in pair if t[0] == "S"}
         features = {

@@ -6,11 +6,17 @@ from itertools import combinations
 import pytest
 
 import tetraflows._kgraph as kgraph_module
-from tetraflows.graphflow import gamma1, gamma2
+from tetraflows.graphflow import (
+    GAMMA1_GRAPH,
+    GAMMA2_GRAPH,
+    evaluate_kgraph,
+    gamma1,
+    gamma2,
+    parse_kgraph,
+    render_kgraph,
+)
 from tetraflows.multivector import (
     MultiVector,
-    RawMatrix,
-    bivector_from_raw,
     is_poisson,
     jacobiator,
     mv_linear_combination,
@@ -33,7 +39,14 @@ from example4d import (
     p0,
     parse4,
 )
-from helpers import brute_jacobi_tensor, lie_derivative_bracket, random_bivector, random_polynomial
+from helpers import (
+    WEDGE_GRAPH,
+    brute_jacobi_tensor,
+    lie_derivative_bracket,
+    random_bivector,
+    random_polynomial,
+    skew_of_raw,
+)
 
 CTX3 = Context(3)
 
@@ -57,35 +70,6 @@ def test_full_matrix_reading():
     assert mv.entry(2, 1) == parse4("-x3")
     assert mv.entry(1, 1).is_zero
     assert mv.entry(3, 4).is_zero
-
-
-def test_bivector_from_raw_halves_the_antisymmetric_part():
-    ctx = ctx4()
-    zero = Polynomial.zero(ctx)
-    entries = [[zero for _ in range(4)] for _ in range(4)]
-    entries[0][1] = parse4("-12060*x1*x2^9*x3^20*x4^4")
-    entries[1][0] = parse4("2700*x1*x2^9*x3^20*x4^4")
-    skew = bivector_from_raw(RawMatrix(ctx, entries))
-    assert skew.comps.get((1, 2)) == parse4("-7380*x1*x2^9*x3^20*x4^4")
-
-
-def test_bivector_from_raw_kills_symmetric_part():
-    ctx = ctx4()
-    rng = random.Random(3)
-    sym = random_polynomial(rng, ctx)
-    zero = Polynomial.zero(ctx)
-    entries = [[zero for _ in range(4)] for _ in range(4)]
-    entries[0][1] = sym
-    entries[1][0] = sym
-    entries[2][2] = sym
-    assert bivector_from_raw(RawMatrix(ctx, entries)).is_zero
-
-
-def test_bivector_from_raw_fixes_already_skew_input():
-    rng = random.Random(4)
-    mv = random_bivector(rng, ctx4())
-    entries = [[mv.entry(i, j) for j in range(1, 5)] for i in range(1, 5)]
-    assert bivector_from_raw(RawMatrix(ctx4(), entries)) == mv
 
 
 # -- Schouten bracket -------------------------------------------------------
@@ -359,9 +343,17 @@ def test_json_roundtrip_trivector_and_epsilon():
 
 
 def test_flow_result_skew_recomputable_from_raw():
+    # Both tetrahedra and the wedge, each also with S1 and S2 swapped, which
+    # puts a vertex's sink pair in the order (S2,S1).
     rng = random.Random(18)
-    flow = gamma2(random_bivector(rng, ctx4()))
-    assert bivector_from_raw(flow.raw) == flow.skew
+    p = random_bivector(rng, ctx4(), max_terms=3)
+    for graph in (GAMMA1_GRAPH, GAMMA2_GRAPH, WEDGE_GRAPH):
+        text = render_kgraph(graph)
+        swapped = text.replace("S1", "S#").replace("S2", "S1").replace("S#", "S2")
+        for g in (graph, parse_kgraph(swapped)):
+            flow = evaluate_kgraph(g, p)
+            assert not flow.skew.is_zero, render_kgraph(g)
+            assert flow.skew == skew_of_raw(flow.raw), render_kgraph(g)
 
 
 def test_epsilon_split_roundtrip():

@@ -1,8 +1,10 @@
-"""sympy as an independent oracle for the bracket, the Jacobiator and both flows.
+"""sympy as an independent oracle for the bracket, the Jacobiator, both flows
+and the determinant bracket.
 
 Each reference is built from plain sympy expressions with the displayed
 formulas: the six-term Schouten bracket, the Jacobiator, and the gamma1 and
-gamma2 sums, on small seeded random bi-vectors in dimensions 3 and 4.
+gamma2 sums, on small seeded random bi-vectors in dimensions 3 and 4; and the
+full n x n Jacobian determinant of the determinant bracket in dimensions 3-5.
 """
 
 import random
@@ -10,11 +12,12 @@ from itertools import combinations, product
 
 import pytest
 
+from tetraflows.generators import DetSpec, det_bracket
 from tetraflows.graphflow import gamma1, gamma2
 from tetraflows.multivector import jacobiator, schouten
 from tetraflows.polyring import Context, Polynomial
 
-from helpers import random_bivector
+from helpers import random_bivector, random_polynomial
 
 sympy = pytest.importorskip("sympy")
 
@@ -118,3 +121,23 @@ def test_flows_match_sympy(seed):
                 for j, k, l, k1, l1 in product(r, repeat=5)
             )
             assert sympy.expand(r2 - to_sympy(raw2.entry(i + 1, m + 1), xs)) == 0
+
+
+@pytest.mark.parametrize("seed", [46])
+def test_det_bracket_matches_sympy_determinants(seed):
+    # {x_i, x_j} = f * det Jac(g_1, ..., g_{n-2}, x_i, x_j): the gradient rows
+    # of the g's over the unit rows of x_i and x_j, a full n x n determinant.
+    rng = random.Random(seed)
+    for dim in (3, 4, 5):
+        ctx = Context(dim)
+        xs = sympy.symbols(f"x1:{dim + 1}")
+        args = [random_polynomial(rng, ctx, max_terms=3, max_degree=3) for _ in range(dim - 2)]
+        grads = [[sympy.diff(to_sympy(g, xs), x) for x in xs] for g in args]
+        for prefactor in (None, random_polynomial(rng, ctx, max_terms=2, max_degree=2)):
+            p = det_bracket(DetSpec(ctx, args, prefactor))
+            f = 1 if prefactor is None else to_sympy(prefactor, xs)
+            assert len(p.comps) > 1, dim
+            for i, j in combinations(range(dim), 2):
+                units = [[int(c == i) for c in range(dim)], [int(c == j) for c in range(dim)]]
+                det = sympy.Matrix(grads + units).det()
+                assert sympy.expand(f * det - to_sympy(p.entry(i + 1, j + 1), xs)) == 0
