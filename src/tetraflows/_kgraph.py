@@ -9,7 +9,9 @@ out-edges of a vertex pick its first/second superscript.  The edge into
 each sink carries a free index of the resulting tensor.
 
 Every tensor of the engine maps index tuples to term dicts (see
-``polyring``); only the entries of a result become Polynomials.
+``polyring``); only the entries of a result become Polynomials.  The steps
+of a contraction depend on the edges alone, so each graph's plan is worked
+out once, on its first sum (``_plan``).
 
 Text encoding: ``"<k>; (t,t) (t,t) ..."`` with one ordered target pair per
 internal vertex; a target is ``S<i>`` or ``V<idx>``.  Tadpoles
@@ -139,33 +141,20 @@ def graph_sum(g: KGraph, assignments: list, skew: bool = False) -> dict:
 
     Every vertex is a sparse tensor over its edges (L, R, in-edges): {index
     tuple: term map of the derivative of P^{LR} along the in-edge indices}.
-    Tensors are contracted pairwise along shared edges (see ``_next_pair``);
-    after a step, the guard bits are checked and zero terms dropped.  The
-    products of the last step go straight into the result.  Derivatives
-    commute: a vertex whose in-edges (two or more) all meet its partner in
-    one step is enumerated over ascending indices on them, after the
-    partner is summed onto ascending indices on those edges.
+    They are contracted pairwise along shared edges as the graph's cached
+    ``_plan`` says; after a step, the guard bits are checked and zero terms
+    dropped.  The products of the last step go straight into the result.
+    Derivatives commute: a vertex whose in-edges (two or more) all meet its
+    partner in one step is enumerated ascending on them, and the partner is
+    summed onto ascending indices there (a step's result as it is built).
 
     Every product runs in integers: with D the lcm of the coefficient
     denominators of all the bi-vectors, each distinct bi-vector is replaced
     by one copy D * p, so every product of the k vertices carries D^k and
     each result coefficient is divided by D^k once, at the end.
     """
+    vertices, steps, sinks = _plan(g)
     k = g.n_internal
-    in_edges: dict = {v: [] for v in range(1, k + 1)}
-    sink_edges: dict = {}
-    for e in range(2 * k):
-        kind, idx = g.edges[e // 2][e % 2]
-        (sink_edges if kind == "S" else in_edges).setdefault(idx, []).append(e)
-    m = max(sink_edges, default=0)
-    for s in range(1, m + 1):
-        if len(sink_edges.get(s, ())) != 1:
-            raise GraphStructureError(
-                f"sink {s} has in-degree {len(sink_edges.get(s, ()))}; "
-                "evaluation needs exactly one edge into each sink"
-            )
-    sinks = [sink_edges[s][0] for s in range(1, m + 1)]
-    paired = [v for v, (l, r) in enumerate(g.edges, start=1) if l[0] == r[0] == "S"]
     ctx = assignments[0][0].ctx
     distinct = {id(p): p for ps in assignments for p in ps}
     for p in distinct.values():
@@ -180,11 +169,10 @@ def graph_sum(g: KGraph, assignments: list, skew: bool = False) -> dict:
 
     derivs: dict = {}  # (id(p), m, mirrored) -> derivative_tensor(p, m, mirrored)
 
-    def vertex_tensor(p, v: int, ascending: bool) -> dict:
-        m = len(in_edges[v])
-        which = (id(p), m, v not in paired)
+    def vertex_tensor(p, m: int, mirrored: bool, ascending: bool) -> dict:
+        which = (id(p), m, mirrored)
         if which not in derivs:
-            derivs[which] = derivative_tensor(p, m, v not in paired)
+            derivs[which] = derivative_tensor(p, m, mirrored)
         table = derivs[which]
         if ascending or m < 2:
             return table
@@ -202,34 +190,20 @@ def graph_sum(g: KGraph, assignments: list, skew: bool = False) -> dict:
         if placed:
             return (minus if placed[1] else plus).setdefault(placed[0], {})
 
+    *middle, last = steps
+    pick = _picker(sinks)
     for ps in assignments:
-        # Operands are (edges, tensor); a vertex stays its number until a step
-        # picks its expansion.  A lone vertex is contracted with the unit tensor.
-        operands = [((2 * v - 2, 2 * v - 1, *in_edges[v]), v) for v in range(1, k + 1)]
-        if k == 1:
-            operands.append(((), {(): {0: 1}}))
-        while len(operands) > 1:
-            i, j = _next_pair(operands)
-            (eb, tb), (ea, ta) = operands.pop(j), operands.pop(i)
-            shared = set(ea) & set(eb)
-            if isinstance(tb, int) and len(eb) > 3 and set(eb[2:]) <= shared:
-                (ea, ta), (eb, tb) = (eb, tb), (ea, ta)
-            ascending = isinstance(ta, int) and len(ea) > 3 and set(ea[2:]) <= shared
-            if isinstance(ta, int):
-                ta = vertex_tensor(ps[ta - 1], ta, ascending)
-            if isinstance(tb, int):
-                tb = vertex_tensor(ps[tb - 1], tb, False)
-            if ascending:
-                tb = _fold(tb, [eb.index(e) for e in ea[2:]])
-            edges = tuple(e for e in ea + eb if e not in shared)
-            if operands:
-                acc = _contract(ea, ta, eb, tb, lambda key: {})
-                _check_guard(ctx, list(chain.from_iterable(acc.values())))
-                tensor = {key: kept for key, terms in acc.items() if (kept := _nonzero(terms))}
-                operands.append((edges, tensor))
-            else:
-                pick = _picker([edges.index(e) for e in sinks])
-                _contract(ea, ta, eb, tb, lambda key: sink_slot(pick(key)))
+        # Operands in plan order: the vertices, the unit tensor, step results.
+        tensors = [vertex_tensor(p, *how) for p, how in zip(ps, vertices)] + [{(): {0: 1}}]
+        for a, b, ea, eb, ec, fold_b, fold_out in middle:
+            acc: dict = {}
+            out = _fold_key(len(ec), fold_out)
+            tb = _fold(tensors[b], fold_b)
+            _contract(ea, tensors[a], eb, tb, lambda key: acc.setdefault(out(key), {}))
+            _check_guard(ctx, list(chain.from_iterable(acc.values())))
+            tensors.append({key: kept for key, terms in acc.items() if (kept := _nonzero(terms))})
+        a, b, ea, eb, _, fold_b, _ = last
+        _contract(ea, tensors[a], eb, _fold(tensors[b], fold_b), lambda key: sink_slot(pick(key)))
 
     for key, terms in minus.items():
         addto(plus.setdefault(key, {}), terms, -1)
@@ -246,18 +220,67 @@ def _sort_sign(key: tuple):
         return tuple(sorted(key)), sum(a > b for a, b in combinations(key, 2)) % 2
 
 
-def _next_pair(operands: list) -> tuple:
-    """Positions (i < j) of the pair to contract next.
+@cache
+def _plan(g: KGraph) -> tuple:
+    """How ``graph_sum`` contracts a graph, worked out once from its edges.
 
-    The pair sharing an edge whose result has the fewest edges, the first
-    such pair on a tie; a pair sharing no edge only when no other is left.
+    Returns (vertices, steps, sinks).  Per vertex: its number of in-edges,
+    whether its table is mirrored (it holds no two sinks), and whether it is
+    enumerated ascending.  Per step (a, b, ea, eb, ec, fold_b, fold_out):
+    operands a and b, over the edges ea and eb, contract into a tensor over
+    ec; b's indices at ``fold_b`` are summed onto ascending order before the
+    step, the result's at ``fold_out`` as it is built.  Operand v - 1 is
+    vertex v, k the unit tensor and k + s the result of step s.  ``sinks``
+    are the positions in the last ec of the edges into S1, S2, ...
+
+    A step takes a pair sharing an edge with the fewest result edges; on a
+    tie, one in which a vertex finds all of its two or more in-edges in its
+    partner; then the first.  A pair sharing no edge comes last.
     """
+    k = g.n_internal
+    in_edges: dict = {v: [] for v in range(1, k + 1)}
+    sink_edges: dict = {}
+    for e in range(2 * k):
+        kind, idx = g.edges[e // 2][e % 2]
+        (sink_edges if kind == "S" else in_edges).setdefault(idx, []).append(e)
+    for s in range(1, max(sink_edges, default=0) + 1):
+        if len(sink_edges.get(s, ())) != 1:
+            raise GraphStructureError(
+                f"sink {s} has in-degree {len(sink_edges.get(s, ()))}; "
+                "evaluation needs exactly one edge into each sink"
+            )
+    paired = {v for v, (l, r) in enumerate(g.edges, start=1) if l[0] == r[0] == "S"}
+
+    def whole(operand, shared: set) -> bool:
+        edges, at = operand
+        return at < k and len(edges) > 3 and set(edges[2:]) <= shared
 
     def rank(pair):
-        ea, eb = (set(operands[at][0]) for at in pair)
-        return not ea & eb, len(ea ^ eb)
+        (ea, _), (eb, _) = pair
+        shared = set(ea) & set(eb)
+        return not shared, len(set(ea) ^ set(eb)), not any(whole(o, shared) for o in pair)
 
-    return min(combinations(range(len(operands)), 2), key=rank)
+    operands = [((2 * v - 2, 2 * v - 1, *in_edges[v]), v - 1) for v in range(1, k + 1)]
+    if k == 1:
+        operands.append(((), k))
+    ascending, steps = set(), []
+    while len(operands) > 1:
+        pair = min(combinations(operands, 2), key=rank)
+        operands = [operand for operand in operands if operand not in pair]
+        shared = set(pair[0][0]) & set(pair[1][0])
+        (ea, a), (eb, b) = pair[::-1] if whole(pair[1], shared) else pair
+        fold = ()
+        if whole((ea, a), shared):
+            ascending.add(a + 1)
+            fold = tuple(eb.index(e) for e in ea[2:])
+        if b > k:  # a step's result is folded as it is built
+            steps[b - k - 1][6], fold = fold, ()
+        ec = tuple(e for e in ea + eb if e not in shared)
+        steps.append([a, b, ea, eb, ec, fold, ()])
+        operands.append((ec, k + len(steps)))
+    vertices = tuple((len(in_edges[v]), v not in paired, v in ascending) for v in in_edges)
+    sinks = tuple(steps[-1][4].index(sink_edges[s][0]) for s in sorted(sink_edges))
+    return vertices, tuple(map(tuple, steps)), sinks
 
 
 def _picker(positions: list):
@@ -270,16 +293,24 @@ def _picker(positions: list):
     return lambda key: ()
 
 
-def _fold(tensor: dict, positions: list) -> dict:
-    """Sum a tensor of term dicts onto ascending indices at ``positions``."""
+@cache
+def _fold_key(width: int, positions: tuple):
+    """The map putting a ``width``-index key's entries at ``positions`` in order."""
     pick = _picker(positions)
-    # Each key with its sorted picked indices appended, read back in key order.
-    width = len(next(iter(tensor), ()))
+    # The key with its sorted picked indices appended, read back in key order.
     order = [width + positions.index(at) if at in positions else at for at in range(width)]
     rebuild = _picker(order)
+    return lambda key: rebuild(key + tuple(sorted(pick(key))))
+
+
+def _fold(tensor: dict, positions: tuple) -> dict:
+    """Sum a tensor of term dicts onto ascending indices at ``positions``."""
+    if not positions:
+        return tensor
+    fold = _fold_key(len(next(iter(tensor), ())), positions)
     groups: dict = {}
     for key, terms in tensor.items():
-        groups.setdefault(rebuild(key + tuple(sorted(pick(key)))), []).append(terms)
+        groups.setdefault(fold(key), []).append(terms)
     out = {}
     for key, parts in groups.items():
         total = parts[0]
@@ -293,12 +324,11 @@ def _fold(tensor: dict, positions: list) -> dict:
     return out
 
 
-def _contract(ea: tuple, ta: dict, eb: tuple, tb: dict, slot) -> dict:
+def _contract(ea: tuple, ta: dict, eb: tuple, tb: dict, slot) -> None:
     """Add the contraction of two tensors along their shared edges into term
     dicts, one per key over the free edges (a's, then b's): ``slot(key)``
     gives the dict at the key's first product, or None to drop the key.
-    Returns {key: term dict or None}.  No context is checked here.
-    """
+    No context is checked here."""
     shared = [e for e in ea if e in eb]
     link_a = _picker([ea.index(e) for e in shared])
     link_b = _picker([eb.index(e) for e in shared])
@@ -317,4 +347,3 @@ def _contract(ea: tuple, ta: dict, eb: tuple, tb: dict, slot) -> dict:
             terms = slots[full]
             if terms is not None:
                 addmul(terms, pa, pb)
-    return slots

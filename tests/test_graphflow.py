@@ -8,7 +8,7 @@ import pytest
 import tetraflows._kgraph as kgraph_module
 from tetraflows._kgraph import graph_sum
 from tetraflows.analysis import builtin_rows
-from tetraflows.generators import build_bivector
+from tetraflows.generators import VanhaeckeSpec, build_bivector
 from tetraflows.graphflow import (
     GAMMA1_GRAPH,
     GAMMA2_GRAPH,
@@ -241,21 +241,30 @@ def _has_sinkless_component(graph):
     return any(root(v) not in with_sinks for v in range(1, graph.n_internal + 1))
 
 
-def test_contraction_matches_naive_evaluation_on_random_graphs(monkeypatch):
+def _plan_folds(graph):
+    """(site, partial) for each fold in the graph's contraction plan: the site
+    is "bare vertex" when a partner vertex is summed onto ascending indices
+    before its step and "produced tensor" when a step's result is summed as
+    it is built; partial when the fold covers only some of the tensor's edges."""
+    _, steps, _ = kgraph_module._plan(graph)
+    folds = []
+    for _, _, _, eb, ec, fold_b, fold_out in steps:
+        if fold_b:
+            folds.append(("bare vertex", len(fold_b) < len(eb)))
+        if fold_out:
+            folds.append(("produced tensor", len(fold_out) < len(ec)))
+    return folds
+
+
+def test_contraction_matches_naive_evaluation_on_random_graphs():
     # Seeded random graphs with k <= 5 at n = 3, checked against full
     # iteration.  The sample is checked to contain a fold over only some of
-    # the partner's edges, a double edge (whose graph always vanishes: a
-    # symmetric second derivative meets the skew P^{ab}), and nonzero
-    # results with the sinks on two different vertices and with a component
-    # without sinks.
-    partial_folds = []
-
-    def recording_fold(tensor, positions):
-        partial_folds.append(len(positions) < len(next(iter(tensor), ())))
-        return fold(tensor, positions)
-
-    fold = kgraph_module._fold
-    monkeypatch.setattr(kgraph_module, "_fold", recording_fold)
+    # the partner's edges, folds at both sites (a bare partner vertex, as
+    # behind a double edge into a vertex with two in-edges, and a step's
+    # result), a double edge (whose graph always vanishes: a symmetric
+    # second derivative meets the skew P^{ab}), and nonzero results with the
+    # sinks on two different vertices and with a component without sinks.
+    folds = []
     rng = random.Random(28)
     ctx = Context(3)
     seen = set()
@@ -274,8 +283,53 @@ def test_contraction_matches_naive_evaluation_on_random_graphs(monkeypatch):
             "nonzero, sinkless component": nonzero and _has_sinkless_component(graph),
         }
         seen.update(name for name, hit in features.items() if hit)
+        folds += _plan_folds(graph)
     assert seen == set(features)
-    assert any(partial_folds), "no fold over part of the partner's edges"
+    assert any(partial for _, partial in folds), "no fold over part of the partner's edges"
+    assert {site for site, _ in folds} == {"bare vertex", "produced tensor"}
+
+
+def test_plan_pins_products_and_term_pairs(monkeypatch):
+    # (products, term pairs) at the engine's one product loop.  On gamma2 the
+    # plan joins V2, then V1, each with all of its in-edges present, so both
+    # are enumerated over ascending indices: 1,376 / 126,266 on row 10 where
+    # joining V1 with one in-edge open runs 1,600 / 150,834, and 10,685 /
+    # 26,440 where it runs 11,327 / 27,882 in dim 8.  Gamma1, the Jacobiator
+    # and the brackets keep their counts.
+    rows = {rid: spec for rid, _, spec, _ in builtin_rows()}
+    p = build_bivector(rows[10])
+    p1, p2 = gamma1(p).skew, gamma2(p).skew
+    dim8 = build_bivector(VanhaeckeSpec(4, [(2, 1, 1)]))
+    counts = [0, 0]
+
+    def counting_addmul(acc, a, b):
+        counts[0] += 1
+        counts[1] += len(a) * len(b)
+        addmul(acc, a, b)
+
+    addmul = kgraph_module.addmul
+    monkeypatch.setattr(kgraph_module, "addmul", counting_addmul)
+    cases = {
+        "gamma2, row 10": (lambda: gamma2(p), (1376, 126266)),
+        "gamma2, dim 8": (lambda: gamma2(dim8), (10685, 26440)),
+        "gamma1, row 10": (lambda: gamma1(p), (591, 49393)),
+        "Jacobiator, row 10": (lambda: jacobiator(p), (16, 792)),
+        "[[P0, P1]], row 10": (lambda: schouten(p, p1), (32, 14124)),
+        "[[P0, P2]], row 10": (lambda: schouten(p, p2), (48, 18358)),
+    }
+    for name, (run, expected) in cases.items():
+        counts[:] = [0, 0]
+        run()
+        assert tuple(counts) == expected, name
+
+
+def test_plan_is_built_once_per_graph():
+    rng = random.Random(32)
+    gamma2(random_bivector(rng, Context(3)))
+    before = kgraph_module._plan.cache_info()
+    gamma2(random_bivector(rng, Context(4)))
+    after = kgraph_module._plan.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
 
 def test_three_sink_graph_sums_match_naive_evaluation():
