@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import chain, combinations, permutations
+from itertools import chain, combinations
 from operator import itemgetter
 
 from .polyring import ContextMismatchError, _denominator_lcm, addmul, addto, finish
@@ -104,12 +104,13 @@ def render_kgraph(g: KGraph) -> str:
     return f"{g.n_internal}; {body}"
 
 
-def derivative_tensor(p, m: int, mirrored: bool) -> dict:
+def derivative_tensor(p, m: int, mirrored: bool, ascending: bool) -> dict:
     """Nonzero m-th derivatives of a bi-vector's matrix, a < b unless mirrored.
 
-    Keys are (a, b, c1, ..., cm) with c1 <= ... <= cm, values the term maps
-    of the nonzero d^m P^{ab} / dx_{c1} ... dx_{cm}; derivatives commute,
-    so every other order of the c's has the same value.
+    Keys are (a, b, c1, ..., cm), values the term maps of the nonzero
+    d^m P^{ab} / dx_{c1} ... dx_{cm}: every order of the c's, or only
+    c1 <= ... <= cm when ``ascending`` (derivatives commute, so the other
+    orders repeat these values).
     """
     n = p.ctx.dim
     shifts = [None] + [p.ctx.slot_shift(c - 1) for c in range(1, n + 1)]
@@ -118,7 +119,7 @@ def derivative_tensor(p, m: int, mirrored: bool) -> dict:
         table = {
             key + (c,): d
             for key, terms in table.items()
-            for c in range(key[-1] if step else 1, n + 1)
+            for c in range(key[-1] if step and ascending else 1, n + 1)
             if (d := _diff(terms, shifts[c]))
         }
     if mirrored:
@@ -144,9 +145,10 @@ def graph_sum(g: KGraph, assignments: list, skew: bool = False) -> dict:
     They are contracted pairwise along shared edges as the graph's cached
     ``_plan`` says; after a step, the guard bits are checked and zero terms
     dropped.  The products of the last step go straight into the result.
-    Derivatives commute: a vertex whose in-edges (two or more) all meet its
-    partner in one step is enumerated ascending on them, and the partner is
-    summed onto ascending indices there (a step's result as it is built).
+    Derivatives commute: a vertex whose in-edges (two or more) all meet a
+    step's result is enumerated ascending on them, and that result is summed
+    onto ascending indices there as it is built.  Any other vertex table
+    holds every order of its in-edge indices.
 
     Every product runs in integers: with D the lcm of the coefficient
     denominators of all the bi-vectors, each distinct bi-vector is replaced
@@ -167,20 +169,13 @@ def graph_sum(g: KGraph, assignments: list, skew: bool = False) -> dict:
         scaled = {key: p.scale(scale) for key, p in distinct.items()}
         assignments = [tuple(scaled[id(p)] for p in ps) for ps in assignments]
 
-    derivs: dict = {}  # (id(p), m, mirrored) -> derivative_tensor(p, m, mirrored)
+    derivs: dict = {}  # (id(p), m, mirrored, ascending) -> derivative_tensor(p, ...)
 
-    def vertex_tensor(p, m: int, mirrored: bool, ascending: bool) -> dict:
-        which = (id(p), m, mirrored)
+    def vertex_tensor(p, *how) -> dict:
+        which = (id(p), *how)
         if which not in derivs:
-            derivs[which] = derivative_tensor(p, m, mirrored)
-        table = derivs[which]
-        if ascending or m < 2:
-            return table
-        return {
-            key[:2] + cs: terms
-            for key, terms in table.items()
-            for cs in set(permutations(key[2:]))
-        }
+            derivs[which] = derivative_tensor(p, *how)
+        return derivs[which]
 
     plus: dict = {}  # result key -> term dict
     minus: dict = {}  # result key -> term dict of odd sorts, subtracted at the end
@@ -195,15 +190,14 @@ def graph_sum(g: KGraph, assignments: list, skew: bool = False) -> dict:
     for ps in assignments:
         # Operands in plan order: the vertices, the unit tensor, step results.
         tensors = [vertex_tensor(p, *how) for p, how in zip(ps, vertices)] + [{(): {0: 1}}]
-        for a, b, ea, eb, ec, fold_b, fold_out in middle:
+        for a, b, ea, eb, ec, fold in middle:
             acc: dict = {}
-            out = _fold_key(len(ec), fold_out)
-            tb = _fold(tensors[b], fold_b)
-            _contract(ea, tensors[a], eb, tb, lambda key: acc.setdefault(out(key), {}))
+            out = _fold_key(len(ec), fold)
+            _contract(ea, tensors[a], eb, tensors[b], lambda key: acc.setdefault(out(key), {}))
             _check_guard(ctx, list(chain.from_iterable(acc.values())))
             tensors.append({key: kept for key, terms in acc.items() if (kept := _nonzero(terms))})
-        a, b, ea, eb, _, fold_b, _ = last
-        _contract(ea, tensors[a], eb, _fold(tensors[b], fold_b), lambda key: sink_slot(pick(key)))
+        a, b, ea, eb, _, _ = last
+        _contract(ea, tensors[a], eb, tensors[b], lambda key: sink_slot(pick(key)))
 
     for key, terms in minus.items():
         addto(plus.setdefault(key, {}), terms, -1)
@@ -226,16 +220,20 @@ def _plan(g: KGraph) -> tuple:
 
     Returns (vertices, steps, sinks).  Per vertex: its number of in-edges,
     whether its table is mirrored (it holds no two sinks), and whether it is
-    enumerated ascending.  Per step (a, b, ea, eb, ec, fold_b, fold_out):
-    operands a and b, over the edges ea and eb, contract into a tensor over
-    ec; b's indices at ``fold_b`` are summed onto ascending order before the
-    step, the result's at ``fold_out`` as it is built.  Operand v - 1 is
-    vertex v, k the unit tensor and k + s the result of step s.  ``sinks``
-    are the positions in the last ec of the edges into S1, S2, ...
+    enumerated ascending.  Per step (a, b, ea, eb, ec, fold): operands a and
+    b, over the edges ea and eb, contract into a tensor over ec whose
+    indices at ``fold`` are summed onto ascending order as it is built.
+    Operand v - 1 is vertex v, k the unit tensor and k + s the result of
+    step s.  ``sinks`` are the positions in the last ec of the edges into
+    S1, S2, ...
 
     A step takes a pair sharing an edge with the fewest result edges; on a
-    tie, one in which a vertex finds all of its two or more in-edges in its
-    partner; then the first.  A pair sharing no edge comes last.
+    tie, one in which a vertex finds all of its two or more in-edges in a
+    step's result (the vertex is enumerated ascending on them and that
+    result folded there); then the first.  A pair sharing no edge comes
+    last.  (A vertex finding them all in another vertex is the end of a
+    double edge, and such a graph vanishes: a symmetric second derivative
+    meets a skew bi-vector.)
     """
     k = g.n_internal
     in_edges: dict = {v: [] for v in range(1, k + 1)}
@@ -251,14 +249,14 @@ def _plan(g: KGraph) -> tuple:
             )
     paired = {v for v, (l, r) in enumerate(g.edges, start=1) if l[0] == r[0] == "S"}
 
-    def whole(operand, shared: set) -> bool:
-        edges, at = operand
-        return at < k and len(edges) > 3 and set(edges[2:]) <= shared
+    def whole(pair) -> bool:
+        # vertices precede step results in the operand list, so a vertex comes first
+        (ea, a), (eb, b) = pair
+        return a < k < b and len(ea) > 3 and set(ea[2:]) <= set(eb)
 
     def rank(pair):
         (ea, _), (eb, _) = pair
-        shared = set(ea) & set(eb)
-        return not shared, len(set(ea) ^ set(eb)), not any(whole(o, shared) for o in pair)
+        return not set(ea) & set(eb), len(set(ea) ^ set(eb)), not whole(pair)
 
     operands = [((2 * v - 2, 2 * v - 1, *in_edges[v]), v - 1) for v in range(1, k + 1)]
     if k == 1:
@@ -267,16 +265,13 @@ def _plan(g: KGraph) -> tuple:
     while len(operands) > 1:
         pair = min(combinations(operands, 2), key=rank)
         operands = [operand for operand in operands if operand not in pair]
-        shared = set(pair[0][0]) & set(pair[1][0])
-        (ea, a), (eb, b) = pair[::-1] if whole(pair[1], shared) else pair
-        fold = ()
-        if whole((ea, a), shared):
+        (ea, a), (eb, b) = pair
+        if whole(pair):
             ascending.add(a + 1)
-            fold = tuple(eb.index(e) for e in ea[2:])
-        if b > k:  # a step's result is folded as it is built
-            steps[b - k - 1][6], fold = fold, ()
+            steps[b - k - 1][5] = tuple(eb.index(e) for e in ea[2:])
+        shared = set(ea) & set(eb)
         ec = tuple(e for e in ea + eb if e not in shared)
-        steps.append([a, b, ea, eb, ec, fold, ()])
+        steps.append([a, b, ea, eb, ec, ()])
         operands.append((ec, k + len(steps)))
     vertices = tuple((len(in_edges[v]), v not in paired, v in ascending) for v in in_edges)
     sinks = tuple(steps[-1][4].index(sink_edges[s][0]) for s in sorted(sink_edges))
@@ -301,27 +296,6 @@ def _fold_key(width: int, positions: tuple):
     order = [width + positions.index(at) if at in positions else at for at in range(width)]
     rebuild = _picker(order)
     return lambda key: rebuild(key + tuple(sorted(pick(key))))
-
-
-def _fold(tensor: dict, positions: tuple) -> dict:
-    """Sum a tensor of term dicts onto ascending indices at ``positions``."""
-    if not positions:
-        return tensor
-    fold = _fold_key(len(next(iter(tensor), ())), positions)
-    groups: dict = {}
-    for key, terms in tensor.items():
-        groups.setdefault(fold(key), []).append(terms)
-    out = {}
-    for key, parts in groups.items():
-        total = parts[0]
-        if len(parts) > 1:  # a lone contributor passes through unchanged
-            acc: dict = {}
-            for terms in parts:
-                addto(acc, terms)
-            total = _nonzero(acc)
-        if total:
-            out[key] = total
-    return out
 
 
 def _contract(ea: tuple, ta: dict, eb: tuple, tb: dict, slot) -> None:

@@ -213,7 +213,7 @@ def _parse_rational(text: str) -> Fraction:
         raise _UsageError(f"bad rational {text!r}: {exc}") from None
 
 
-_PHI_VAR = re.compile(r"\b[xy](?!\d)")
+_PHI_VAR = re.compile(r"\b[xy]\d*")
 
 
 def _parse_phi(text: str) -> "list[tuple]":
@@ -221,7 +221,11 @@ def _parse_phi(text: str) -> "list[tuple]":
 
     x and y are read as x1 and x2; a parse error gives its position in ``text``.
     """
-    starts = [m.start() for m in _PHI_VAR.finditer(text)]
+    starts = []
+    for m in _PHI_VAR.finditer(text):
+        if m.end() - m.start() > 1:  # x1, y2, ...: not a name of phi
+            raise PolyParseError(f"unknown variable {m.group()!r} (phi is in x and y)", m.start())
+        starts.append(m.start())
     translated = _PHI_VAR.sub(lambda m: "x1" if m.group() == "x" else "x2", text)
     try:
         poly = Polynomial.parse(translated, Context(2))

@@ -397,6 +397,8 @@ def test_loader_errors_name_the_file(tmp_path, capsys, p0_file, text):
         ("x^99999", "exponent 99999 of x is not below the limit 32768", 2),
         ("x*y^40000", "exponent 40000 of y is not below the limit 32768", 4),
         ("y^40000", "exponent 40000 of y is not below the limit 32768", 2),
+        ("x1", "unknown variable 'x1' (phi is in x and y)", 0),
+        ("y*x2", "unknown variable 'x2' (phi is in x and y)", 2),
     ],
 )
 def test_phi_parse_errors_give_the_position_in_the_text(capsys, phi, message, position):

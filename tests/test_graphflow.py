@@ -243,27 +243,20 @@ def _has_sinkless_component(graph):
 
 def _plan_folds(graph):
     """(site, partial) for each fold in the graph's contraction plan: the site
-    is "bare vertex" when a partner vertex is summed onto ascending indices
-    before its step and "produced tensor" when a step's result is summed as
-    it is built; partial when the fold covers only some of the tensor's edges."""
+    is "produced tensor" when a step's result is summed onto ascending
+    indices as it is built; partial when the fold covers only some of the
+    tensor's edges."""
     _, steps, _ = kgraph_module._plan(graph)
-    folds = []
-    for _, _, _, eb, ec, fold_b, fold_out in steps:
-        if fold_b:
-            folds.append(("bare vertex", len(fold_b) < len(eb)))
-        if fold_out:
-            folds.append(("produced tensor", len(fold_out) < len(ec)))
-    return folds
+    return [("produced tensor", len(fold) < len(ec)) for *_, ec, fold in steps if fold]
 
 
 def test_contraction_matches_naive_evaluation_on_random_graphs():
     # Seeded random graphs with k <= 5 at n = 3, checked against full
     # iteration.  The sample is checked to contain a fold over only some of
-    # the partner's edges, folds at both sites (a bare partner vertex, as
-    # behind a double edge into a vertex with two in-edges, and a step's
-    # result), a double edge (whose graph always vanishes: a symmetric
-    # second derivative meets the skew P^{ab}), and nonzero results with the
-    # sinks on two different vertices and with a component without sinks.
+    # the partner's edges, folds only where a step's result is built, a
+    # double edge (whose graph always vanishes: a symmetric second
+    # derivative meets the skew P^{ab}), and nonzero results with the sinks
+    # on two different vertices and with a component without sinks.
     folds = []
     rng = random.Random(28)
     ctx = Context(3)
@@ -286,7 +279,37 @@ def test_contraction_matches_naive_evaluation_on_random_graphs():
         folds += _plan_folds(graph)
     assert seen == set(features)
     assert any(partial for _, partial in folds), "no fold over part of the partner's edges"
-    assert {site for site, _ in folds} == {"bare vertex", "produced tensor"}
+    assert {site for site, _ in folds} == {"produced tensor"}
+
+
+def _all_graphs(k):
+    """Every graph with k internal vertices and one edge into each sink: an
+    edge goes to another vertex or to a sink, the sinks in every order."""
+    choices = [[("V", w) for w in range(1, k + 1) if w != e // 2 + 1] + [None] for e in range(2 * k)]
+    for targets in product(*choices):
+        free = [e for e, t in enumerate(targets) if t is None]
+        for order in permutations(range(1, len(free) + 1)):
+            placed = list(targets)
+            for e, s in zip(free, order):
+                placed[e] = ("S", s)
+            yield KGraph(k, tuple(zip(placed[0::2], placed[1::2])))
+
+
+def test_graphs_with_a_double_edge_vanish():
+    # Both out-edges of W into V contract the symmetric d_i d_j P_V with the
+    # skew P_W^{ij}, so the graph is zero for any bi-vectors on its vertices.
+    # The engine has no special case for it; this checks that its general
+    # path gives the exact zero on every such graph with k <= 3.
+    rng = random.Random(33)
+    ctx = Context(3)
+    p, q = (random_bivector(rng, ctx, max_terms=3, max_degree=4) for _ in range(2))
+    assert all(kgraph_module.derivative_tensor(b, 2, True, True) for b in (p, q))
+    graphs = [g for k in (1, 2, 3) for g in _all_graphs(k) if any(l == r for l, r in g.edges)]
+    assert len(graphs) == 905  # 473 of them with at most two sinks
+    for graph in graphs:
+        k = graph.n_internal
+        for assignment in ((p, q, p)[:k], (q, p, q)[:k]):
+            assert graph_sum(graph, [assignment]) == {}, render_kgraph(graph)
 
 
 def test_plan_pins_products_and_term_pairs(monkeypatch):
@@ -445,9 +468,9 @@ def test_rational_bivectors_share_one_derivative_table_each(monkeypatch):
     # rational bi-vector builds as many derivative tables as of an integral one.
     tables = []
 
-    def counting_tensor(p, m, mirrored):
-        tables.append((m, mirrored))
-        return derivative_tensor(p, m, mirrored)
+    def counting_tensor(p, m, mirrored, ascending):
+        tables.append((m, mirrored, ascending))
+        return derivative_tensor(p, m, mirrored, ascending)
 
     derivative_tensor = kgraph_module.derivative_tensor
     monkeypatch.setattr(kgraph_module, "derivative_tensor", counting_tensor)
