@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import chain, combinations
+from itertools import chain, combinations, permutations, product
 from operator import itemgetter
 
 from .polyring import ContextMismatchError, _denominator_lcm, addmul, addto, finish
@@ -150,12 +150,23 @@ def graph_sum(g: KGraph, assignments: list, skew: bool = False) -> dict:
     onto ascending indices there as it is built.  Any other vertex table
     holds every order of its in-edge indices.
 
+    The automorphisms that respect an assignment (v and its image carry the
+    same bi-vector) are used twice.  One with an odd number of L/R swaps
+    negates the evaluation, so the assignment is zero and runs no product
+    (a double edge is such a swap).  An even one that maps a step's result
+    onto itself, moving only fold positions, leaves it unchanged: the step
+    adds only the products whose key is the least of its orbit, weighted by
+    the orbit size (``_orbit_rules``).  On gamma1 the rotation of V2, V3, V4
+    cuts the step closing their cycle to a third (weight 3, or 1 for three
+    equal indices) and the step before keeps e2 <= e4: 7,760,955 ->
+    3,372,917 term pairs on Vanhaecke d=4, phi=x^2*y^2.
+
     Every product runs in integers: with D the lcm of the coefficient
     denominators of all the bi-vectors, each distinct bi-vector is replaced
     by one copy D * p, so every product of the k vertices carries D^k and
     each result coefficient is divided by D^k once, at the end.
     """
-    vertices, steps, sinks = _plan(g)
+    vertices, steps, sinks, symmetries = _plan(g)
     k = g.n_internal
     ctx = assignments[0][0].ctx
     distinct = {id(p): p for ps in assignments for p in ps}
@@ -188,12 +199,27 @@ def graph_sum(g: KGraph, assignments: list, skew: bool = False) -> dict:
     *middle, last = steps
     pick = _picker(sinks)
     for ps in assignments:
+        respected = tuple(
+            i for i, (image, _) in enumerate(symmetries) if all(ps[w] is p for w, p in zip(image, ps))
+        )
+        if any(sum(symmetries[i][1]) % 2 for i in respected):
+            continue  # an odd automorphism negates this assignment's graph: it is zero
         # Operands in plan order: the vertices, the unit tensor, step results.
         tensors = [vertex_tensor(p, *how) for p, how in zip(ps, vertices)] + [{(): {0: 1}}]
-        for a, b, ea, eb, ec, fold in middle:
-            acc: dict = {}
+        for (a, b, ea, eb, ec, fold), weigh in zip(middle, _orbit_rules(g, respected)):
             out = _fold_key(len(ec), fold)
-            _contract(ea, tensors[a], eb, tensors[b], lambda key: acc.setdefault(out(key), {}))
+            acc: dict = {}
+            weighted: dict = {}  # orbit weight > 1 -> result key -> term dict
+
+            def slot(key: tuple):
+                weight = weigh(key) if weigh else 1
+                if weight:
+                    return (acc if weight == 1 else weighted.setdefault(weight, {})).setdefault(out(key), {})
+
+            _contract(ea, tensors[a], eb, tensors[b], slot)
+            for weight, part in weighted.items():
+                for key, terms in part.items():
+                    addto(acc.setdefault(key, {}), terms, weight)
             _check_guard(ctx, list(chain.from_iterable(acc.values())))
             tensors.append({key: kept for key, terms in acc.items() if (kept := _nonzero(terms))})
         a, b, ea, eb, _, _ = last
@@ -218,22 +244,24 @@ def _sort_sign(key: tuple):
 def _plan(g: KGraph) -> tuple:
     """How ``graph_sum`` contracts a graph, worked out once from its edges.
 
-    Returns (vertices, steps, sinks).  Per vertex: its number of in-edges,
-    whether its table is mirrored (it holds no two sinks), and whether it is
-    enumerated ascending.  Per step (a, b, ea, eb, ec, fold): operands a and
-    b, over the edges ea and eb, contract into a tensor over ec whose
-    indices at ``fold`` are summed onto ascending order as it is built.
-    Operand v - 1 is vertex v, k the unit tensor and k + s the result of
-    step s.  ``sinks`` are the positions in the last ec of the edges into
-    S1, S2, ...
+    Returns (vertices, steps, sinks, symmetries).  Per vertex: its number of
+    in-edges, whether its table is mirrored (it holds no two sinks), and
+    whether it is enumerated ascending.  Per step (a, b, ea, eb, ec, fold):
+    operands a and b, over the edges ea and eb, contract into a tensor over
+    ec whose indices at ``fold`` are summed onto ascending order as it is
+    built.  Operand v - 1 is vertex v, k the unit tensor and k + s the
+    result of step s.  ``sinks`` are the positions in the last ec of the
+    edges into S1, S2, ...  ``symmetries``: the graph's automorphisms but
+    the identity (``_automorphisms``), or none above SYMMETRY_SEARCH_LIMIT
+    vertices.
 
     A step takes a pair sharing an edge with the fewest result edges; on a
     tie, one in which a vertex finds all of its two or more in-edges in a
     step's result (the vertex is enumerated ascending on them and that
     result folded there); then the first.  A pair sharing no edge comes
     last.  (A vertex finding them all in another vertex is the end of a
-    double edge, and such a graph vanishes: a symmetric second derivative
-    meets a skew bi-vector.)
+    double edge; swapping that vertex's L and R is an odd automorphism, so
+    ``graph_sum`` runs no product for such a graph.)
     """
     k = g.n_internal
     in_edges: dict = {v: [] for v in range(1, k + 1)}
@@ -275,7 +303,86 @@ def _plan(g: KGraph) -> tuple:
         operands.append((ec, k + len(steps)))
     vertices = tuple((len(in_edges[v]), v not in paired, v in ascending) for v in in_edges)
     sinks = tuple(steps[-1][4].index(sink_edges[s][0]) for s in sorted(sink_edges))
-    return vertices, tuple(map(tuple, steps)), sinks
+    steps = tuple(map(tuple, steps))
+    return vertices, steps, sinks, _automorphisms(g) if k <= SYMMETRY_SEARCH_LIMIT else ()
+
+
+# Above this many vertices the plan skips the automorphism search (k! maps).
+SYMMETRY_SEARCH_LIMIT = 6
+
+
+def _automorphisms(g: KGraph) -> tuple:
+    """(image, swaps) per automorphism of g but the identity: vertex v
+    (0-based) goes to image[v], and its out-pair (L, R) to the image's (R, L)
+    when swaps[v].  Sinks stay put.  Brute force over the k! vertex maps:
+    a vertex whose edges share a target may swap or not."""
+    k = g.n_internal
+    found = []
+    for image in permutations(range(k)):
+        moved = [t if t[0] == "S" else ("V", image[t[1] - 1] + 1) for pair in g.edges for t in pair]
+        options = [
+            [swap for swap, pair in enumerate((to, to[::-1])) if pair == tuple(moved[2 * v : 2 * v + 2])]
+            for v, to in enumerate(g.edges[w] for w in image)
+        ]
+        found += [(image, swaps) for swaps in product(*options) if any(swaps) or image != tuple(range(k))]
+    return tuple(found)
+
+
+@cache
+def _orbit_rules(g: KGraph, respected: tuple) -> tuple:
+    """Per middle step of g's plan, under the automorphisms at ``respected``:
+    key -> its weight, 0 to drop it; or None when every key weighs 1.
+
+    An automorphism mapping a step's vertices onto themselves, with an even
+    number of swaps among them and no edge of the result moved outside the
+    fold, leaves the result unchanged.  The step keeps a key whose fold
+    indices, in fold order, are the least of their orbit, weighted by the
+    orbit size.  The first fold edge then holds its orbit's least index, so
+    an earlier step with it and another edge of that orbit in its result
+    (an ancestor: fold edges lead into a vertex no step has joined) drops
+    the keys where it holds the larger one.
+    """
+    k = g.n_internal
+    _, steps, _, symmetries = _plan(g)
+    within, moves, pairs = [], [[] for _ in steps], [[] for _ in steps]
+    for s, (a, b, _, _, ec, fold) in enumerate(steps):
+        within.append(set().union(*(within[x - k - 1] if x > k else {x} for x in (a, b) if x != k)))
+        for image, swaps in map(symmetries.__getitem__, respected):
+            edge = [2 * image[e // 2] + (e % 2 ^ swaps[e // 2]) for e in range(2 * k)]
+            if (
+                fold
+                and {image[v] for v in within[s]} == within[s]
+                and sum(swaps[v] for v in within[s]) % 2 == 0
+                and all(edge[e] == e for at, e in enumerate(ec) if at not in fold)
+            ):
+                moves[s].append(tuple(ec.index(edge[ec[at]]) for at in fold))
+                ends = (ec[fold[0]], edge[ec[fold[0]]])
+                for r, (*_, earlier, _) in enumerate(steps[:s]):
+                    if ends[0] != ends[1] and set(ends) <= set(earlier):
+                        pairs[r].append(tuple(map(earlier.index, ends)))
+
+    def weigher(orbit, ordered):
+        own, *others = orbit
+
+        def weigh(key: tuple) -> int:
+            for p, q in ordered:
+                if key[p] > key[q]:
+                    return 0
+            least = own(key)
+            images = {least}
+            for image in others:
+                moved = image(key)
+                if moved < least:
+                    return 0
+                images.add(moved)
+            return len(images)
+
+        return weigh
+
+    return tuple(
+        weigher([_picker(at) for at in (step[5], *found)], rule) if found or rule else None
+        for step, found, rule in zip(steps[:-1], moves, pairs)
+    )
 
 
 def _picker(positions: list):

@@ -213,7 +213,7 @@ def _parse_rational(text: str) -> Fraction:
         raise _UsageError(f"bad rational {text!r}: {exc}") from None
 
 
-_PHI_VAR = re.compile(r"\b[xy]\d*")
+_PHI_VAR = re.compile(r"(?<![A-Za-z_])[xy]\d*")  # also right after a number: "2x"
 
 
 def _parse_phi(text: str) -> "list[tuple]":

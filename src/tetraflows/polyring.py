@@ -473,6 +473,8 @@ class Polynomial:
                     kind, val, at = peek()
                     if kind != "name":
                         raise PolyParseError("expected variable after '*'", at)
+                elif kind == "name":
+                    raise PolyParseError(f"missing '*' before {val!r}", at)
                 else:
                     add_term((0,) * ns, sign * coeff)  # constant term
                     continue

@@ -399,6 +399,8 @@ def test_loader_errors_name_the_file(tmp_path, capsys, p0_file, text):
         ("y^40000", "exponent 40000 of y is not below the limit 32768", 2),
         ("x1", "unknown variable 'x1' (phi is in x and y)", 0),
         ("y*x2", "unknown variable 'x2' (phi is in x and y)", 2),
+        ("2x", "missing '*' before 'x'", 1),
+        ("x^2 - 3/2y", "missing '*' before 'y'", 9),
     ],
 )
 def test_phi_parse_errors_give_the_position_in_the_text(capsys, phi, message, position):

@@ -246,7 +246,7 @@ def _plan_folds(graph):
     is "produced tensor" when a step's result is summed onto ascending
     indices as it is built; partial when the fold covers only some of the
     tensor's edges."""
-    _, steps, _ = kgraph_module._plan(graph)
+    _, steps, *_ = kgraph_module._plan(graph)
     return [("produced tensor", len(fold) < len(ec)) for *_, ec, fold in steps if fold]
 
 
@@ -312,13 +312,166 @@ def test_graphs_with_a_double_edge_vanish():
             assert graph_sum(graph, [assignment]) == {}, render_kgraph(graph)
 
 
+def _has_odd_automorphism(graph):
+    """Whether some relabelling of the vertices, with L and R swapped at an
+    odd number of them, fixes the sinks and carries the edges onto
+    themselves: brute force over the k! maps and 2^k swaps."""
+    k = graph.n_internal
+    for image in permutations(range(1, k + 1)):
+        for swaps in product((0, 1), repeat=k):
+            if sum(swaps) % 2 == 0:
+                continue
+            moved = {
+                (("V", image[v]), side ^ swaps[v]): target if target[0] == "S" else ("V", image[target[1] - 1])
+                for v, pair in enumerate(graph.edges)
+                for side, target in enumerate(pair)
+            }
+            if all(moved[("V", v + 1), side] == t for v, pair in enumerate(graph.edges) for side, t in enumerate(pair)):
+                return True
+    return False
+
+
+def test_graphs_with_an_odd_automorphism_vanish_with_no_product(monkeypatch):
+    # An automorphism with an odd number of L/R swaps negates the evaluation,
+    # so such a graph is zero for P on every vertex; a double edge is one
+    # case.  Over every graph with k <= 3 and at most two sinks, exactly
+    # those graphs sum to zero here, and none of them runs a product.  The
+    # eight without a double edge are sinkless 3-cycles.
+    rng = random.Random(34)
+    p = random_bivector(rng, Context(3), max_terms=3, max_degree=4)
+    products = []
+
+    def counting_addmul(acc, a, b):
+        products.append(1)
+        addmul(acc, a, b)
+
+    addmul = kgraph_module.addmul
+    monkeypatch.setattr(kgraph_module, "addmul", counting_addmul)
+    graphs = [
+        g
+        for k in (1, 2, 3)
+        for g in _all_graphs(k)
+        if sum(t[0] == "S" for pair in g.edges for t in pair) <= 2
+    ]
+    odd = [g for g in graphs if _has_odd_automorphism(g)]
+    assert (len(graphs), len(odd)) == (755, 481)
+    assert sum(all(l != r for l, r in g.edges) for g in odd) == 8
+    for graph in graphs:
+        products.clear()
+        total = graph_sum(graph, [(p,) * graph.n_internal])
+        if graph in odd:
+            assert total == {} and not products, render_kgraph(graph)
+        else:
+            assert total, render_kgraph(graph)
+
+
+def test_orbit_folds_match_naive_evaluation():
+    # Every graph with k <= 3, at most three sinks and no odd automorphism
+    # whose plan folds a step result with a symmetry (a swap of two vertices
+    # that both feed a third: weights 2, or 1 for equal indices), with P on
+    # every vertex, checked against full iteration in both modes.
+    rng = random.Random(36)
+    ctx = Context(3)
+    graphs = []
+    for graph in (g for k in (1, 2, 3) for g in _all_graphs(k)):
+        try:
+            *_, symmetries = kgraph_module._plan(graph)
+        except GraphStructureError:  # more than three sinks
+            continue
+        odd = any(sum(swaps) % 2 for _, swaps in symmetries)
+        if not odd and any(kgraph_module._orbit_rules(graph, tuple(range(len(symmetries))))):
+            graphs.append(graph)
+    assert len(graphs) == 24
+    for graph in graphs:
+        p = random_bivector(rng, ctx, max_terms=3, max_degree=5)
+        for skew in (False, True):
+            got = graph_sum(graph, [(p,) * 3], skew=skew)
+            assert got == naive_graph_sum(graph, [(p,) * 3], skew), (render_kgraph(graph), skew)
+
+
+def _copy(p):
+    """An equal bi-vector that is another object."""
+    return MultiVector(p.ctx, 2, dict(p.comps))
+
+
+def test_gamma1_rotation_is_used_only_where_the_assignment_respects_it(monkeypatch):
+    # The rotation V2 -> V3 -> V4 -> V2 of gamma1 counts for (P, Q, Q, Q) but
+    # not for (P, P, Q, Q).  Equal copies on V3 and V4 hide it (the engine
+    # compares the bi-vectors by identity), so (P, Q, Q', Q'') runs every
+    # product of the cycle step: the reduced run does fewer, the other one
+    # the same.  Both agree with full iteration, in both modes; so does the
+    # probe's P + eps*Delta on every vertex.
+    rng = random.Random(35)
+    ctx = Context(3)
+    p, q = (random_bivector(rng, ctx, max_terms=4, max_degree=5) for _ in range(2))
+    counts = [0, 0]
+
+    def counting_addmul(acc, a, b):
+        counts[0] += 1
+        counts[1] += len(a) * len(b)
+        addmul(acc, a, b)
+
+    addmul = kgraph_module.addmul
+    monkeypatch.setattr(kgraph_module, "addmul", counting_addmul)
+
+    def run(assignment, skew):
+        counts[:] = [0, 0]
+        got = graph_sum(GAMMA1_GRAPH, [assignment], skew=skew)
+        return got, tuple(counts)
+
+    for assignment, hidden, reduced in (
+        ((p, q, q, q), (p, q, _copy(q), _copy(q)), True),
+        ((p, p, q, q), (p, _copy(p), q, _copy(q)), False),
+    ):
+        for skew in (False, True):
+            got, pinned = run(assignment, skew)
+            assert got and got == naive_graph_sum(GAMMA1_GRAPH, [assignment], skew)
+            full, every = run(hidden, skew)
+            assert full == got
+            assert (pinned[1] < every[1]) if reduced else (pinned == every)
+        assert pinned == ((61, 500) if reduced else (125, 1062))
+    eps_ctx = Context(3, has_epsilon=True)
+    p, delta = (random_bivector(rng, eps_ctx, max_terms=4, max_degree=5) for _ in range(2))
+    p_tilde = p + delta.mul_poly(Polynomial.epsilon(eps_ctx))
+    for skew in (False, True):
+        got, pinned = run((p_tilde,) * 4, skew)
+        assert got and got == naive_graph_sum(GAMMA1_GRAPH, [(p_tilde,) * 4], skew)
+        assert pinned[1] < run((p_tilde, *(_copy(p_tilde) for _ in range(3))), skew)[1][1]
+
+
+def test_graph_above_the_search_limit_is_summed_without_a_search(monkeypatch):
+    # Seven vertices: the plan skips the automorphism search and the engine
+    # still gives the answer of full iteration.  Six vertices are searched.
+    searches = []
+
+    def counting_search(graph):
+        searches.append(graph)
+        return automorphisms(graph)
+
+    automorphisms = kgraph_module._automorphisms
+    monkeypatch.setattr(kgraph_module, "_automorphisms", counting_search)
+    graph = parse_kgraph("7; (S1,S2) (V1,V3) (V1,V4) (V2,V5) (V3,V6) (V4,V7) (V5,V6)")
+    assert graph.n_internal > kgraph_module.SYMMETRY_SEARCH_LIMIT
+    ctx = Context(2)
+    p = MultiVector(ctx, 2, {(1, 2): Polynomial.parse("x1^4*x2^3 - 2*x1^2*x2^5 + 3*x1^5", ctx)})
+    got = graph_sum(graph, [(p,) * 7])
+    assert got and got == naive_graph_sum(graph, [(p,) * 7])
+    assert kgraph_module._plan(graph)[3] == () and searches == []
+    at_limit = parse_kgraph("6; (S1,S2) (V1,V3) (V1,V4) (V2,V5) (V3,V6) (V4,V5)")
+    kgraph_module._plan.__wrapped__(at_limit)  # the plan without its cache
+    assert searches == [at_limit]
+
+
 def test_plan_pins_products_and_term_pairs(monkeypatch):
     # (products, term pairs) at the engine's one product loop.  On gamma2 the
     # plan joins V2, then V1, each with all of its in-edges present, so both
     # are enumerated over ascending indices: 1,376 / 126,266 on row 10 where
     # joining V1 with one in-edge open runs 1,600 / 150,834, and 10,685 /
-    # 26,440 where it runs 11,327 / 27,882 in dim 8.  Gamma1, the Jacobiator
-    # and the brackets keep their counts.
+    # 26,440 where it runs 11,327 / 27,882 in dim 8.  On gamma1 the rotation
+    # of V2, V3, V4 keeps only the least rotation of each key of the step
+    # that closes their cycle, and e2 <= e4 in the step before: 335 / 26,637
+    # where computing every key runs 591 / 49,393.  The Jacobiator and the
+    # brackets have no symmetry to use and keep their counts.
     rows = {rid: spec for rid, _, spec, _ in builtin_rows()}
     p = build_bivector(rows[10])
     p1, p2 = gamma1(p).skew, gamma2(p).skew
@@ -335,7 +488,7 @@ def test_plan_pins_products_and_term_pairs(monkeypatch):
     cases = {
         "gamma2, row 10": (lambda: gamma2(p), (1376, 126266)),
         "gamma2, dim 8": (lambda: gamma2(dim8), (10685, 26440)),
-        "gamma1, row 10": (lambda: gamma1(p), (591, 49393)),
+        "gamma1, row 10": (lambda: gamma1(p), (335, 26637)),
         "Jacobiator, row 10": (lambda: jacobiator(p), (16, 792)),
         "[[P0, P1]], row 10": (lambda: schouten(p, p1), (32, 14124)),
         "[[P0, P2]], row 10": (lambda: schouten(p, p2), (48, 18358)),

@@ -150,6 +150,9 @@ def test_parse_errors_carry_position():
         parse("x1^0")
     with pytest.raises(PolyParseError):
         parse("2 x1")
+    with pytest.raises(PolyParseError) as err:
+        parse("2x1")  # a number right before a variable: the '*' is missing
+    assert (err.value.message, err.value.position) == ("missing '*' before 'x1'", 1)
 
 
 def test_parse_rejects_exponents_at_the_limit():
