@@ -1,5 +1,6 @@
 import random
 import re
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
@@ -295,21 +296,58 @@ def _all_graphs(k):
             yield KGraph(k, tuple(zip(placed[0::2], placed[1::2])))
 
 
-def test_graphs_with_a_double_edge_vanish():
+@contextmanager
+def _no_symmetry_search(monkeypatch):
+    """Plans made inside hold no automorphisms, as above SYMMETRY_SEARCH_LIMIT;
+    the plan caches are emptied on entry and on exit."""
+    with monkeypatch.context() as patch:
+        patch.setattr(kgraph_module, "_automorphisms", lambda graph: ())
+        try:
+            kgraph_module._plan.cache_clear()
+            kgraph_module._orbit_rules.cache_clear()
+            yield
+        finally:
+            kgraph_module._plan.cache_clear()
+            kgraph_module._orbit_rules.cache_clear()
+
+
+def test_graphs_with_a_double_edge_vanish(monkeypatch):
     # Both out-edges of W into V contract the symmetric d_i d_j P_V with the
     # skew P_W^{ij}, so the graph is zero for any bi-vectors on its vertices.
-    # The engine has no special case for it; this checks that its general
-    # path gives the exact zero on every such graph with k <= 3.
+    # Swapping W's L and R is then an odd automorphism, so with the search
+    # on the engine skips such a graph before any product runs.  With the
+    # search off, as above SYMMETRY_SEARCH_LIMIT, the contraction runs (and
+    # may halve a step), and it must give the exact zero too, on every such
+    # graph with k <= 3.
     rng = random.Random(33)
     ctx = Context(3)
     p, q = (random_bivector(rng, ctx, max_terms=3, max_degree=4) for _ in range(2))
     assert all(kgraph_module.derivative_tensor(b, 2, True, True) for b in (p, q))
     graphs = [g for k in (1, 2, 3) for g in _all_graphs(k) if any(l == r for l, r in g.edges)]
     assert len(graphs) == 905  # 473 of them with at most two sinks
-    for graph in graphs:
-        k = graph.n_internal
-        for assignment in ((p, q, p)[:k], (q, p, q)[:k]):
-            assert graph_sum(graph, [assignment]) == {}, render_kgraph(graph)
+    products = []
+
+    def counting_addmul(acc, a, b):
+        products.append(1)
+        addmul(acc, a, b)
+
+    addmul = kgraph_module.addmul
+    monkeypatch.setattr(kgraph_module, "addmul", counting_addmul)
+
+    def graphs_with_products():
+        ran = 0
+        for graph in graphs:
+            products.clear()
+            k = graph.n_internal
+            for assignment in ((p, q, p)[:k], (q, p, q)[:k]):
+                assert graph_sum(graph, [assignment]) == {}, render_kgraph(graph)
+            ran += bool(products)
+        return ran
+
+    assert graphs_with_products() == 0
+    with _no_symmetry_search(monkeypatch):
+        assert not any(kgraph_module._plan(g)[3] for g in graphs)
+        assert graphs_with_products() == 868
 
 
 def _has_odd_automorphism(graph):
@@ -400,7 +438,10 @@ def test_gamma1_rotation_is_used_only_where_the_assignment_respects_it(monkeypat
     # compares the bi-vectors by identity), so (P, Q, Q', Q'') runs every
     # product of the cycle step: the reduced run does fewer, the other one
     # the same.  Both agree with full iteration, in both modes; so does the
-    # probe's P + eps*Delta on every vertex.
+    # probe's P + eps*Delta on every vertex.  Without the rotation, the first
+    # step (V2 with V3) enumerates V2 over a < b and adds the negated mirror:
+    # (P, P, Q, Q) runs 95 / 966 instead of 125 / 1,062.  With it, that step
+    # carries orbit weights and takes V2's full table.
     rng = random.Random(35)
     ctx = Context(3)
     p, q = (random_bivector(rng, ctx, max_terms=4, max_degree=5) for _ in range(2))
@@ -429,7 +470,7 @@ def test_gamma1_rotation_is_used_only_where_the_assignment_respects_it(monkeypat
             full, every = run(hidden, skew)
             assert full == got
             assert (pinned[1] < every[1]) if reduced else (pinned == every)
-        assert pinned == ((61, 500) if reduced else (125, 1062))
+        assert pinned == ((61, 500) if reduced else (95, 966))
     eps_ctx = Context(3, has_epsilon=True)
     p, delta = (random_bivector(rng, eps_ctx, max_terms=4, max_degree=5) for _ in range(2))
     p_tilde = p + delta.mul_poly(Polynomial.epsilon(eps_ctx))
@@ -462,15 +503,79 @@ def test_graph_above_the_search_limit_is_summed_without_a_search(monkeypatch):
     assert searches == [at_limit]
 
 
+def _halved_steps(graph):
+    """The steps of the graph's plan that enumerate a vertex over a < b."""
+    return [mirror for *_, mirror, _, _ in kgraph_module._plan(graph)[1] if mirror]
+
+
+def test_halved_steps_match_naive_evaluation(monkeypatch):
+    # A middle step in which a vertex keeps both of its out-edges enumerates
+    # it over a < b only and adds each entry again at its L/R mirror,
+    # negated (P^{ba} = -P^{ab}).  Checked against full iteration on every
+    # graph with k <= 3 and at most two sinks whose plan halves a step: under
+    # the mixed assignments (P, Q, P) and (Q, P, Q) at n = 3 in both modes,
+    # then once with rational bi-vectors and once with P + eps*Delta at
+    # n = 2.  A 7-vertex chain above SYMMETRY_SEARCH_LIMIT halves five steps;
+    # full iteration over its 2^14 index tuples is slow, so it runs each
+    # mixed assignment in one mode.  The small graphs with a double edge are
+    # zero and skipped with no product; with the search off their halved
+    # steps run, and must cancel exactly.
+    graphs = [
+        g
+        for k in (1, 2, 3)
+        for g in _all_graphs(k)
+        if sum(t[0] == "S" for pair in g.edges for t in pair) <= 2 and _halved_steps(g)
+    ]
+    doubled = [g for g in graphs if any(l == r for l, r in g.edges)]
+    assert (len(graphs), len(doubled)) == (200, 168)
+    chain = parse_kgraph("7; (S1,V3) (V1,S2) (V2,V1) (V3,V2) (V4,V3) (V5,V4) (V6,V5)")
+    assert chain.n_internal > kgraph_module.SYMMETRY_SEARCH_LIMIT and len(_halved_steps(chain)) == 5
+    rng = random.Random(62)
+    ctx2, ctx3, eps2 = Context(2), Context(3), Context(2, has_epsilon=True)
+    p, q = (random_bivector(rng, ctx3, max_terms=3, max_degree=4) for _ in range(2))
+    rational = [random_bivector(rng, ctx2, max_terms=3, max_degree=5).scale(Fraction(c, 6)) for c in (1, -5)]
+    with_eps = [
+        random_bivector(rng, eps2, max_terms=3, max_degree=5)
+        + random_bivector(rng, eps2, max_terms=2, max_degree=5).mul_poly(Polynomial.epsilon(eps2))
+        for _ in range(2)
+    ]
+    assert _denominators(rational) != {1}
+    assert [len(b.comps) for b in (p, q, *rational, *with_eps)] == [3, 3, 1, 1, 1, 1]
+    texts = ("x1^4*x2^3 - 2*x1^2*x2^5 + 3*x1^5", "x1^3*x2^4 + x2^6 - 5*x1*x2^2")
+    long = [MultiVector(ctx2, 2, {(1, 2): Polynomial.parse(text, ctx2)}) for text in texts]
+
+    def naive_checks(graph, runs):
+        nonzero = 0
+        for pair, skew in runs:
+            assignment = (tuple(pair) * graph.n_internal)[: graph.n_internal]  # P, Q, P, ...
+            got = graph_sum(graph, [assignment], skew=skew)
+            assert got == naive_graph_sum(graph, [assignment], skew), (render_kgraph(graph), skew)
+            nonzero += bool(got)
+        return nonzero
+
+    extra = [(rational, False), (with_eps, True)]
+    mixed = [(pair, skew) for pair in ((p, q), (q, p)) for skew in (False, True)]
+    nonzero = sum(naive_checks(graph, mixed + extra) for graph in graphs if graph not in doubled)
+    assert nonzero == 192  # every run of the 32 graphs without a double edge
+    assert naive_checks(chain, [(long, False), (long[::-1], True)] + extra) == 4
+    with _no_symmetry_search(monkeypatch):
+        for graph in doubled:
+            assert graph_sum(graph, [(p, q, p)]) == graph_sum(graph, [(q, p, q)]) == {}, render_kgraph(graph)
+
+
 def test_plan_pins_products_and_term_pairs(monkeypatch):
     # (products, term pairs) at the engine's one product loop.  On gamma2 the
     # plan joins V2, then V1, each with all of its in-edges present, so both
     # are enumerated over ascending indices: 1,376 / 126,266 on row 10 where
     # joining V1 with one in-edge open runs 1,600 / 150,834, and 10,685 /
-    # 26,440 where it runs 11,327 / 27,882 in dim 8.  On gamma1 the rotation
-    # of V2, V3, V4 keeps only the least rotation of each key of the step
-    # that closes their cycle, and e2 <= e4 in the step before: 335 / 26,637
-    # where computing every key runs 591 / 49,393.  The Jacobiator and the
+    # 26,440 where it runs 11,327 / 27,882 in dim 8.  V3 and then V2 keep
+    # both out-edges in their step's result, so each is enumerated a < b and
+    # the step adds the negated mirror: 1,376 / 126,266 -> 800 / 82,371 on
+    # row 10 and 10,685 / 26,440 -> 5,795 / 15,326 in dim 8.  On gamma1 the
+    # rotation of V2, V3, V4 keeps only the least rotation of each key of the
+    # step that closes their cycle, and e2 <= e4 in the step before: 335 /
+    # 26,637 where computing every key runs 591 / 49,393; that first step
+    # carries orbit weights, so V2 is not halved.  The Jacobiator and the
     # brackets have no symmetry to use and keep their counts.
     rows = {rid: spec for rid, _, spec, _ in builtin_rows()}
     p = build_bivector(rows[10])
@@ -486,8 +591,8 @@ def test_plan_pins_products_and_term_pairs(monkeypatch):
     addmul = kgraph_module.addmul
     monkeypatch.setattr(kgraph_module, "addmul", counting_addmul)
     cases = {
-        "gamma2, row 10": (lambda: gamma2(p), (1376, 126266)),
-        "gamma2, dim 8": (lambda: gamma2(dim8), (10685, 26440)),
+        "gamma2, row 10": (lambda: gamma2(p), (800, 82371)),
+        "gamma2, dim 8": (lambda: gamma2(dim8), (5795, 15326)),
         "gamma1, row 10": (lambda: gamma1(p), (335, 26637)),
         "Jacobiator, row 10": (lambda: jacobiator(p), (16, 792)),
         "[[P0, P1]], row 10": (lambda: schouten(p, p1), (32, 14124)),
