@@ -23,11 +23,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
 from itertools import chain, combinations, permutations, product
-from operator import itemgetter
+from operator import itemgetter, or_
 
-from .polyring import ContextMismatchError, _denominator_lcm, addmul, addto, finish
+from .polyring import EXPONENT_LIMIT, ContextMismatchError, _denominator_lcm, addmul, addto, finish
 from .polyring import _check_guard, _diff, _nonzero
 
 
@@ -104,8 +104,8 @@ def render_kgraph(g: KGraph) -> str:
     return f"{g.n_internal}; {body}"
 
 
-def derivative_tensor(p, m: int, mirrored: bool, ascending: bool) -> dict:
-    """Nonzero m-th derivatives of a bi-vector's matrix, a < b unless mirrored.
+def derivative_tensor(p, m: int, ascending: bool) -> dict:
+    """Nonzero m-th derivatives of a bi-vector's matrix, a < b.
 
     Keys are (a, b, c1, ..., cm), values the term maps of the nonzero
     d^m P^{ab} / dx_{c1} ... dx_{cm}: every order of the c's, or only
@@ -122,7 +122,7 @@ def derivative_tensor(p, m: int, mirrored: bool, ascending: bool) -> dict:
             for c in range(key[-1] if step and ascending else 1, n + 1)
             if (d := _diff(terms, shifts[c]))
         }
-    return _mirror(table) if mirrored else table
+    return table
 
 
 def _mirror(table: dict) -> dict:
@@ -152,8 +152,8 @@ def graph_sum(g: KGraph, assignments: list, skew: bool = False) -> dict:
     Every vertex is a sparse tensor over its edges (L, R, in-edges): {index
     tuple: term map of the derivative of P^{LR} along the in-edge indices}.
     They are contracted pairwise along shared edges as the graph's cached
-    ``_plan`` says; after a step, the guard bits are checked and zero terms
-    dropped.  The products of the last step go straight into the result.
+    ``_plan`` says; after a step, zero terms are dropped.  The products of
+    the last step go straight into the result.
     Derivatives commute: a vertex whose in-edges (two or more) all meet a
     step's result is enumerated ascending on them, and that result is summed
     onto ascending indices there as it is built.  Any other vertex table
@@ -174,6 +174,11 @@ def graph_sum(g: KGraph, assignments: list, skew: bool = False) -> dict:
     denominators of all the bi-vectors, each distinct bi-vector is replaced
     by one copy D * p, so every product of the k vertices carries D^k and
     each result coefficient is divided by D^k once, at the end.
+
+    Derivatives only lower exponents, so no product of k vertex factors
+    reaches k * E, E the largest field of the OR of all the monomials of the
+    bi-vectors.  Only when k * E >= EXPONENT_LIMIT are the guard bits checked
+    after each step, before a field can carry; ``finish`` checks each result.
     """
     vertices, steps, sinks, symmetries = _plan(g)
     k = g.n_internal
@@ -184,12 +189,14 @@ def graph_sum(g: KGraph, assignments: list, skew: bool = False) -> dict:
             raise ValueError("expected a bi-vector (degree 2)")
         if p.ctx != ctx:
             raise ContextMismatchError("bi-vectors from different contexts")
+    monos = (m for p in distinct.values() for poly in p.comps.values() for m in poly.terms)
+    guarded = k * max(ctx.unpack(reduce(or_, monos, 0))) >= EXPONENT_LIMIT
     scale = _denominator_lcm(poly for p in distinct.values() for poly in p.comps.values())
     if scale != 1:
         scaled = {key: p.scale(scale) for key, p in distinct.items()}
         assignments = [tuple(scaled[id(p)] for p in ps) for ps in assignments]
 
-    derivs: dict = {}  # (id(p), m, mirrored, ascending) -> derivative_tensor(p, ...)
+    derivs: dict = {}  # (id(p), m, mirrored, ascending) -> a vertex table
 
     def vertex_tensor(p, m, mirrored, ascending) -> dict:
         which = (id(p), m, mirrored, ascending)
@@ -198,7 +205,7 @@ def graph_sum(g: KGraph, assignments: list, skew: bool = False) -> dict:
             derivs[which] = (
                 _mirror(vertex_tensor(p, m, False, ascending))
                 if mirrored
-                else derivative_tensor(p, m, False, ascending)
+                else derivative_tensor(p, m, ascending)
             )
         return derivs[which]
 
@@ -235,7 +242,10 @@ def graph_sum(g: KGraph, assignments: list, skew: bool = False) -> dict:
                 _contract(ea, tensors[a], eb, tensors[b], lambda key: half.setdefault(key, {}))
                 flip = _fold_key(len(ec), fold, mirror[1:])
                 for key, terms in half.items():
-                    addto(acc.setdefault(flip(key), {}), terms, -1)
+                    if (at := flip(key)) in acc:
+                        addto(acc[at], terms, -1)
+                    else:
+                        acc[at] = {m: -c for m, c in terms.items()}
                     into = acc.setdefault(out(key), terms)  # a new key takes the entry itself
                     if into is not terms:
                         addto(into, terms)
@@ -251,7 +261,8 @@ def graph_sum(g: KGraph, assignments: list, skew: bool = False) -> dict:
                 for weight, part in weighted.items():
                     for key, terms in part.items():
                         addto(acc.setdefault(key, {}), terms, weight)
-            _check_guard(ctx, list(chain.from_iterable(acc.values())))
+            if guarded:
+                _check_guard(ctx, list(chain.from_iterable(acc.values())))
             tensors.append({key: kept for key, terms in acc.items() if (kept := _nonzero(terms))})
         a, b, ea, eb, *_ = last
         _contract(ea, tensors[a], eb, tensors[b], lambda key: sink_slot(pick(key)))
@@ -447,6 +458,16 @@ def _fold_key(width: int, positions: tuple, swapped: tuple = ()):
     if swapped:
         i, j = swapped
         source[i], source[j] = j, i
+    keep = _picker(source) if swapped else tuple  # tuple(key) is key itself
+    if not positions:
+        return keep
+    if len(positions) == 2:
+        # one comparison: source, or source with the fold positions exchanged
+        i, j = positions
+        lo, hi = source[i], source[j]
+        source[i], source[j] = hi, lo
+        cross = _picker(source)
+        return lambda key: keep(key) if key[lo] <= key[hi] else cross(key)
     pick = _picker([source[at] for at in positions])
     # The key with its sorted picked indices appended, read back in key order.
     order = [width + positions.index(at) if at in positions else source[at] for at in range(width)]
@@ -458,7 +479,11 @@ def _contract(ea: tuple, ta: dict, eb: tuple, tb: dict, slot) -> None:
     """Add the contraction of two tensors along their shared edges into term
     dicts, one per key over the free edges (a's, then b's): ``slot(key)``
     gives the dict at the key's first product, or None to drop the key.
-    No context is checked here."""
+    The smaller tensor is grouped by its shared indices.  No context is
+    checked here."""
+    a_outer = len(ta) >= len(tb)
+    if not a_outer:  # so that ta is the larger
+        ea, ta, eb, tb = eb, tb, ea, ta
     shared = [e for e in ea if e in eb]
     link_a = _picker([ea.index(e) for e in shared])
     link_b = _picker([eb.index(e) for e in shared])
@@ -471,7 +496,7 @@ def _contract(ea: tuple, ta: dict, eb: tuple, tb: dict, slot) -> None:
     for key, pa in ta.items():
         head = rest_a(key)
         for tail, pb in groups.get(link_a(key), ()):
-            full = head + tail
+            full = head + tail if a_outer else tail + head
             if full not in slots:
                 slots[full] = slot(full)
             terms = slots[full]

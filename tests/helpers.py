@@ -1,8 +1,9 @@
 """Shared randomized builders and independent reference evaluators.
 
 The evaluators here are deliberately written from the defining formulas with
-plain nested loops and no pruning, caching, or index bookkeeping shared with
-the package, so they can serve as independent oracles.
+plain nested loops and no pruning or index bookkeeping shared with the
+package, so they can serve as independent oracles.  The one cache, of the
+vertex factors in ``naive_graph_tensor``, holds values of the definition.
 """
 
 from fractions import Fraction
@@ -64,8 +65,10 @@ def naive_graph_tensor(graph, bivectors):
     """Graph evaluation by full iteration over every edge assignment.
 
     Vertex v carries bivectors[v-1]; the graph may have any number m of
-    sinks.  Enumerates all n^(2k) assignments and recomputes every factor
-    from scratch; returns {(index into S1, ..., index into Sm): polynomial}
+    sinks.  Enumerates all n^(2k) assignments and multiplies the k vertex
+    factors of each; a factor, the entry P^{ab} differentiated along the
+    vertex's in-edges, is built once per tuple of the vertex's own edge
+    indices.  Returns {(index into S1, ..., index into Sm): polynomial}
     with the zero entries left out.
     """
     ctx = bivectors[0].ctx
@@ -74,15 +77,26 @@ def naive_graph_tensor(graph, bivectors):
     targets = [t for pair in graph.edges for t in pair]
     m = max((i for kind, i in targets if kind == "S"), default=0)
     sinks = [targets.index(("S", s)) for s in range(1, m + 1)]
-    tensor = {}
+    # vertex v's own edges: its out-edges L and R, then its in-edges
+    own = [
+        (2 * v - 2, 2 * v - 1, *(e for e, target in enumerate(targets) if target == ("V", v)))
+        for v in range(1, k + 1)
+    ]
+    factors = [{} for _ in range(k)]  # per vertex: own edge indices -> factor
+
+    def factor(v, idx):
+        if idx not in factors[v]:
+            poly = bivectors[v].entry(idx[0], idx[1])
+            for c in idx[2:]:
+                poly = poly.diff(c)
+            factors[v][idx] = poly
+        return factors[v][idx]
+
+    one, tensor = Polynomial.one(ctx), {}
     for assign in product(range(1, n + 1), repeat=2 * k):
-        term = Polynomial.one(ctx)
-        for v in range(1, k + 1):
-            factor = bivectors[v - 1].entry(assign[2 * (v - 1)], assign[2 * (v - 1) + 1])
-            for e, target in enumerate(targets):
-                if target == ("V", v):
-                    factor = factor.diff(assign[e])
-            term = term * factor
+        term = one
+        for v in range(k):
+            term = term * factor(v, tuple(assign[e] for e in own[v]))
             if term.is_zero:
                 break
         if not term.is_zero:

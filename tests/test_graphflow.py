@@ -322,7 +322,7 @@ def test_graphs_with_a_double_edge_vanish(monkeypatch):
     rng = random.Random(33)
     ctx = Context(3)
     p, q = (random_bivector(rng, ctx, max_terms=3, max_degree=4) for _ in range(2))
-    assert all(kgraph_module.derivative_tensor(b, 2, True, True) for b in (p, q))
+    assert all(kgraph_module.derivative_tensor(b, 2, True) for b in (p, q))
     graphs = [g for k in (1, 2, 3) for g in _all_graphs(k) if any(l == r for l, r in g.edges)]
     assert len(graphs) == 905  # 473 of them with at most two sinks
     products = []
@@ -563,6 +563,29 @@ def test_halved_steps_match_naive_evaluation(monkeypatch):
             assert graph_sum(graph, [(p, q, p)]) == graph_sum(graph, [(q, p, q)]) == {}, render_kgraph(graph)
 
 
+def test_fold_maps_match_the_sort_definition():
+    # _fold_key builds a two-position fold as one comparison choosing one of
+    # two permutations, and a longer one by a sort.  Both are checked against
+    # the definition (exchange the entries at ``swapped``, then put the
+    # entries at ``positions`` in order) on every key at n = 3 of widths 2
+    # to 5, every ordered position tuple of length 0, 2 and 3, and every
+    # swapped pair as well as none.
+    for width in range(2, 6):
+        keys = list(product(range(1, 4), repeat=width))
+        folds = [(), *permutations(range(width), 2), *permutations(range(width), 3)]
+        for swapped in [(), *combinations(range(width), 2)]:
+            for positions in folds:
+                fold = kgraph_module._fold_key(width, positions, swapped)
+                for key in keys:
+                    want = list(key)
+                    if swapped:
+                        i, j = swapped
+                        want[i], want[j] = want[j], want[i]
+                    for at, index in zip(positions, sorted(want[at] for at in positions)):
+                        want[at] = index
+                    assert fold(key) == tuple(want), (width, positions, swapped, key)
+
+
 def test_plan_pins_products_and_term_pairs(monkeypatch):
     # (products, term pairs) at the engine's one product loop.  On gamma2 the
     # plan joins V2, then V1, each with all of its in-edges present, so both
@@ -726,9 +749,9 @@ def test_rational_bivectors_share_one_derivative_table_each(monkeypatch):
     # rational bi-vector builds as many derivative tables as of an integral one.
     tables = []
 
-    def counting_tensor(p, m, mirrored, ascending):
-        tables.append((m, mirrored, ascending))
-        return derivative_tensor(p, m, mirrored, ascending)
+    def counting_tensor(p, m, ascending):
+        tables.append((m, ascending))
+        return derivative_tensor(p, m, ascending)
 
     derivative_tensor = kgraph_module.derivative_tensor
     monkeypatch.setattr(kgraph_module, "derivative_tensor", counting_tensor)
@@ -757,6 +780,39 @@ def test_exponent_overflow_inside_a_flow_fails_loudly():
     }
     with pytest.raises(ExponentOverflowError):
         gamma1(MultiVector(ctx, 2, comps))
+
+
+def test_guard_bits_are_checked_between_steps_only_when_an_exponent_can_overflow(monkeypatch):
+    # Derivatives only lower exponents, so no product of k vertex factors has
+    # an exponent above k * E, E the largest exponent of the call's
+    # bi-vectors.  Below EXPONENT_LIMIT no guard bits are checked between
+    # steps, and the flows keep their reference values; at k * E ==
+    # EXPONENT_LIMIT both middle steps of gamma2 are checked again (no
+    # product overflows here: one vertex carries the high power).
+    calls = []
+
+    def counting_check(ctx, monos):
+        calls.append(len(monos))
+        check_guard(ctx, monos)
+
+    check_guard = kgraph_module._check_guard
+    monkeypatch.setattr(kgraph_module, "_check_guard", counting_check)
+    res1, res2 = gamma1(p0()), gamma2(p0())
+    assert calls == []
+    for (i, j), text in P1_UPPER.items():
+        assert res1.raw.entry(i, j) == parse4(text)
+    assert [[entry.render() for entry in row] for row in res2.raw.entries] == [
+        [parse4(text).render() for text in row] for row in P2_RAW
+    ]
+    ctx = Context(3)
+    q = random_bivector(random.Random(34), ctx, max_terms=3, max_degree=4)
+    top = EXPONENT_LIMIT // GAMMA2_GRAPH.n_internal
+    for e, checks in ((top - 1, 0), (top, 2)):
+        p = MultiVector(ctx, 2, {(1, 2): Polynomial(ctx, {(2, 1, e): 1, (1, 1, 2): 3})})
+        calls.clear()
+        got = graph_sum(GAMMA2_GRAPH, [(p, q, q, q)])
+        assert len(calls) == checks
+        assert got and got == naive_graph_sum(GAMMA2_GRAPH, [(p, q, q, q)])
 
 
 def test_dim2_balanced_flow_brackets_trivially():
