@@ -180,15 +180,10 @@ def graph_sum(g: KGraph, assignments: list, skew: bool = False) -> dict:
     bi-vectors.  Only when k * E >= EXPONENT_LIMIT are the guard bits checked
     after each step, before a field can carry; ``finish`` checks each result.
     """
+    distinct = check_sum(g, assignments)
     vertices, steps, sinks, symmetries = _plan(g)
     k = g.n_internal
     ctx = assignments[0][0].ctx
-    distinct = {id(p): p for ps in assignments for p in ps}
-    for p in distinct.values():
-        if p.degree != 2:
-            raise ValueError("expected a bi-vector (degree 2)")
-        if p.ctx != ctx:
-            raise ContextMismatchError("bi-vectors from different contexts")
     monos = (m for p in distinct.values() for poly in p.comps.values() for m in poly.terms)
     guarded = k * max(ctx.unpack(reduce(or_, monos, 0))) >= EXPONENT_LIMIT
     scale = _denominator_lcm(poly for p in distinct.values() for poly in p.comps.values())
@@ -273,6 +268,21 @@ def graph_sum(g: KGraph, assignments: list, skew: bool = False) -> dict:
     return {
         key: poly for key, terms in plus.items() if (poly := finish(ctx, terms).scale(inverse))
     }
+
+
+def check_sum(g: KGraph, assignments: list) -> dict:
+    """The checks of ``graph_sum`` that need no product: the graph's plan
+    (every sink needs in-degree one) and the assigned bi-vectors, of degree
+    2 and one context.  Returns the distinct bi-vectors by id."""
+    _plan(g)
+    ctx = assignments[0][0].ctx
+    distinct = {id(p): p for ps in assignments for p in ps}
+    for p in distinct.values():
+        if p.degree != 2:
+            raise ValueError("expected a bi-vector (degree 2)")
+        if p.ctx != ctx:
+            raise ContextMismatchError("bi-vectors from different contexts")
+    return distinct
 
 
 @cache

@@ -116,58 +116,67 @@ def find_ratios(p: MultiVector, basis: Sequence[MultiVector]) -> RatioSolution:
         raise ValueError("empty basis")
     if not is_poisson(p):
         raise ValueError("input bi-vector is not Poisson")
-    brackets = [schouten(p, b) for b in basis]
-    rows: dict = {}  # (component, monomial) -> row of coefficients
-    for col, t in enumerate(brackets):
+    return _ratio_space([schouten(p, b) for b in basis])
+
+
+def _ratio_space(brackets: "list[MultiVector]") -> RatioSolution:
+    """The null space of sum_i c_i * brackets[i] = 0, solved in integers.
+
+    Column i is multiplied by s_i, the lcm of the denominators of brackets[i].
+    Each row, one per (component, monomial), is reduced against the kept
+    rows; a row left nonzero is kept and reduces them in turn.  The kept rows
+    are primitive, with a positive pivot and zeros at the other pivots: the
+    unique reduced echelon form up to a positive factor per row, whatever the
+    row order.  A free column f gives the null vector that is 1 at f and 0 at
+    the other free columns, scaled back by the s_i and made primitive.
+    """
+    ncols = len(brackets)
+    scales = [_denominator_lcm(t.comps.values()) for t in brackets]
+    rows: dict = {}  # (component, monomial) -> row of scaled coefficients
+    for col, (t, s) in enumerate(zip(brackets, scales)):
         for idx, poly in t.comps.items():
             for mono, c in poly.terms.items():
-                rows.setdefault((idx, mono), [Fraction(0)] * len(basis))[col] = Fraction(c)
-    kernel = _nullspace(list(rows.values()), len(basis))
-    return RatioSolution(len(kernel), tuple(_primitive(v) for v in kernel))
-
-
-def _nullspace(matrix: "list[list[Fraction]]", ncols: int) -> "list[list[Fraction]]":
-    """Exact null-space basis by rational Gauss-Jordan elimination."""
-    mat = [row[:] for row in matrix]
-    pivots: list = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if pr is None:
+                rows.setdefault((idx, mono), [0] * ncols)[col] = c.numerator * (s // c.denominator)
+    echelon: dict = {}  # pivot column -> its kept row
+    for row in rows.values():
+        for pc, kept in echelon.items():
+            if row[pc]:
+                row = _eliminate(row, kept, pc)
+        pc = next((c for c, x in enumerate(row) if x), None)
+        if pc is None:
             continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        pv = mat[r][c]
-        mat[r] = [x / pv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
+        row = _primitive(row)
+        for c, kept in list(echelon.items()):
+            if kept[pc]:
+                echelon[c] = _primitive(_eliminate(kept, row, pc))
+        echelon[pc] = row
+        if len(echelon) == ncols:
             break
-    free = [c for c in range(ncols) if c not in pivots]
     kernel = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for rowi, pc in enumerate(pivots):
-            v[pc] = -mat[rowi][fc]
-        kernel.append(v)
-    return kernel
+    for f in (c for c in range(ncols) if c not in echelon):
+        lead = lcm(*(kept[pc] for pc, kept in echelon.items() if kept[f]))
+        vec = [0] * ncols
+        vec[f] = lead
+        for pc, kept in echelon.items():
+            vec[pc] = -kept[f] * (lead // kept[pc])
+        kernel.append(_primitive([x * s for x, s in zip(vec, scales)]))
+    return RatioSolution(len(kernel), tuple(kernel))
 
 
-def _primitive(vec: "list[Fraction]") -> tuple:
-    """Scale a rational vector to primitive integers, first nonzero positive."""
-    denom = lcm(*(x.denominator for x in vec))
-    ints = [int(x * denom) for x in vec]
-    g = gcd(*ints)
-    if g > 1:
-        ints = [x // g for x in ints]
-    lead = next((x for x in ints if x != 0), 1)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return tuple(ints)
+def _eliminate(row, kept, pc: int) -> list:
+    """kept[pc] * row - row[pc] * kept, which is 0 at the pivot column ``pc``
+    of ``kept``."""
+    a, b = kept[pc], row[pc]
+    return [a * x - b * y for x, y in zip(row, kept)]
+
+
+def _primitive(vec) -> tuple:
+    """A nonzero integer vector divided by the gcd of its entries, with its
+    first nonzero entry made positive."""
+    g = gcd(*vec)
+    if next(x for x in vec if x) < 0:
+        g = -g
+    return tuple(x // g for x in vec)
 
 
 def perturb_probe(p: MultiVector, delta: MultiVector) -> dict:

@@ -279,11 +279,15 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _emit_flow(args, skew: MultiVector, raw, label: str) -> None:
-    """Emit a skew part, and with --raw also the raw matrix it came from."""
+def _emit_flow(args, result, label: str) -> None:
+    """Emit a flow's skew part, and with --raw also the raw matrix it came
+    from.  The raw matrix is read first, so that the skew part is read off
+    it and the flow runs one graph sum."""
+    raw = result.raw if args.raw else None
+    skew = result.skew
     doc = {"artifact": skew.to_json_dict()}
     lines = _mv_lines(skew, label)
-    if args.raw:
+    if raw is not None:
         doc = {"artifact": {"skew": doc["artifact"], "raw": raw.to_json_dict()}}
         lines.append("raw matrix:")
         for i, row in enumerate(raw.entries, start=1):
@@ -297,10 +301,10 @@ def _cmd_flow(args) -> int:
         if args.raw:
             raise _UsageError("--raw applies to gamma1/gamma2 only")
         skew = balanced_flow(p, _parse_rational(args.a), _parse_rational(args.b))
-        _emit_flow(args, skew, None, "balanced skew part")
+        _emit(args, {"artifact": skew.to_json_dict()}, _mv_lines(skew, "balanced skew part"))
     else:
         result = (gamma1 if args.which == "gamma1" else gamma2)(p)
-        _emit_flow(args, result.skew, result.raw, f"{args.which} skew part")
+        _emit_flow(args, result, f"{args.which} skew part")
     return 0
 
 
@@ -389,8 +393,7 @@ def _cmd_tables(args) -> int:
 def _cmd_graph(args) -> int:
     g = parse_kgraph(args.text)
     p = _load_mv(args.bivector)
-    result = evaluate_kgraph(g, p)
-    _emit_flow(args, result.skew, result.raw, "skew part")
+    _emit_flow(args, evaluate_kgraph(g, p), "skew part")
     return 0
 
 

@@ -23,13 +23,14 @@ have a nonzero diagonal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from ._kgraph import (
     GraphParseError,
     GraphStructureError,
     KGraph,
+    check_sum,
     graph_sum,
     parse_kgraph,
     render_kgraph,
@@ -53,39 +54,57 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class FlowResult:
-    """A graph/flow evaluation: full coefficient matrix plus its skew part."""
+    """A two-sink graph on a bi-vector: the full coefficient matrix ``raw``
+    and its skew part ``skew``, each evaluated on its first read and kept.
+    ``skew`` read first is the skew graph sum, which runs no product for the
+    diagonal; read after ``raw``, it is read off the raw matrix."""
 
-    raw: RawMatrix
-    skew: MultiVector
+    def __init__(self, g: KGraph, p: MultiVector):
+        self._graph, self._assignments, self._ctx = g, [(p,) * g.n_internal], p.ctx
+        self._paired = any(l[0] == r[0] == "S" for l, r in g.edges)
+
+    @cached_property
+    def raw(self) -> RawMatrix:
+        """Entry (a, b): the graph with index a into S1 and b into S2."""
+        n = self._ctx.dim
+        zero = Polynomial.zero(self._ctx)
+        result = [[zero] * n for _ in range(n)]
+        for (a, b), poly in graph_sum(self._graph, self._assignments).items():
+            result[a - 1][b - 1] = poly
+            if self._paired:  # graph_sum leaves out the mirror entries
+                result[b - 1][a - 1] = -poly
+        return RawMatrix(self._ctx, result)
+
+    @cached_property
+    def skew(self) -> MultiVector:
+        """The upper triangle of ``raw`` when a vertex holds both sinks (the
+        matrix is then antisymmetric), else (M^{ab} - M^{ba}) / 2."""
+        if "raw" in self.__dict__:
+            entry, n = self.raw.entry, self._ctx.dim
+            comps = {
+                (a, b): entry(a, b) if self._paired else entry(a, b) - entry(b, a)
+                for a in range(1, n + 1)
+                for b in range(a + 1, n + 1)
+            }
+        else:
+            comps = graph_sum(self._graph, self._assignments, skew=True)
+        skew = MultiVector(self._ctx, 2, comps)
+        return skew if self._paired else skew.scale(Fraction(1, 2))
 
 
 def evaluate_kgraph(g: KGraph, p: MultiVector) -> FlowResult:
     """Evaluate the polydifferential operator of a two-sink graph on a bi-vector.
 
     Entry (a, b) of the raw matrix is the graph with P on every vertex,
-    index a on the edge into S1 and b on the edge into S2.  A vertex holding
-    both sinks makes the matrix antisymmetric, and its upper triangle is the
-    skew part; otherwise the skew part is (M^{ab} - M^{ba}) / 2.
+    index a on the edge into S1 and b on the edge into S2; its
+    antisymmetrization is the skew part.  The graph and the bi-vector are
+    checked here; the products run when a part of the result is first read.
     """
     if {t for pair in g.edges for t in pair if t[0] == "S"} != {("S", 1), ("S", 2)}:
         raise GraphStructureError("flow evaluation needs exactly the two sinks S1 and S2")
-    paired = any(l[0] == r[0] == "S" for l, r in g.edges)
-    n = p.ctx.dim
-    zero = Polynomial.zero(p.ctx)
-    result = [[zero] * n for _ in range(n)]
-    for (a, b), poly in graph_sum(g, [(p,) * g.n_internal]).items():
-        result[a - 1][b - 1] = poly
-        if paired:  # graph_sum leaves out the mirror entries
-            result[b - 1][a - 1] = -poly
-    half = Fraction(1, 2)
-    skew = {
-        (a + 1, b + 1): result[a][b] if paired else (result[a][b] - result[b][a]).scale(half)
-        for a in range(n)
-        for b in range(a + 1, n)
-    }
-    return FlowResult(RawMatrix(p.ctx, result), MultiVector(p.ctx, 2, skew))
+    check_sum(g, [(p,) * g.n_internal])
+    return FlowResult(g, p)
 
 
 def gamma1(p: MultiVector) -> FlowResult:

@@ -44,9 +44,10 @@ reads their ``lam``-coefficients with :meth:`Polynomial.epsilon_split`.
 from __future__ import annotations
 
 import re
+import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from math import lcm
 from operator import or_
 from typing import Iterator, Mapping, Sequence
@@ -159,18 +160,21 @@ class Context:
         return mono
 
     def unpack(self, mono: int) -> "tuple[int, ...]":
-        """The exponent vector of a packed monomial."""
-        exps = []
-        for _ in range(self.nslots):
-            exps.append(mono & _FIELD)
-            mono >>= EXP_BITS
-        return tuple(reversed(exps))
+        """The exponent vector of a packed monomial (of its low nslots fields)."""
+        fields = _fields(self.nslots)
+        return fields.unpack((mono & ((1 << 8 * fields.size) - 1)).to_bytes(fields.size, "big"))
 
     def with_epsilon(self) -> "Context":
         return Context(self.dim, True)
 
     def without_epsilon(self) -> "Context":
         return Context(self.dim, False)
+
+
+@cache
+def _fields(nslots: int) -> struct.Struct:
+    """The layout of a packed monomial: nslots big-endian 16-bit fields."""
+    return struct.Struct(f">{nslots}H")
 
 
 def _require_same_ctx(a: "Polynomial", b: "Polynomial") -> None:
@@ -554,17 +558,13 @@ class Polynomial:
             ((sum(exps), mono, exps) for mono, exps in ((m, unpack(m)) for m in self.terms)),
             reverse=True,
         )
+        names = [self.ctx.slot_name(slot) for slot in range(self.ctx.nslots)]
         pieces = []
         for _, mono, exps in rows:
             c = self.terms[mono]
             neg = c < 0
             mag = -c if neg else c
-            factors = []
-            for slot, e in enumerate(exps):
-                if e == 0:
-                    continue
-                name = self.ctx.slot_name(slot)
-                factors.append(name if e == 1 else f"{name}^{e}")
+            factors = [name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e]
             if not factors:
                 body = str(mag)
             elif mag == 1:

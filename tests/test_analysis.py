@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from tetraflows.analysis import (
     FLAG_NAMES,
-    _nullspace,
-    _primitive,
+    RatioSolution,
+    _ratio_space,
     builtin_rows,
     compat_report,
     find_ratios,
@@ -190,13 +190,29 @@ def test_find_ratios_matches_brute_force_sympy_reference(p, factors):
     assert find_ratios(p, basis) == fraction_find_ratios(p, basis)
 
 
+def _brackets_of(matrix):
+    """One tri-vector per column of ``matrix``: row r is the coefficient of
+    x1^r in the (1, 2, 3) component."""
+    columns = [{(r, 0, 0): row[col] for r, row in enumerate(matrix)} for col in range(len(matrix[0]))]
+    return [MultiVector(CTX3, 3, {(1, 2, 3): Polynomial(CTX3, terms)}) for terms in columns]
+
+
 def test_nullspace_and_primitive_scaling():
-    rows = [[Fraction(6), Fraction(-1)], [Fraction(12), Fraction(-2)]]
-    kernel = _nullspace(rows, 2)
-    assert len(kernel) == 1
-    assert _primitive(kernel[0]) == (1, 6)
-    assert _nullspace([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]], 2) == []
-    assert _primitive([Fraction(-2, 3), Fraction(-4, 3)]) == (1, 2)
+    # The integer solver on coefficient matrices: each column is cleared of
+    # its denominators, and each null vector is scaled back and made
+    # primitive with its first nonzero entry positive, whatever the row order.
+    half, third, sixth = Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)
+    cases = [
+        ([[6, -1], [12, -2]], ((1, 6),)),
+        ([[1, 0], [0, 1]], ()),
+        ([[Fraction(4, 3), Fraction(-2, 3)]], ((1, 2),)),
+        ([[0, 5]], ((1, 0),)),
+        # three columns, two of them free, with rational entries
+        ([[half, third, -sixth], [-3 * half, -1, half]], ((2, -3, 0), (1, 0, 3))),
+    ]
+    for matrix, basis in cases:
+        for rows in (matrix, matrix[::-1]):
+            assert _ratio_space(_brackets_of(rows)) == RatioSolution(len(basis), basis), rows
 
 
 # -- perturbation probe --------------------------------------------------------

@@ -7,6 +7,7 @@ from itertools import combinations, permutations, product
 import pytest
 
 import tetraflows._kgraph as kgraph_module
+import tetraflows.graphflow as graphflow_module
 from tetraflows._kgraph import graph_sum
 from tetraflows.analysis import builtin_rows
 from tetraflows.generators import VanhaeckeSpec, build_bivector
@@ -175,6 +176,59 @@ def test_skew_vanishing_graph_kills_arbitrary_skew_input():
         assert all(q.is_zero for row in res.raw.entries for q in row)
 
 
+def test_skew_read_alone_equals_skew_read_after_raw():
+    # .skew read first runs the skew graph sum (no diagonal, halved for
+    # gamma2, whose sinks sit on two vertices); read after .raw it is read
+    # off the raw matrix.  Both must equal the skew part of the raw matrix,
+    # and of the naive evaluator's where it is cheap: it loops over n^8 index
+    # assignments (13 s over rows 1-10, far longer in dim 8).
+    rng = random.Random(36)
+    rows = {rid: spec for rid, _, spec, _ in builtin_rows()}
+    inputs = [(build_bivector(rows[rid]), rid in (1, 2, 8)) for rid in range(1, 11)]
+    inputs.append((build_bivector(VanhaeckeSpec(4, [(2, 1, 1)])), False))
+    eps_ctx = Context(3).with_epsilon()
+    eps = Polynomial.epsilon(eps_ctx)
+    for _ in range(3):
+        p = random_bivector(rng, Context(3), max_terms=3)
+        scales = {idx: Fraction(rng.choice((-5, 1, 3)), rng.randint(1, 6)) for idx in p.comps}
+        rational = MultiVector(p.ctx, 2, {idx: q.scale(scales[idx]) for idx, q in p.comps.items()})
+        delta = random_bivector(rng, eps_ctx, max_terms=2, max_degree=2)
+        inputs += [(rational, True), (rational.lift(eps_ctx) + delta.mul_poly(eps), True)]
+    eps_orders = set()
+    for p, naive in inputs:
+        for graph in (GAMMA1_GRAPH, GAMMA2_GRAPH):
+            alone = evaluate_kgraph(graph, p).skew
+            flow = evaluate_kgraph(graph, p)
+            raw = flow.raw
+            assert alone == flow.skew == skew_of_raw(raw), render_kgraph(graph)
+            if naive:
+                assert raw == RawMatrix(p.ctx, naive_evaluate_kgraph_raw(graph, p))
+            if p.ctx.has_epsilon:
+                eps_orders.update(k for q in alone.comps.values() for k in q.epsilon_split())
+    assert eps_orders > {0, 1}
+
+
+def test_each_part_read_first_runs_one_graph_sum(monkeypatch):
+    calls = []
+
+    def counting_graph_sum(g, assignments, skew=False):
+        calls.append(skew)
+        return graph_sum(g, assignments, skew)
+
+    monkeypatch.setattr(graphflow_module, "graph_sum", counting_graph_sum)
+    p = random_bivector(random.Random(37), Context(3), max_terms=3)
+    for graph in (GAMMA1_GRAPH, GAMMA2_GRAPH, WEDGE_GRAPH):
+        flow = evaluate_kgraph(graph, p)
+        assert calls == []
+        flow.raw, flow.skew, flow.raw
+        assert calls == [False]
+        calls.clear()
+        flow = evaluate_kgraph(graph, p)
+        flow.skew, flow.skew
+        assert calls == [True]
+        calls.clear()
+
+
 def test_sink_swap_transposes_raw_and_negates_skew():
     rng = random.Random(24)
     for graph in (WEDGE_GRAPH, GAMMA1_GRAPH, GAMMA2_GRAPH):
@@ -268,7 +322,7 @@ def test_contraction_matches_naive_evaluation_on_random_graphs():
         flow = evaluate_kgraph(graph, p)
         raw = flow.raw
         assert raw == RawMatrix(ctx, naive_evaluate_kgraph_raw(graph, p)), render_kgraph(graph)
-        assert flow.skew == skew_of_raw(raw), render_kgraph(graph)
+        assert flow.skew == evaluate_kgraph(graph, p).skew == skew_of_raw(raw), render_kgraph(graph)
         nonzero = any(not q.is_zero for row in raw.entries for q in row)
         sink_vertices = {v for v, pair in enumerate(graph.edges) for t in pair if t[0] == "S"}
         features = {
@@ -599,7 +653,10 @@ def test_plan_pins_products_and_term_pairs(monkeypatch):
     # step that closes their cycle, and e2 <= e4 in the step before: 335 /
     # 26,637 where computing every key runs 591 / 49,393; that first step
     # carries orbit weights, so V2 is not halved.  The Jacobiator and the
-    # brackets have no symmetry to use and keep their counts.
+    # brackets have no symmetry to use and keep their counts.  The skew part
+    # read alone runs the skew sum, which runs no product for a repeated
+    # sink index: gamma2's diagonal costs 56 / 9,646 on row 10 and 115 / 553
+    # in dim 8.
     rows = {rid: spec for rid, _, spec, _ in builtin_rows()}
     p = build_bivector(rows[10])
     p1, p2 = gamma1(p).skew, gamma2(p).skew
@@ -614,9 +671,11 @@ def test_plan_pins_products_and_term_pairs(monkeypatch):
     addmul = kgraph_module.addmul
     monkeypatch.setattr(kgraph_module, "addmul", counting_addmul)
     cases = {
-        "gamma2, row 10": (lambda: gamma2(p), (800, 82371)),
-        "gamma2, dim 8": (lambda: gamma2(dim8), (5795, 15326)),
-        "gamma1, row 10": (lambda: gamma1(p), (335, 26637)),
+        "gamma2, row 10": (lambda: gamma2(p).raw, (800, 82371)),
+        "gamma2, dim 8": (lambda: gamma2(dim8).raw, (5795, 15326)),
+        "gamma2 skew, row 10": (lambda: gamma2(p).skew, (744, 72725)),
+        "gamma2 skew, dim 8": (lambda: gamma2(dim8).skew, (5680, 14773)),
+        "gamma1, row 10": (lambda: gamma1(p).raw, (335, 26637)),
         "Jacobiator, row 10": (lambda: jacobiator(p), (16, 792)),
         "[[P0, P1]], row 10": (lambda: schouten(p, p1), (32, 14124)),
         "[[P0, P2]], row 10": (lambda: schouten(p, p2), (48, 18358)),
@@ -778,8 +837,11 @@ def test_exponent_overflow_inside_a_flow_fails_loudly():
         (1, 3): Polynomial(ctx, {(1, 2, e): 1}),
         (2, 3): Polynomial(ctx, {(1, 1, e): -1}),
     }
+    p = MultiVector(ctx, 2, comps)
     with pytest.raises(ExponentOverflowError):
-        gamma1(MultiVector(ctx, 2, comps))
+        gamma1(p).skew
+    with pytest.raises(ExponentOverflowError):
+        gamma1(p).raw
 
 
 def test_guard_bits_are_checked_between_steps_only_when_an_exponent_can_overflow(monkeypatch):
@@ -798,12 +860,12 @@ def test_guard_bits_are_checked_between_steps_only_when_an_exponent_can_overflow
     check_guard = kgraph_module._check_guard
     monkeypatch.setattr(kgraph_module, "_check_guard", counting_check)
     res1, res2 = gamma1(p0()), gamma2(p0())
-    assert calls == []
     for (i, j), text in P1_UPPER.items():
         assert res1.raw.entry(i, j) == parse4(text)
     assert [[entry.render() for entry in row] for row in res2.raw.entries] == [
         [parse4(text).render() for text in row] for row in P2_RAW
     ]
+    assert calls == []
     ctx = Context(3)
     q = random_bivector(random.Random(34), ctx, max_terms=3, max_degree=4)
     top = EXPONENT_LIMIT // GAMMA2_GRAPH.n_internal

@@ -179,6 +179,15 @@ def test_constructor_rejects_exponents_at_the_limit():
         Polynomial(CTX3, {(1, -1, 0): 1})
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([CTX3, Context(2, True), Context(9)]), st.integers(-(1 << 200), 1 << 200))
+def test_unpack_reads_the_low_fields_of_any_int(ctx, mono):
+    # The field-by-field definition: the lowest nslots EXP_BITS-bit fields of
+    # the int's two's complement, most significant first.
+    fields = [(mono >> (EXP_BITS * s)) & ((1 << EXP_BITS) - 1) for s in range(ctx.nslots)]
+    assert ctx.unpack(mono) == tuple(reversed(fields))
+
+
 def test_product_overflow_raises_instead_of_carrying():
     top = EXPONENT_LIMIT - 1
     p = Polynomial.monomial(CTX3, (top, 0, 0))
