@@ -22,13 +22,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache, reduce
 from itertools import chain, combinations, permutations, product
+from math import lcm
 from operator import itemgetter, or_
 
-from .polyring import EXPONENT_LIMIT, ContextMismatchError, _denominator_lcm, addmul, addto, finish
-from .polyring import _check_guard, _diff, _nonzero
+from .polyring import EXPONENT_LIMIT, ContextMismatchError, _denominator_lcm, addmul, addto
+from .polyring import _check_guard, _diff, _nonzero, _norm_coeff, _quotient
 
 
 class GraphParseError(ValueError):
@@ -130,7 +130,7 @@ def _mirror(table: dict) -> dict:
     return table | {(k[1], k[0]) + k[2:]: {m: -c for m, c in t.items()} for k, t in table.items()}
 
 
-def graph_sum(g: KGraph, assignments: list, skew: bool = False) -> dict:
+def graph_sum(g: KGraph | list, assignments: list, skew: bool = False) -> dict:
     """Sum of a graph's evaluations over assignments of bi-vectors to it.
 
     An assignment is a tuple of bi-vectors, one per vertex, vertex 1 first.
@@ -138,6 +138,13 @@ def graph_sum(g: KGraph, assignments: list, skew: bool = False) -> dict:
     With ``skew`` a product goes to the key of its sorted sink indices,
     negated when the sort is an odd permutation, or is dropped when a sink
     index repeats.
+
+    ``g`` is a graph, or a weighted combination of graphs with the same
+    sinks: a list of (weight, graph) pairs, int or Fraction weights, whose
+    sum is sum_i w_i * graph_sum(g_i, assignments, skew) in one pass, with
+    one derivative table cache and one accumulator.  A graph with k vertices
+    reads the first k bi-vectors of each assignment; a zero weight runs no
+    product.
 
     A vertex holding two sinks is taken only for a < b on its out-edges:
     the entries with a > b are the negations and are left out, so with
@@ -172,24 +179,29 @@ def graph_sum(g: KGraph, assignments: list, skew: bool = False) -> dict:
 
     Every product runs in integers: with D the lcm of the coefficient
     denominators of all the bi-vectors, each distinct bi-vector is replaced
-    by one copy D * p, so every product of the k vertices carries D^k and
-    each result coefficient is divided by D^k once, at the end.
+    by one copy D * p, so every product of the k vertices carries D^k.  With
+    K the most vertices of a graph of nonzero weight and L the lcm of the
+    weights' denominators, graph i contributes L * w_i * D^(K - k_i) times
+    its products (a factor put on the smaller operand of its last step, and
+    none for a lone weight-1 graph), and each result coefficient is divided
+    by L * D^K once, at the end (``_quotient``).
 
     Derivatives only lower exponents, so no product of k vertex factors
     reaches k * E, E the largest field of the OR of all the monomials of the
     bi-vectors.  Only when k * E >= EXPONENT_LIMIT are the guard bits checked
     after each step, before a field can carry; ``finish`` checks each result.
     """
-    distinct = check_sum(g, assignments)
-    vertices, steps, sinks, symmetries = _plan(g)
-    k = g.n_internal
+    combination, distinct = _weighted(g), check_sum(g, assignments)
     ctx = assignments[0][0].ctx
     monos = (m for p in distinct.values() for poly in p.comps.values() for m in poly.terms)
-    guarded = k * max(ctx.unpack(reduce(or_, monos, 0))) >= EXPONENT_LIMIT
+    top = max(ctx.unpack(reduce(or_, monos, 0)))
     scale = _denominator_lcm(poly for p in distinct.values() for poly in p.comps.values())
     if scale != 1:
         scaled = {key: p.scale(scale) for key, p in distinct.items()}
         assignments = [tuple(scaled[id(p)] for p in ps) for ps in assignments]
+    common = lcm(*(w.denominator for w, _ in combination))
+    most = max((h.n_internal for w, h in combination if w), default=0)
+    parts = [((w * common).numerator * scale ** (most - h.n_internal), h) for w, h in combination if w]
 
     derivs: dict = {}  # (id(p), m, mirrored, ascending) -> a vertex table
 
@@ -212,15 +224,15 @@ def graph_sum(g: KGraph, assignments: list, skew: bool = False) -> dict:
         if placed:
             return (minus if placed[1] else plus).setdefault(placed[0], {})
 
-    *middle, last = steps
-    pick = _picker(sinks)
-    for ps in assignments:
+    for (factor, graph), ps in product(parts, assignments):
+        vertices, steps, sinks, symmetries = _plan(graph)
+        *middle, last = steps
         respected = tuple(
             i for i, (image, _) in enumerate(symmetries) if all(ps[w] is p for w, p in zip(image, ps))
         )
         if any(sum(symmetries[i][1]) % 2 for i in respected):
             continue  # an odd automorphism negates this assignment's graph: it is zero
-        rules = _orbit_rules(g, respected)
+        rules = _orbit_rules(graph, respected)
         # a step with orbit weights takes every key, so its vertex is not halved
         halved = {mirror[0] for (*_, mirror, _, _), weigh in zip(middle, rules) if mirror and not weigh}
         # Operands in plan order: the vertices, the unit tensor, step results.
@@ -256,25 +268,29 @@ def graph_sum(g: KGraph, assignments: list, skew: bool = False) -> dict:
                 for weight, part in weighted.items():
                     for key, terms in part.items():
                         addto(acc.setdefault(key, {}), terms, weight)
-            if guarded:
+            if graph.n_internal * top >= EXPONENT_LIMIT:
                 _check_guard(ctx, list(chain.from_iterable(acc.values())))
             tensors.append({key: kept for key, terms in acc.items() if (kept := _nonzero(terms))})
         a, b, ea, eb, *_ = last
+        if factor != 1:  # the graph's factor goes on its smaller last operand
+            x = min((a, b), key=lambda x: sum(map(len, tensors[x].values())))
+            tensors[x] = {key: {m: factor * c for m, c in t.items()} for key, t in tensors[x].items()}
+        pick = _picker(sinks)
         _contract(ea, tensors[a], eb, tensors[b], lambda key: sink_slot(pick(key)))
 
     for key, terms in minus.items():
         addto(plus.setdefault(key, {}), terms, -1)
-    inverse = Fraction(1, scale**k)
-    return {
-        key: poly for key, terms in plus.items() if (poly := finish(ctx, terms).scale(inverse))
-    }
+    q = common * scale**most
+    return {key: poly for key, terms in plus.items() if (poly := _quotient(ctx, terms, q))}
 
 
-def check_sum(g: KGraph, assignments: list) -> dict:
-    """The checks of ``graph_sum`` that need no product: the graph's plan
-    (every sink needs in-degree one) and the assigned bi-vectors, of degree
-    2 and one context.  Returns the distinct bi-vectors by id."""
-    _plan(g)
+def check_sum(g: KGraph | list, assignments: list) -> dict:
+    """The checks of ``graph_sum`` that need no product: the plan of each
+    graph (every sink needs in-degree one), the weights (int or Fraction)
+    and the assigned bi-vectors, of degree 2 and one context.  Returns the
+    distinct bi-vectors by id."""
+    for _, h in _weighted(g):
+        _plan(h)
     ctx = assignments[0][0].ctx
     distinct = {id(p): p for ps in assignments for p in ps}
     for p in distinct.values():
@@ -283,6 +299,11 @@ def check_sum(g: KGraph, assignments: list) -> dict:
         if p.ctx != ctx:
             raise ContextMismatchError("bi-vectors from different contexts")
     return distinct
+
+
+def _weighted(g: KGraph | list) -> list:
+    """A graph or a list of (weight, graph) pairs as (weight, graph) pairs."""
+    return [(1, g)] if isinstance(g, KGraph) else [(_norm_coeff(w), h) for w, h in g]
 
 
 @cache

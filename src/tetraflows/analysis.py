@@ -15,7 +15,6 @@ All zero-tests are exact canonical-form equalities, never numeric.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
@@ -25,8 +24,8 @@ from .generators import (
     generator_to_json_dict,
 )
 from .graphflow import balanced_flow, gamma1, gamma2
-from .multivector import MultiVector, is_poisson, mv_linear_combination, schouten
-from .polyring import Polynomial, _denominator_lcm
+from .multivector import MultiVector, is_poisson, jacobiator, mv_linear_combination, schouten
+from .polyring import Polynomial, _denominator_lcm, _quotient
 
 __all__ = [
     "FLAG_NAMES",
@@ -191,8 +190,9 @@ def perturb_probe(p: MultiVector, delta: MultiVector) -> dict:
 
     The brackets run on the integer multiple D * P~ (D the lcm of the
     coefficient denominators of P and Delta together).  [[P~, P~]] is
-    quadratic and [[P~, Q(P~)]] quintic in P~, so every order of the first
-    is divided back exactly by D^2 and every order of the second by D^5.
+    quadratic and [[P~, Q(P~)]] quintic in P~, so every order of the first,
+    2 * Jac(D * P~), is divided back exactly by D^2 and every order of the
+    second by D^5, one quotient per coefficient.
     """
     ctx = p.ctx
     if not ctx.has_epsilon:
@@ -208,17 +208,16 @@ def perturb_probe(p: MultiVector, delta: MultiVector) -> dict:
     # Fractions; scaled here, they stay ints up to the one division per part.
     d = _denominator_lcm([*p.comps.values(), *delta.comps.values()])
     p_tilde = (p + delta.mul_poly(Polynomial.epsilon(ctx))).scale(d)
-    jac = schouten(p_tilde, p_tilde)
-    compat = schouten(p_tilde, balanced_flow(p_tilde, 1, 6))
-    j_parts = jac.epsilon_split()
-    c_parts = compat.epsilon_split()
+    j_parts = jacobiator(p_tilde).epsilon_split()
+    c_parts = schouten(p_tilde, balanced_flow(p_tilde, 1, 6)).epsilon_split()
     base = ctx.without_epsilon()
     zero = MultiVector.zero(base, 3)
+
+    def divided(part: MultiVector, q: int, c: int = 1) -> MultiVector:
+        return MultiVector(base, 3, {idx: _quotient(base, poly.terms, q, c) for idx, poly in part.comps.items()})
+
     return {
-        k: (
-            j_parts.get(k, zero).scale(Fraction(1, d**2)),
-            c_parts.get(k, zero).scale(Fraction(1, d**5)),
-        )
+        k: (divided(j_parts.get(k, zero), d**2, 2), divided(c_parts.get(k, zero), d**5))
         for k in sorted(set(j_parts) | set(c_parts))
     }
 

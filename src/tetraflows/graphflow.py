@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 
 from ._kgraph import (
     GraphParseError,
@@ -35,8 +36,8 @@ from ._kgraph import (
     parse_kgraph,
     render_kgraph,
 )
-from .multivector import MultiVector, RawMatrix, mv_linear_combination
-from .polyring import Polynomial
+from .multivector import MultiVector, RawMatrix
+from .polyring import Polynomial, _norm_coeff, _quotient
 
 __all__ = [
     "GraphParseError",
@@ -61,36 +62,45 @@ class FlowResult:
     diagonal; read after ``raw``, it is read off the raw matrix."""
 
     def __init__(self, g: KGraph, p: MultiVector):
-        self._graph, self._assignments, self._ctx = g, [(p,) * g.n_internal], p.ctx
-        self._paired = any(l[0] == r[0] == "S" for l, r in g.edges)
+        self._graph, self._p = g, p
 
     @cached_property
     def raw(self) -> RawMatrix:
         """Entry (a, b): the graph with index a into S1 and b into S2."""
-        n = self._ctx.dim
-        zero = Polynomial.zero(self._ctx)
-        result = [[zero] * n for _ in range(n)]
-        for (a, b), poly in graph_sum(self._graph, self._assignments).items():
+        ctx = self._p.ctx
+        zero = Polynomial.zero(ctx)
+        result = [[zero] * ctx.dim for _ in range(ctx.dim)]
+        for (a, b), poly in graph_sum(self._graph, [(self._p,) * self._graph.n_internal]).items():
             result[a - 1][b - 1] = poly
-            if self._paired:  # graph_sum leaves out the mirror entries
+            if _paired(self._graph):  # graph_sum leaves out the mirror entries
                 result[b - 1][a - 1] = -poly
-        return RawMatrix(self._ctx, result)
+        return RawMatrix(ctx, result)
 
     @cached_property
     def skew(self) -> MultiVector:
         """The upper triangle of ``raw`` when a vertex holds both sinks (the
         matrix is then antisymmetric), else (M^{ab} - M^{ba}) / 2."""
-        if "raw" in self.__dict__:
-            entry, n = self.raw.entry, self._ctx.dim
-            comps = {
-                (a, b): entry(a, b) if self._paired else entry(a, b) - entry(b, a)
-                for a in range(1, n + 1)
-                for b in range(a + 1, n + 1)
-            }
-        else:
-            comps = graph_sum(self._graph, self._assignments, skew=True)
-        skew = MultiVector(self._ctx, 2, comps)
-        return skew if self._paired else skew.scale(Fraction(1, 2))
+        if "raw" not in self.__dict__:
+            return _skew_sum([(1, self._graph)], self._p)
+        entry, ctx = self.raw.entry, self._p.ctx
+        # (M^{ab} - M^{ba}) / 2 is also the upper triangle of an antisymmetric M
+        pairs = combinations(range(1, ctx.dim + 1), 2)
+        return MultiVector(ctx, 2, {(a, b): _quotient(ctx, (entry(a, b) - entry(b, a)).terms, 2) for a, b in pairs})
+
+
+def _paired(g: KGraph) -> bool:
+    """Whether one vertex of g holds both sinks."""
+    return any(l[0] == r[0] == "S" for l, r in g.edges)
+
+
+def _skew_sum(combination: list, p: MultiVector) -> MultiVector:
+    """sum_i w_i * (the skew part of graph g_i on P) over the (w_i, g_i) of
+    ``combination``, as one skew graph sum.  The skew sum of a graph whose
+    sinks sit on one vertex is that skew part; of any other graph it is
+    M^{ab} - M^{ba}, twice the skew part, so its weight is halved."""
+    halved = [(w if _paired(g) else Fraction(_norm_coeff(w), 2), g) for w, g in combination]
+    most = max(g.n_internal for _, g in combination)
+    return MultiVector(p.ctx, 2, graph_sum(halved, [(p,) * most], skew=True))
 
 
 def evaluate_kgraph(g: KGraph, p: MultiVector) -> FlowResult:
@@ -119,8 +129,9 @@ def gamma2(p: MultiVector) -> FlowResult:
 
 
 def balanced_flow(p: MultiVector, a, b) -> MultiVector:
-    """The combination a * gamma1(P).skew + b * gamma2(P).skew."""
-    return mv_linear_combination([(a, gamma1(p).skew), (b, gamma2(p).skew)])
+    """The combination a * gamma1(P).skew + b * gamma2(P).skew, as one skew
+    graph sum: 1:6 runs with the integer weights (1, 3)."""
+    return _skew_sum([(a, GAMMA1_GRAPH), (b, GAMMA2_GRAPH)], p)
 
 
 # The two tetrahedra of the module docstring.

@@ -74,6 +74,10 @@ class MultiVector:
     def __setattr__(self, name, value):
         raise AttributeError("MultiVector is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild through the constructor, not by setattr
+        return MultiVector, (self.ctx, self.degree, self.comps)
+
     @classmethod
     def zero(cls, ctx: Context, degree: int) -> "MultiVector":
         return cls(ctx, degree)
@@ -198,6 +202,10 @@ class RawMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("RawMatrix is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild through the constructor, not by setattr
+        return RawMatrix, (self.ctx, self.entries)
+
     def entry(self, i: int, j: int) -> Polynomial:
         """1-based entry M^{ij}."""
         return self.entries[i - 1][j - 1]
@@ -224,10 +232,10 @@ def schouten(p: MultiVector, q: MultiVector) -> MultiVector:
     """Schouten bracket of two bi-vectors (a tri-vector); symmetric in (p, q).
 
     The bracket graph summed over the assignments (P, Q) and (Q, P); when p
-    equals q the two are equal, so one of them is taken twice.
+    equals q the two are equal, so one of them is taken with weight 2.
     """
     if p is q or p == q:
-        return jacobiator(p).scale(2)
+        return MultiVector(p.ctx, 3, graph_sum([(2, _BRACKET_GRAPH)], [(p, p)], skew=True))
     return MultiVector(p.ctx, 3, graph_sum(_BRACKET_GRAPH, [(p, q), (q, p)], skew=True))
 
 

@@ -247,6 +247,17 @@ def finish(ctx: Context, acc: dict) -> "Polynomial":
     return Polynomial._raw(ctx, acc)
 
 
+def _quotient(ctx: Context, acc: dict, q: int, c: int = 1) -> "Polynomial":
+    """The canonical Polynomial of ``c / q`` times a term dict, for ints c and
+    q > 0: each quotient is built once, as ``Fraction(c * v, q)``, and made
+    an int by :func:`finish` where it is integral.  Graph sums and the probe
+    divide their results here.  Like :func:`finish` it changes no entry of
+    ``acc``, which may become the result's term map."""
+    if q == 1:
+        return finish(ctx, acc if c == 1 else {m: c * v for m, v in acc.items()})
+    return finish(ctx, {m: Fraction(c * v, q) for m, v in acc.items() if v})
+
+
 def _diff(terms: Mapping, shift: int) -> dict:
     """The term dict of the derivative of a term map along the slot at bit
     offset ``shift``; the only differentiation loop.  It adds no zero term."""
@@ -286,6 +297,10 @@ class Polynomial:
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
+
+    def __reduce__(self):
+        # pickle and copy rebuild through the constructor, not by setattr
+        return Polynomial._raw, (self.ctx, self.terms)
 
     # -- constructors ------------------------------------------------------
 

@@ -24,7 +24,15 @@ from tetraflows.graphflow import (
     parse_kgraph,
     render_kgraph,
 )
-from tetraflows.multivector import _BRACKET_GRAPH, MultiVector, RawMatrix, is_poisson, jacobiator, schouten
+from tetraflows.multivector import (
+    _BRACKET_GRAPH,
+    MultiVector,
+    RawMatrix,
+    is_poisson,
+    jacobiator,
+    mv_linear_combination,
+    schouten,
+)
 from tetraflows.polyring import EXPONENT_LIMIT, Context, ExponentOverflowError, Polynomial
 
 from example4d import P1_UPPER, P2_RAW, P2_SKEW, ctx4, p0, parse4
@@ -732,6 +740,124 @@ def test_three_sink_graph_sums_match_naive_evaluation():
     assert {("paired", True), ("split", True)} <= seen
 
 
+# -- weighted combinations of graphs ------------------------------------------------
+
+
+def _combine(weighted_sums):
+    """sum_i w_i * S_i over (w_i, S_i) pairs of graph sums, zeros left out."""
+    total = {}
+    for w, sums in weighted_sums:
+        for key, poly in sums.items():
+            total[key] = total.get(key, Polynomial.zero(poly.ctx)) + poly.scale(w)
+    return {key: poly for key, poly in total.items() if not poly.is_zero}
+
+
+def test_weighted_graph_sums_match_naive_and_separate_sums():
+    # A weighted combination of graphs with k = 1..4 vertices over shared
+    # assignments (a graph reads the first k bi-vectors of each), with
+    # rational and zero weights and a double-edge graph, on bi-vectors with
+    # different denominators: the one graph_sum call equals the weighted sum
+    # of the naive evaluator's sums and of separate graph_sum calls, in both
+    # modes.  A graph with fewer vertices than the most carries the factor
+    # D^(K - k) inside the sum, and the weights' lcm is divided out at the end.
+    rng = random.Random(38)
+    ctx = Context(3)
+    double = parse_kgraph("3; (S1,V3) (V3,V3) (V2,S2)")  # V2's double edge: it vanishes
+    nonzero, seen = set(), set()
+    for sinks in (2, 3):
+        for trial in range(3):
+            graphs = [double] if sinks == 2 else []
+            graphs += [_random_graph(rng, k, 0, sinks) for k in (1, 2, 3, 4) if k * 2 >= sinks]
+            weights = [rng.choice((Fraction(-3, 4), Fraction(5, 6), 2, -1, 0)) for _ in graphs]
+            weights[1], weights[-1] = weights[1] if trial else 0, Fraction(2, 3)
+            combination = list(zip(weights, graphs))
+            seen.update(w == 0 for w in weights)
+            seen.update("double edge" for w, g in combination if w and g is double)
+            p, q = _rational_bivector(rng, ctx), _rational_bivector(rng, ctx)
+            assignments = [tuple(rng.choice((p, q)) for _ in range(4)) for _ in range(2)]
+            for skew in (False, True):
+                got = graph_sum(combination, assignments, skew=skew)
+                naive = _combine((w, naive_graph_sum(g, assignments, skew)) for w, g in combination)
+                separate = _combine((w, graph_sum(g, assignments, skew)) for w, g in combination)
+                assert got == naive == separate, ([render_kgraph(g) for g in graphs], weights, skew)
+                nonzero.update((sinks, skew) for _ in got)
+    assert nonzero == {(2, False), (2, True), (3, False), (3, True)}
+    assert seen == {True, False, "double edge"}
+    assert graph_sum([(0, GAMMA1_GRAPH), (0, GAMMA2_GRAPH)], [(p,) * 4]) == {}
+    with pytest.raises(TypeError):
+        graph_sum([(1.5, GAMMA1_GRAPH)], [(p,) * 4])
+
+
+def test_balanced_flow_is_the_combination_of_the_skew_parts():
+    # The one weighted skew sum equals the linear combination of the two
+    # skew parts on grid rows 1-10, the flows workload's dim-8 input, and
+    # rational and eps-context inputs, with integer, rational and zero weights.
+    rng = random.Random(39)
+    rows = {rid: spec for rid, _, spec, _ in builtin_rows()}
+    inputs = [build_bivector(rows[rid]) for rid in range(1, 11)]
+    inputs.append(build_bivector(VanhaeckeSpec(4, [(2, 1, 1)])))
+    eps_ctx = Context(3).with_epsilon()
+    for _ in range(2):
+        rational = _rational_bivector(rng, Context(3))
+        inputs += [rational, _rational_bivector(rng, eps_ctx, extra=_rational_bivector(rng, eps_ctx))]
+    weights = [(1, 6), (Fraction(2, 3), Fraction(-5, 7)), (3, Fraction(1, 2)), (0, 5), (-2, 0)]
+    for at, p in enumerate(inputs):
+        for a, b in (weights[0], weights[at % len(weights)]):
+            want = mv_linear_combination([(a, gamma1(p).skew), (b, gamma2(p).skew)])
+            assert balanced_flow(p, a, b) == want, (at, a, b)
+
+
+def _probe_p_tilde():
+    """The eps-probe's P~ on grid row 2: P + eps * Delta, scaled by D = 12 as
+    ``perturb_probe`` does.  Delta has the shape of the probe benchmark's:
+    per component c, a multiple of 1/3 times x^(2, 1, 0) rotated by c places
+    and a multiple of 1/4 times x1*x2*x3."""
+    p = build_bivector(next(spec for rid, _, spec, _ in builtin_rows() if rid == 2))
+    ctx = p.ctx.with_epsilon()
+    delta = MultiVector(
+        ctx,
+        2,
+        {
+            (1, 2): Polynomial(ctx, {(2, 1, 0, 0): Fraction(-2, 3), (1, 1, 1, 0): Fraction(3, 4)}),
+            (1, 3): Polynomial(ctx, {(1, 0, 2, 0): Fraction(1, 3), (1, 1, 1, 0): Fraction(-1, 4)}),
+            (2, 3): Polynomial(ctx, {(0, 2, 1, 0): Fraction(2, 3), (1, 1, 1, 0): Fraction(1, 4)}),
+        },
+    )
+    return (p.lift(ctx) + delta.mul_poly(Polynomial.epsilon(ctx))).scale(12)
+
+
+def test_balanced_flow_runs_the_products_of_both_skew_parts_with_shared_tables(monkeypatch):
+    # One weighted sum runs exactly the products and term pairs of
+    # gamma1(P).skew and gamma2(P).skew together, and the two graphs share
+    # the first-derivative table: 3 derivative tables, where two separate
+    # flows build 2 each.  Its weights 1 and 6 / 2 = 3 are integers, so no
+    # coefficient is divided.  (The probe benchmark's seeded Deltas give 351
+    # products and 15,052-15,118 term pairs.)
+    p = _probe_p_tilde()
+    counts, tables = [0, 0], []
+
+    def counting_addmul(acc, a, b):
+        counts[0] += 1
+        counts[1] += len(a) * len(b)
+        addmul(acc, a, b)
+
+    def counting_tensor(p, m, ascending):
+        tables.append((m, ascending))
+        return derivative_tensor(p, m, ascending)
+
+    addmul, derivative_tensor = kgraph_module.addmul, kgraph_module.derivative_tensor
+    monkeypatch.setattr(kgraph_module, "addmul", counting_addmul)
+    monkeypatch.setattr(kgraph_module, "derivative_tensor", counting_tensor)
+    parts = []
+    for run in (lambda: gamma1(p).skew, lambda: gamma2(p).skew, lambda: balanced_flow(p, 1, 6)):
+        counts[:], tables[:] = [0, 0], []
+        run()
+        parts.append((*counts, len(tables)))
+    (p1, t1, d1), (p2, t2, d2), balanced = parts
+    assert (d1, d2) == (2, 2)
+    assert balanced == (p1 + p2, t1 + t2, 3) == (351, 15115, 3)
+
+
 # -- integer arithmetic for rational bi-vectors ------------------------------------
 
 
@@ -891,3 +1017,6 @@ def test_balanced_flow_weights():
     assert balanced_flow(bi, 0, 0).is_zero
     assert balanced_flow(bi, 1, 0) == gamma1(bi).skew
     assert balanced_flow(bi, 0, 1) == gamma2(bi).skew
+    for a, b in ((1.5, 6), (1, 6.0), (True, 6), (1, True)):
+        with pytest.raises(TypeError):
+            balanced_flow(bi, a, b)

@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -17,6 +19,7 @@ from tetraflows.graphflow import (
 )
 from tetraflows.multivector import (
     MultiVector,
+    RawMatrix,
     is_poisson,
     jacobiator,
     mv_linear_combination,
@@ -340,6 +343,19 @@ def test_json_roundtrip_trivector_and_epsilon():
     doc = lifted.to_json_dict()
     assert doc["epsilon"] is True
     assert MultiVector.from_json_dict(doc) == lifted
+
+
+def test_pickle_and_deepcopy_keep_results_immutable():
+    eps_ctx = ctx4().with_epsilon()
+    tri = schouten(p0(), gamma1(p0()).skew)
+    results = [p0(), tri, p0().lift(eps_ctx), MultiVector.zero(ctx4(), 3), gamma2(p0()).raw]
+    for obj in results:
+        copies = [pickle.loads(pickle.dumps(obj, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for twin in copies + [copy.deepcopy(obj)]:
+            assert type(twin) is type(obj) and twin == obj and twin.to_json_dict() == obj.to_json_dict()
+            with pytest.raises(AttributeError, match="immutable"):
+                twin.ctx = eps_ctx
+    assert isinstance(results[-1], RawMatrix)
 
 
 def test_flow_result_skew_recomputable_from_raw():

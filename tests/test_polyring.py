@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -13,6 +15,7 @@ from tetraflows.polyring import (
     ExponentOverflowError,
     PolyParseError,
     Polynomial,
+    _quotient,
 )
 
 from example4d import JACOBI_123_TERMS, REFERENCE_CORPUS
@@ -88,6 +91,16 @@ def test_scale_normalizes_integral_fractions():
     p = parse("2*x1").scale(Fraction(3, 2))
     assert p == parse("3*x1")
     assert isinstance(next(iter(p.terms.values())), int)
+
+
+def test_pickle_and_deepcopy_keep_the_polynomial_immutable():
+    eps_ctx = CTX3.with_epsilon()
+    for p in (parse("x1 + 2*x2", CTX3), parse("-3/4*x1^2*eps + 5*x2 - 1/6", eps_ctx), Polynomial.zero(CTX4)):
+        copies = [pickle.loads(pickle.dumps(p, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for q in copies + [copy.deepcopy(p), copy.copy(p)]:
+            assert q == p and q.render() == p.render()
+            with pytest.raises(AttributeError, match="immutable"):
+                q.terms = {}
 
 
 def test_scalars_are_int_or_fraction_only():
@@ -270,3 +283,12 @@ def test_leibniz_rule(p, q, i):
 @given(polys(), st.integers(1, 3), st.integers(1, 3))
 def test_commuting_partials(p, i, j):
     assert p.diff(i).diff(j) == p.diff(j).diff(i)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(), st.integers(1, 60), st.integers(-6, 6))
+def test_quotient_is_the_exact_scaling(p, q, c):
+    # one Fraction per coefficient, integral quotients back to int, zeros dropped
+    got = _quotient(CTX3, p.terms, q, c)
+    assert got == p.scale(Fraction(c, q))
+    assert all(type(v) is int for v in got.terms.values() if v.denominator == 1)
