@@ -249,13 +249,18 @@ def finish(ctx: Context, acc: dict) -> "Polynomial":
 
 def _quotient(ctx: Context, acc: dict, q: int, c: int = 1) -> "Polynomial":
     """The canonical Polynomial of ``c / q`` times a term dict, for ints c and
-    q > 0: each quotient is built once, as ``Fraction(c * v, q)``, and made
-    an int by :func:`finish` where it is integral.  Graph sums and the probe
+    q > 0: each quotient is an exact int where q divides ``c * v``, and a
+    ``Fraction(c * v, q)`` only where it does not.  Graph sums and the probe
     divide their results here.  Like :func:`finish` it changes no entry of
     ``acc``, which may become the result's term map."""
     if q == 1:
         return finish(ctx, acc if c == 1 else {m: c * v for m, v in acc.items()})
-    return finish(ctx, {m: Fraction(c * v, q) for m, v in acc.items() if v})
+    out = {}
+    for m, v in acc.items():
+        if v:
+            whole, rest = divmod(c * v, q)
+            out[m] = Fraction(c * v, q) if rest else whole
+    return finish(ctx, out)
 
 
 def _diff(terms: Mapping, shift: int) -> dict:

@@ -1,6 +1,6 @@
 import random
 import re
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
@@ -380,7 +380,8 @@ def test_graphs_with_a_double_edge_vanish(monkeypatch):
     # on the engine skips such a graph before any product runs.  With the
     # search off, as above SYMMETRY_SEARCH_LIMIT, the contraction runs (and
     # may halve a step), and it must give the exact zero too, on every such
-    # graph with k <= 3.
+    # graph with k <= 3.  Support pruning leaves 804 of them with a product
+    # (868 without it).
     rng = random.Random(33)
     ctx = Context(3)
     p, q = (random_bivector(rng, ctx, max_terms=3, max_degree=4) for _ in range(2))
@@ -409,7 +410,7 @@ def test_graphs_with_a_double_edge_vanish(monkeypatch):
     assert graphs_with_products() == 0
     with _no_symmetry_search(monkeypatch):
         assert not any(kgraph_module._plan(g)[3] for g in graphs)
-        assert graphs_with_products() == 868
+        assert graphs_with_products() == 804
 
 
 def _has_odd_automorphism(graph):
@@ -501,9 +502,11 @@ def test_gamma1_rotation_is_used_only_where_the_assignment_respects_it(monkeypat
     # product of the cycle step: the reduced run does fewer, the other one
     # the same.  Both agree with full iteration, in both modes; so does the
     # probe's P + eps*Delta on every vertex.  Without the rotation, the first
-    # step (V2 with V3) enumerates V2 over a < b and adds the negated mirror:
-    # (P, P, Q, Q) runs 95 / 966 instead of 125 / 1,062.  With it, that step
-    # carries orbit weights and takes V2's full table.
+    # step (V2 with V3) enumerates V2 over a < b and adds the negated mirror
+    # (before support pruning, (P, P, Q, Q) ran 95 / 966 halved and 125 /
+    # 1,062 unhalved).  With it, that step carries orbit weights and takes V2's
+    # full table.  Support pruning takes (P, Q, Q, Q) from 61 / 500 to 46 /
+    # 426 and (P, P, Q, Q) from 95 / 966 to 80 / 838.
     rng = random.Random(35)
     ctx = Context(3)
     p, q = (random_bivector(rng, ctx, max_terms=4, max_degree=5) for _ in range(2))
@@ -532,7 +535,7 @@ def test_gamma1_rotation_is_used_only_where_the_assignment_respects_it(monkeypat
             full, every = run(hidden, skew)
             assert full == got
             assert (pinned[1] < every[1]) if reduced else (pinned == every)
-        assert pinned == ((61, 500) if reduced else (95, 966))
+        assert pinned == ((46, 426) if reduced else (80, 838))
     eps_ctx = Context(3, has_epsilon=True)
     p, delta = (random_bivector(rng, eps_ctx, max_terms=4, max_degree=5) for _ in range(2))
     p_tilde = p + delta.mul_poly(Polynomial.epsilon(eps_ctx))
@@ -664,11 +667,15 @@ def test_plan_pins_products_and_term_pairs(monkeypatch):
     # brackets have no symmetry to use and keep their counts.  The skew part
     # read alone runs the skew sum, which runs no product for a repeated
     # sink index: gamma2's diagonal costs 56 / 9,646 on row 10 and 115 / 553
-    # in dim 8.
+    # in dim 8.  Support pruning drops the keys of a middle step that can
+    # meet no partner later on: no change on the dense row 10; in dim 8
+    # gamma2 5,795 / 15,326 -> 4,437 / 12,019 (skew 5,680 / 14,773 -> 4,322
+    # / 11,466) and gamma1 3,142 / 7,488 -> 371 / 1,119, in dim 6 gamma1
+    # 1,642 / 12,578 -> 546 / 4,479.
     rows = {rid: spec for rid, _, spec, _ in builtin_rows()}
     p = build_bivector(rows[10])
     p1, p2 = gamma1(p).skew, gamma2(p).skew
-    dim8 = build_bivector(VanhaeckeSpec(4, [(2, 1, 1)]))
+    dim8, dim6 = build_bivector(VanhaeckeSpec(4, [(2, 1, 1)])), build_bivector(VanhaeckeSpec(3, [(3, 1, 1)]))
     counts = [0, 0]
 
     def counting_addmul(acc, a, b):
@@ -680,10 +687,12 @@ def test_plan_pins_products_and_term_pairs(monkeypatch):
     monkeypatch.setattr(kgraph_module, "addmul", counting_addmul)
     cases = {
         "gamma2, row 10": (lambda: gamma2(p).raw, (800, 82371)),
-        "gamma2, dim 8": (lambda: gamma2(dim8).raw, (5795, 15326)),
+        "gamma2, dim 8": (lambda: gamma2(dim8).raw, (4437, 12019)),
         "gamma2 skew, row 10": (lambda: gamma2(p).skew, (744, 72725)),
-        "gamma2 skew, dim 8": (lambda: gamma2(dim8).skew, (5680, 14773)),
+        "gamma2 skew, dim 8": (lambda: gamma2(dim8).skew, (4322, 11466)),
         "gamma1, row 10": (lambda: gamma1(p).raw, (335, 26637)),
+        "gamma1, dim 8": (lambda: gamma1(dim8).raw, (371, 1119)),
+        "gamma1, dim 6": (lambda: gamma1(dim6).raw, (546, 4479)),
         "Jacobiator, row 10": (lambda: jacobiator(p), (16, 792)),
         "[[P0, P1]], row 10": (lambda: schouten(p, p1), (32, 14124)),
         "[[P0, P2]], row 10": (lambda: schouten(p, p2), (48, 18358)),
@@ -701,6 +710,92 @@ def test_plan_is_built_once_per_graph():
     gamma2(random_bivector(rng, Context(4)))
     after = kgraph_module._plan.cache_info()
     assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+
+@contextmanager
+def _no_pruning(monkeypatch):
+    """Graph sums made inside install no support test in any step."""
+    with monkeypatch.context() as patch:
+        patch.setattr(kgraph_module, "_supports", lambda middle, *_: [None] * len(middle))
+        yield
+
+
+def _counting_products(monkeypatch):
+    """Count the engine's products from here on, in the returned list."""
+    products = [0]
+
+    def counting_addmul(acc, a, b):
+        products[0] += 1
+        addmul(acc, a, b)
+
+    addmul = kgraph_module.addmul
+    monkeypatch.setattr(kgraph_module, "addmul", counting_addmul)
+    return products
+
+
+def test_support_pruning_matches_naive_and_unpruned_sums(monkeypatch):
+    # A middle step drops the keys that can meet no partner in a later step
+    # (``_supports``).  Seeded sparse random bi-vectors in dims 3 to 5, on
+    # both flows and on random graphs with k <= 4 and two or three sinks,
+    # summed over mixed assignments of two bi-vectors and as weighted
+    # combinations: the sums equal those with pruning off in both modes, and
+    # those of full iteration where it is small enough.  Graphs with k = 5
+    # and 6, checked against pruning off only, include plans that carry a
+    # test back over two steps.  The sample prunes: it runs fewer products
+    # than with pruning off.
+    rng = random.Random(41)
+    products = _counting_products(monkeypatch)
+    ran, deep = {True: 0, False: 0}, 0
+
+    def check(combination, assignments, naive):
+        for skew in (False, True):
+            before = products[0]
+            got = graph_sum(combination, assignments, skew=skew)
+            ran[True] += products[0] - before
+            with _no_pruning(monkeypatch):
+                before = products[0]
+                assert got == graph_sum(combination, assignments, skew=skew), (combination, skew)
+                ran[False] += products[0] - before
+            if naive:
+                want = _combine((w, naive_graph_sum(g, assignments, skew)) for w, g in combination)
+                assert got == want, (combination, skew)
+
+    for dim in (3, 4, 5):
+        ctx = Context(dim)
+        for trial in range(2):
+            p, q = (random_bivector(rng, ctx, max_terms=2, max_degree=3) for _ in range(2))
+            assignments = [tuple(rng.choice((p, q)) for _ in range(6)) for _ in range(2)]
+            graphs = [GAMMA1_GRAPH, GAMMA2_GRAPH]
+            graphs += [_random_graph(rng, k, 0, sinks) for k in (2, 3, 4) for sinks in (2, 3) if dim ** (2 * k) <= 5**6]
+            graphs += [_random_graph(rng, k, 0) for k in (5, 6)] * (dim == 3)
+            for graph in graphs:
+                check([(1, graph)], assignments, dim ** (2 * graph.n_internal) <= 3**8)
+                deep += any(demand and len(demand[1]) > 2 for _, _, _, _, demand, *_ in kgraph_module._plan(graph)[1])
+            weights = [rng.choice((Fraction(-3, 4), Fraction(5, 6), 2, -1)) for _ in range(2)]
+            check(list(zip(weights, (GAMMA1_GRAPH, GAMMA2_GRAPH))), assignments, dim == 3)
+    assert ran[True] < ran[False] and deep
+
+
+def test_support_pruning_runs_fewer_products_on_sparse_inputs(monkeypatch):
+    # The flows workload's dim-8 and dim-6 inputs and grid rows 2 and 8 have
+    # sparse derivative tables: on each, the two flows run strictly fewer
+    # products with pruning than without (none more on either flow), with
+    # the same raw matrices.
+    products = _counting_products(monkeypatch)
+    rows = {rid: spec for rid, _, spec, _ in builtin_rows()}
+    specs = [VanhaeckeSpec(4, [(2, 1, 1)]), VanhaeckeSpec(3, [(3, 1, 1)]), rows[2], rows[8]]
+    for spec in specs:
+        p = build_bivector(spec)
+        counts = {}
+        for pruned in (True, False):
+            for flow in (gamma1, gamma2):
+                with nullcontext() if pruned else _no_pruning(monkeypatch):
+                    before = products[0]
+                    counts[pruned, flow] = flow(p).raw, products[0] - before
+        for flow in (gamma1, gamma2):
+            assert counts[True, flow][0] == counts[False, flow][0], (spec, flow)
+            assert counts[True, flow][1] <= counts[False, flow][1], (spec, flow)
+        assert sum(counts[True, f][1] for f in (gamma1, gamma2)) < sum(counts[False, f][1] for f in (gamma1, gamma2))
 
 
 def test_three_sink_graph_sums_match_naive_evaluation():
@@ -831,8 +926,10 @@ def test_balanced_flow_runs_the_products_of_both_skew_parts_with_shared_tables(m
     # gamma1(P).skew and gamma2(P).skew together, and the two graphs share
     # the first-derivative table: 3 derivative tables, where two separate
     # flows build 2 each.  Its weights 1 and 6 / 2 = 3 are integers, so no
-    # coefficient is divided.  (The probe benchmark's seeded Deltas give 351
-    # products and 15,052-15,118 term pairs.)
+    # coefficient is divided.  Support pruning takes it from 351 / 15,115 to
+    # 303 / 13,726.  (The probe benchmark's seeded Deltas give 303 products
+    # and 13,685-13,727 term pairs on seeds 1-10, 351 and 15,067-15,116
+    # before.)
     p = _probe_p_tilde()
     counts, tables = [0, 0], []
 
@@ -855,7 +952,7 @@ def test_balanced_flow_runs_the_products_of_both_skew_parts_with_shared_tables(m
         parts.append((*counts, len(tables)))
     (p1, t1, d1), (p2, t2, d2), balanced = parts
     assert (d1, d2) == (2, 2)
-    assert balanced == (p1 + p2, t1 + t2, 3) == (351, 15115, 3)
+    assert balanced == (p1 + p2, t1 + t2, 3) == (303, 13726, 3)
 
 
 # -- integer arithmetic for rational bi-vectors ------------------------------------

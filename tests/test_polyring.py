@@ -16,6 +16,7 @@ from tetraflows.polyring import (
     PolyParseError,
     Polynomial,
     _quotient,
+    finish,
 )
 
 from example4d import JACOBI_123_TERMS, REFERENCE_CORPUS
@@ -292,3 +293,17 @@ def test_quotient_is_the_exact_scaling(p, q, c):
     got = _quotient(CTX3, p.terms, q, c)
     assert got == p.scale(Fraction(c, q))
     assert all(type(v) is int for v in got.terms.values() if v.denominator == 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(), st.integers(1, 60), st.integers(-6, 6), st.integers(1, 4))
+def test_quotient_builds_a_fraction_only_where_q_does_not_divide(p, q, c, k):
+    # The exact int quotient where q divides, checked against building every
+    # quotient as a Fraction and normalising it: equal values and equal
+    # coefficient types, on term dicts with and without Fraction coefficients
+    # and with divisors that divide some of them (k * q * p).
+    for terms in (p.terms, {m: k * q * v for m, v in p.terms.items()}):
+        got = _quotient(CTX3, terms, q, c)
+        want = finish(CTX3, {m: Fraction(c * v, q) for m, v in terms.items() if v})
+        assert got == want
+        assert [(m, type(v)) for m, v in got.terms.items()] == [(m, type(v)) for m, v in want.terms.items()]
