@@ -187,17 +187,12 @@ def graph_sum(g: KGraph | list, assignments: list, skew: bool = False) -> dict:
     by L * D^K once, at the end (``_quotient``).
 
     Support pruning: before its first product, a middle step works out
-    from the index keys of the tables alone which of its keys can still meet
-    a partner in a later step, and drops every other key as it is made (the
-    semi-join reduction of join processing; Yannakakis, VLDB 1981).  A key
-    is kept when its entries at the edges it shares with its partner in the
-    step that consumes it are those of an entry of that partner's table, a
-    vertex table; when that step is not halved and tests its own keys, the
-    entries the key hands on into that test must pass it too, with the
-    partner's entry, and its orbit rule when the test reads its whole key
-    (``_supports``).  A dropped key has no partner, so the sum is unchanged.
-    A step whose every possible key passes installs no test.  In dim 8
-    (Vanhaecke d=4, phi=x^2*y) gamma1 runs 3,142 -> 371 products.
+    from the index keys of the vertex tables alone which of its keys can
+    still meet a partner in a later step, and drops every other key as it
+    is made (the semi-join reduction of join processing; Yannakakis, VLDB
+    1981; ``_supports``).  A dropped key has no partner, so the sum is
+    unchanged.  In dim 8 (Vanhaecke d=4, phi=x^2*y) gamma1 runs 3,142 ->
+    371 products.
 
     Derivatives only lower exponents, so no product of k vertex factors
     reaches k * E, E the largest field of the OR of all the monomials of the
@@ -255,8 +250,8 @@ def graph_sum(g: KGraph | list, assignments: list, skew: bool = False) -> dict:
             vertex_tensor(p, m, mirrored and v not in halved, ascending)
             for v, (p, (m, mirrored, ascending)) in enumerate(zip(ps, vertices))
         ] + [{(): {0: 1}}]
-        tests = _supports(middle, tensors, rules, ctx.dim)
-        for (a, b, ea, eb, _, mirror, ec, fold), weigh, admit in zip(middle, rules, tests):
+        tests = _supports(steps, tensors, rules, ctx.dim)
+        for (a, b, ea, eb, mirror, ec, fold), weigh, admit in zip(middle, rules, tests):
             out = _fold_key(len(ec), fold)
             acc: dict = {}
             if mirror and not weigh:
@@ -340,13 +335,10 @@ def _plan(g: KGraph) -> tuple:
 
     Returns (vertices, steps, sinks, symmetries).  Per vertex: its number of
     in-edges, whether its table is mirrored (it holds no two sinks), and
-    whether it is enumerated ascending.  Per step (a, b, ea, eb, demand,
-    mirror, ec, fold): operands a and b, over the edges ea and eb, contract
-    into a tensor over ec whose indices at ``fold`` are summed onto
-    ascending order as it is built.  ``demand`` is (t, layouts) when the
-    result next meets a vertex, in step t: per positions tested in step t's
-    keys (or none), how the result meets that vertex there (``_demand``);
-    else ().  ``mirror`` is (x, i, j) when operand x is a vertex that
+    whether it is enumerated ascending.  Per step (a, b, ea, eb, mirror, ec,
+    fold): operands a and b, over the edges ea and eb, contract into a
+    tensor over ec whose indices at ``fold`` are summed onto ascending order
+    as it is built.  ``mirror`` is (x, i, j) when operand x is a vertex that
     keeps its L and R, at positions i and j of ec, and holds no two sinks:
     it may be enumerated a < b, its step adding the negated mirror of each
     entry; else ().  Only a step that is not the last can have one (the
@@ -413,124 +405,95 @@ def _plan(g: KGraph) -> tuple:
         operands.append((ec, k + len(steps)))
     vertices = tuple((len(in_edges[v]), v not in paired, v in ascending) for v in in_edges)
     sinks = tuple(steps[-1][5].index(sink_edges[s][0]) for s in sorted(sink_edges))
-    # The step consuming each middle result, and its partner there.
-    consumer = {x: (t, b if x == a else a) for t, (a, b, *_) in enumerate(steps) for x in (a, b) if x > k}
-    demands: list = [()] * len(steps)
-    for s in reversed(range(len(steps) - 1)):
-        t, x = consumer[k + 1 + s]
-        if x < k:  # a vertex table, known before the first product
-            a, _, ea, eb, mirror, later, _ = steps[t]
-            # a later test is carried back only from a step that is never halved
-            onward = demands[t][1].values() if demands[t] and not mirror else ()
-            options = {(), *(layout[6] for layout in onward)}
-            demands[s] = (t, {need: _demand(steps[s], later, ea if a == x else eb, x, need) for need in options})
-    steps = tuple((a, b, ea, eb, demand, *rest) for (a, b, ea, eb, *rest), demand in zip(steps, demands))
+    steps = tuple(map(tuple, steps))
     return vertices, steps, sinks, _automorphisms(g) if k <= SYMMETRY_SEARCH_LIMIT else ()
 
 
-def _demand(step, later: tuple, partner: tuple, x: int, need: tuple) -> tuple:
-    """How a middle step's result meets its partner, vertex x over the edges
-    ``partner``, in the later step, whose keys (over the edges ``later``)
-    must show an allowed tuple at the positions ``need`` (none when empty).
+def _supports(steps: tuple, tensors: list, rules: tuple, n: int) -> list:
+    """Per middle step of ``steps``, the test of a new key: whether it can
+    still meet a partner in a later step, from the keys of the vertex tables
+    alone (``tensors``: those, then the unit tensor), last step first; None
+    when all n^free * C(n + f - 1, f) possible keys pass, f on fold edges.
 
-    A stored key of the result can meet a partner only if its entries at the
-    shared edges (its head) and at the edges it hands on into ``need`` (its
-    tail) are a y of x's table at the shared edges and a w allowed there at
-    the handed-on edges, y and w equal at x's edges in ``need``.  Returns
-    (x, by, link, wx, ws, whole, positions, pick, flip, folded, unfolds):
-    ``by`` and ``link`` pick an entry of x's table at its edges in ``need``
-    and at the shared edges, ``wx`` and ``ws`` an allowed tuple's entries
-    from x and from the result, and ``whole`` orders an allowed tuple into
-    the later step's key when ``need`` holds all of it (else None).
-    ``positions`` are the result key's head and tail positions; ``pick`` is
-    the pair of pickers of a key's head and tail (None when it has none),
-    ``flip`` the same after the step's mirror pair is exchanged.  The
-    ``folded`` fold positions are shared edges: ``unfolds`` map a stored head
-    to every order of its folded entries.
+    When step s's result next meets vertex x, in step t, its test is a set
+    of index tuples over named edges (``_layout``): those s shares with x,
+    then those it hands on into t's own test.  That is the join of x's keys
+    with t's allowed tuples, less those t's orbit rule drops when they hold
+    t's whole key; with no test at t, x's keys projected (one hop).
+    Unfolded into every order of its fold entries, it tests a key before it
+    is folded, and all members of an orbit pass or fail together.  A halved
+    step passes a key when it or its mirror image does, so its test is not
+    carried back: that would need both images of every partner entry.
     """
-    *_, mirror, ec, fold = step
-    shared = [e for e in ec if e in partner]
-    wx = [i for i, at in enumerate(need) if later[at] in partner]
-    ws = [i for i, at in enumerate(need) if later[at] not in partner]
-    head, tail = [ec.index(e) for e in shared], [ec.index(later[need[i]]) for i in ws]
-
-    def pickers(swap: dict) -> tuple:
-        return _picker([swap.get(at, at) for at in head]), _picker([swap.get(at, at) for at in tail]) if tail else None
-
-    folded = [head.index(at) for at in fold]
-    unfolds = []
-    for order in permutations(folded):
-        source = list(range(len(head)))  # the stored entry read at each position
-        for at, read in zip(folded, order):
-            source[at] = read
-        unfolds.append(_picker(source))
-    return (
-        x,
-        _picker([partner.index(later[need[i]]) for i in wx]),
-        _picker([partner.index(e) for e in shared]),
-        _picker(wx),
-        _picker(ws),
-        _picker([need.index(at) for at in range(len(later))]) if 0 < len(need) == len(later) else None,
-        (*head, *tail),
-        pickers({}),
-        pickers(dict(zip(mirror[1:], mirror[:0:-1]))),
-        len(fold),
-        unfolds,
-    )
-
-
-def _supports(middle: tuple, tensors: list, rules: tuple, n: int) -> list:
-    """Per middle step, the test of a new key: whether it can still meet a
-    partner in a later step, worked out from the index keys of the tables
-    alone, last step first; None when every key the step can make passes.
-
-    The allowed keys are {head: tails} (``_demand``), their heads unfolded
-    into every order of their fold entries, so that a key is tested with no
-    fold map; all members of an orbit fold to the same stored key, so orbit
-    weights stay valid.  A halved step keeps a key when it or its mirror
-    image passes.  So the test of a step that may be halved is not carried
-    back: it would need both images of every partner entry.
-    """
-    tests: list = [None] * len(middle)
-    found: dict = {}  # step -> (positions, allowed) behind its test
-    for s in reversed(range(len(middle))):
-        *_, demand, mirror, _, _ = middle[s]
-        if not demand:
+    k = len(tensors) - 1
+    tests: list = [None] * (len(steps) - 1)
+    found: dict = {}  # operand -> (edges, allowed) of the test of the step consuming it
+    for s in reversed(range(len(steps) - 1)):
+        tested, after = found.get(k + 1 + s, ((), ()))
+        if (layout := _layout(steps, k, s, tested)) is None:
             continue  # the result next meets another step's result
-        t, layouts = demand
-        need, after = found.get(t, ((), None))
-        x, by, link, wx, ws, whole, positions, pick, flip, folded, unfolds = layouts[need]
-        weigh = rules[t] if whole else None  # the later step's orbit rule reads its whole key
-        if need:
-            wanted: dict = {}  # an allowed key's entries from x -> its entries from the result
-            for head, tails in after.items():
-                for tail in tails:
-                    w = head + tail
-                    if not weigh or weigh(whole(w)):  # else the later step drops the key
-                        wanted.setdefault(wx(w), set()).add(ws(w))
-            allowed: dict = {}
-            for key in tensors[x]:
-                if (entries := by(key)) in wanted:
-                    allowed.setdefault(link(key), set()).update(wanted[entries])
-        else:  # one hop: the heads of x's table, each with the empty tail
-            allowed = dict.fromkeys(map(link, tensors[x]), ((),))
-        # the stored keys possible there: the folded head entries in order, the others free
-        if sum(map(len, allowed.values())) < n ** (len(positions) - folded) * comb(n + folded - 1, folded):
-            if folded:
-                allowed = {unfold(head): tails for head, tails in allowed.items() for unfold in unfolds}
-            tests[s] = _admit(allowed, pick, flip if mirror and not rules[s] else pick)  # flip: halved
+        x, t, edges, link, by, wx, ws, whole, pick, flip, unfolds = layout
+        if tested:
+            heads: dict = {}  # x's entries at the tested edges -> its entries at the shared ones
+            for y in tensors[x]:
+                heads.setdefault(by(y), set()).add(link(y))
+            weigh = rules[t] if whole else None
+            kept = (w for w in after if not weigh or weigh(whole(w)))  # step t drops the others
+            allowed = {head + tail for w in kept for tail in [ws(w)] for head in heads.get(wx(w), ())}
+        else:
+            allowed = set(map(link, tensors[x]))
+        a, b, _, _, mirror, _, fold = steps[s]
+        f = len(fold)
+        if len(allowed) < n ** (len(edges) - f) * comb(n + f - 1, f):
+            if f:
+                allowed = {unfold(w) for w in allowed for unfold in unfolds}
+            tests[s] = _admit(allowed, pick, flip if mirror and not rules[s] else None)
             if not mirror:  # the step is never halved
-                found[s] = positions, allowed
+                found[a] = found[b] = edges, allowed
     return tests
 
 
-def _admit(allowed: dict, pick: tuple, flip: tuple):
-    """The test that a key's head is allowed, with its tail when it has one,
-    or that its mirror image's is (``flip``, else ``pick`` again)."""
-    (head, tail), (flip_head, flip_tail) = pick, flip
-    if tail is None:
-        return lambda key: head(key) in allowed or flip_head(key) in allowed
-    return lambda key: tail(key) in allowed.get(head(key), ()) or flip_tail(key) in allowed.get(flip_head(key), ())
+@cache
+def _layout(steps: tuple, k: int, s: int, tested: tuple):
+    """How middle step s's result meets its partner in the step t that
+    consumes it, given the edges ``tested`` of t's own test (none when it
+    has none); None unless that partner is a vertex, operand x.  Returns (x,
+    t, edges, link, by, wx, ws, whole, pick, flip, unfolds): the edges of
+    s's allowed tuples, and pickers.  ``link`` and ``by`` take a key of x to
+    its entries at the shared edges and at ``tested``; ``wx`` and ``ws``
+    take an allowed tuple of t to its entries at x's edges and at the
+    others, ``whole`` to t's key when it holds all of it (else None);
+    ``pick`` and ``flip`` take a key of s to its entries at ``edges``, before
+    and after exchanging its mirror pair; ``unfolds`` take an allowed tuple
+    to every order of its fold entries.
+    """
+    t, (a, b, ea, eb, _, later, _) = next((t, step) for t, step in enumerate(steps) if k + 1 + s in step[:2])
+    x, partner = (b, eb) if a == k + 1 + s else (a, ea)
+    if x >= k:
+        return None
+    *_, mirror, ec, fold = steps[s]
+
+    def take(names, wanted):
+        return _picker([names.index(e) for e in wanted])
+
+    shared = [e for e in ec if e in partner]
+    common, handed = [e for e in tested if e in partner], [e for e in tested if e not in partner]
+    edges = (*shared, *handed)
+    on = [ec.index(e) for e in edges]  # their positions in a key of s
+    swap = dict(zip(mirror[1:], mirror[:0:-1]))
+    folds = [ec[at] for at in fold]
+    unfolds = [take(edges, [dict(zip(folds, order)).get(e, e) for e in edges]) for order in permutations(folds)]
+    whole = take(tested, later) if len(tested) == len(later) else None
+    link, by, wx, ws = take(partner, shared), take(partner, common), take(tested, common), take(tested, handed)
+    return x, t, edges, link, by, wx, ws, whole, _picker(on), _picker([swap.get(at, at) for at in on]), unfolds
+
+
+def _admit(allowed: set, pick, flip):
+    """The test that a key's entries at ``pick`` are an allowed tuple, or,
+    for a halved step, those of its mirror image (``flip``, else None)."""
+    if flip is None:
+        return lambda key: pick(key) in allowed
+    return lambda key: pick(key) in allowed or flip(key) in allowed
 
 
 # Above this many vertices the plan skips the automorphism search (k! maps).

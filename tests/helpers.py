@@ -7,7 +7,7 @@ vertex factors in ``naive_graph_tensor``, holds values of the definition.
 """
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 from math import gcd
 
 from tetraflows.analysis import RatioSolution
@@ -194,6 +194,66 @@ def brute_gamma2_raw(p):
             term = head * d(p, k, m, k1, l1) * d(p, k1, l, m1) * d(p, m1, l1, j)
             result[i - 1][m - 1] = result[i - 1][m - 1] + term
     return result
+
+
+def value_at(poly, x):
+    """A Polynomial's exact value at the integer point x."""
+    return sum(c * _monomial_at(exps, (), x) for exps, c in poly.items())
+
+
+def _monomial_at(exps, cs, x):
+    """d^m x^exps / dx_{c1} ... dx_{cm} at the point x (0-based c's): per
+    variable i, differentiated k times, e (e-1) ... (e-k+1) x_i^(e-k)."""
+    value = 1
+    for i, (xi, e) in enumerate(zip(x, exps)):
+        k = cs.count(i)
+        if k > e:
+            return 0
+        for j in range(k):
+            value *= e - j
+        value *= xi ** (e - k)
+    return value
+
+
+def point_oracle(graph, bivectors, x):
+    """A graph's tensor at an integer point x, by one ``numpy.einsum``.
+
+    Vertex v carries bivectors[v-1].  Its factor is the n x n x n^m object
+    array of d^m P^{ab} / dx_{c1} ... dx_{cm} at x, m its in-edges, each
+    value summed exactly from the monomials of P^{ab}.  Every edge of the
+    graph gets one letter; a vertex's subscripts are its L and R out-edges,
+    then its in-edges, and the output's are the edges into S1, S2, ...
+    Nothing but the graph's edge tuple is read.  Returns the object array
+    of the graph with every index summed, entry [i1 - 1, ..., im - 1] for
+    index i_s into S_s.
+    """
+    import numpy as np  # only this oracle needs numpy
+
+    n = len(x)
+    targets = [t for pair in graph.edges for t in pair]
+    letter = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+    factors = {}  # (id of P, m) -> its factor
+
+    def factor(p, m):
+        if (id(p), m) not in factors:
+            table = np.zeros((n,) * (2 + m), dtype=object)
+            for (a, b), poly in p.comps.items():
+                terms = list(poly.items())
+                for cs in combinations_with_replacement(range(n), m):
+                    value = sum(c * _monomial_at(exps, cs, x) for exps, c in terms)
+                    for order in set(permutations(cs)):
+                        table[(a - 1, b - 1, *order)], table[(b - 1, a - 1, *order)] = value, -value
+            factors[id(p), m] = table
+        return factors[id(p), m]
+
+    subscripts, operands = [], []
+    for v, p in enumerate(bivectors[: graph.n_internal], start=1):
+        ins = [e for e, t in enumerate(targets) if t == ("V", v)]
+        subscripts.append("".join(letter[e] for e in (2 * v - 2, 2 * v - 1, *ins)))
+        operands.append(factor(p, len(ins)))
+    sinks = sorted((t[1], e) for e, t in enumerate(targets) if t[0] == "S")
+    out = "".join(letter[e] for _, e in sinks)
+    return np.einsum(",".join(subscripts) + "->" + out, *operands, optimize=True)
 
 
 def lie_derivative_bracket(p, vector_comps):

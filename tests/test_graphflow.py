@@ -710,6 +710,18 @@ def test_plan_is_built_once_per_graph():
     gamma2(random_bivector(rng, Context(4)))
     after = kgraph_module._plan.cache_info()
     assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    # The layout of a support test, once per (graph, step, tested edges):
+    # dim-8 gamma1 builds one from a later test, and its second call none.
+    p = build_bivector(VanhaeckeSpec(4, [(2, 1, 1)]))
+    gamma1(p).raw
+    layout, layouts = kgraph_module._layout, []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kgraph_module, "_layout", lambda *key: layouts.append(key) or layout(*key))
+        before = layout.cache_info()
+        gamma1(p).raw
+    after = layout.cache_info()
+    assert any(tested for *_, tested in layouts) and len(set(layouts)) == len(layouts)
+    assert (after.hits, after.misses) == (before.hits + len(layouts), before.misses)
 
 
 @contextmanager
@@ -731,6 +743,18 @@ def _counting_products(monkeypatch):
     addmul = kgraph_module.addmul
     monkeypatch.setattr(kgraph_module, "addmul", counting_addmul)
     return products
+
+
+def _carries_a_test_back_over_two_steps(graph) -> bool:
+    """Whether the graph's plan has middle steps s, t and u, s's result next
+    meeting a vertex in t, t's in u and u's in a later step, with t and u
+    never halved: u's support test is then carried back into t's, and t's
+    into s's (``_supports``)."""
+    _, steps, *_ = kgraph_module._plan(graph)
+    k = graph.n_internal
+    # middle step -> the step in which its result next meets a vertex
+    meets = {x - k - 1: t for t, (a, b, *_) in enumerate(steps) for x in (a, b) if min(a, b) < k < x}
+    return any(meets.get(t) in meets and not steps[t][4] and not steps[meets[t]][4] for t in meets.values())
 
 
 def test_support_pruning_matches_naive_and_unpruned_sums(monkeypatch):
@@ -770,7 +794,7 @@ def test_support_pruning_matches_naive_and_unpruned_sums(monkeypatch):
             graphs += [_random_graph(rng, k, 0) for k in (5, 6)] * (dim == 3)
             for graph in graphs:
                 check([(1, graph)], assignments, dim ** (2 * graph.n_internal) <= 3**8)
-                deep += any(demand and len(demand[1]) > 2 for _, _, _, _, demand, *_ in kgraph_module._plan(graph)[1])
+                deep += _carries_a_test_back_over_two_steps(graph)
             weights = [rng.choice((Fraction(-3, 4), Fraction(5, 6), 2, -1)) for _ in range(2)]
             check(list(zip(weights, (GAMMA1_GRAPH, GAMMA2_GRAPH))), assignments, dim == 3)
     assert ran[True] < ran[False] and deep

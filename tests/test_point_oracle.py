@@ -1,0 +1,86 @@
+"""Index sums at integer points as an oracle for the flows in dims 6 and 8.
+
+The naive graph oracle runs in dims 3-5 and the sympy one in dims 3 and 4.
+Here the raw matrices of gamma1 and gamma2 and the 1:6 balanced flow on
+builtin row 11 and on the flows benchmark's dim-8 and dim-6 inputs are
+evaluated at seeded integer points and compared, entry by entry, with
+``helpers.point_oracle``: the graphs' index sums at those points, built from
+the edge tuples and ``numpy.einsum``.  Agreement at random points is a
+Schwartz-Zippel check, in exact ints and Fractions.
+"""
+
+import random
+from fractions import Fraction
+from itertools import product
+
+import pytest
+
+from tetraflows.analysis import builtin_rows
+from tetraflows.generators import VanhaeckeSpec, build_bivector
+from tetraflows.graphflow import GAMMA1_GRAPH, GAMMA2_GRAPH, balanced_flow, gamma1, gamma2, parse_kgraph
+from tetraflows.polyring import Context
+
+from helpers import SKEW_VANISHING_GRAPH, naive_graph_tensor, point_oracle, random_bivector, value_at
+
+pytest.importorskip("numpy")
+
+INPUTS = {
+    "row 11": next(spec for rid, _, spec, _ in builtin_rows() if rid == 11),
+    "dim 8": VanhaeckeSpec(4, [(2, 1, 1)]),  # the flows workload's Vanhaecke d=4, phi=x^2*y
+    "dim 6": VanhaeckeSpec(3, [(3, 1, 1)]),  # and d=3, phi=x^3*y
+}
+
+
+def _points(rng, n, count):
+    return [tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(count)]
+
+
+def test_point_oracle_matches_naive_evaluation():
+    # The oracle against full iteration on small graphs in dim 3: two and
+    # three sinks, a vertex with three in-edges, a two-edge loop, a double
+    # edge and a graph that vanishes on every skew input, with two
+    # bi-vectors assigned at random.
+    rng = random.Random(61)
+    ctx = Context(3)
+    graphs = [
+        GAMMA1_GRAPH,
+        GAMMA2_GRAPH,
+        SKEW_VANISHING_GRAPH,
+        parse_kgraph("2; (S1,S2) (V1,S3)"),
+        parse_kgraph("3; (S1,V3) (V3,V3) (V2,S2)"),
+        parse_kgraph("3; (S1,V2) (V3,S2) (V2,S3)"),
+    ]
+    nonzero = 0
+    for graph in graphs:
+        pq = [random_bivector(rng, ctx, max_terms=3, max_degree=4) for _ in range(2)]
+        ps = tuple(rng.choice(pq) for _ in range(graph.n_internal))
+        naive = naive_graph_tensor(graph, ps)
+        for x in _points(rng, 3, 2):
+            got = point_oracle(graph, ps, x)
+            for key in product(range(1, 4), repeat=got.ndim):
+                want = value_at(naive[key], x) if key in naive else 0
+                assert got[tuple(i - 1 for i in key)] == want, (graph, x, key)
+                nonzero += want != 0
+    assert nonzero
+
+
+@pytest.mark.parametrize("name", INPUTS)
+def test_flows_and_the_balanced_flow_match_the_point_oracle(name):
+    # gamma1 and gamma2 raw and balanced_flow(P, 1, 6), whose (a, b) entry
+    # is (M1 - M1^T) / 2 + 6 (M2 - M2^T) / 2 of the two raw matrices, at 3
+    # seeded points; some entries are nonzero there, so the check bites.
+    p = build_bivector(INPUTS[name])
+    n = p.ctx.dim
+    raws = gamma1(p).raw, gamma2(p).raw
+    balanced = balanced_flow(p, 1, 6)
+    nonzero = [0, 0, 0]
+    for x in _points(random.Random(62), n, 3):
+        m1, m2 = (point_oracle(g, (p,) * 4, x) for g in (GAMMA1_GRAPH, GAMMA2_GRAPH))
+        for a, b in product(range(n), repeat=2):
+            for at, (raw, m) in enumerate(zip(raws, (m1, m2))):
+                assert value_at(raw.entry(a + 1, b + 1), x) == m[a, b], (name, x, at, a, b)
+                nonzero[at] += m[a, b] != 0
+            want = Fraction(m1[a, b] - m1[b, a], 2) + 6 * Fraction(m2[a, b] - m2[b, a], 2)
+            assert value_at(balanced.entry(a + 1, b + 1), x) == want, (name, x, a, b)
+            nonzero[2] += want != 0
+    assert all(nonzero), nonzero
