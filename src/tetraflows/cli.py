@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from fractions import Fraction
 
@@ -40,7 +39,7 @@ from .graphflow import (
     parse_kgraph,
 )
 from .multivector import MultiVector, is_poisson, jacobiator, schouten
-from .polyring import Context, PolyParseError, Polynomial
+from .polyring import Context, Polynomial
 
 __all__ = ["main"]
 
@@ -213,32 +212,9 @@ def _parse_rational(text: str) -> Fraction:
         raise _UsageError(f"bad rational {text!r}: {exc}") from None
 
 
-_PHI_VAR = re.compile(r"(?<![A-Za-z_])[xy]\d*")  # also right after a number: "2x"
-
-
 def _parse_phi(text: str) -> "list[tuple]":
-    """Parse a bivariate polynomial in x, y into (a, b, coeff) triples.
-
-    x and y are read as x1 and x2; a parse error gives its position in ``text``.
-    """
-    starts = []
-    for m in _PHI_VAR.finditer(text):
-        if m.end() - m.start() > 1:  # x1, y2, ...: not a name of phi
-            raise PolyParseError(f"unknown variable {m.group()!r} (phi is in x and y)", m.start())
-        starts.append(m.start())
-    translated = _PHI_VAR.sub(lambda m: "x1" if m.group() == "x" else "x2", text)
-    try:
-        poly = Polynomial.parse(translated, Context(2))
-    except PolyParseError as exc:
-        # the i-th rewrite put one character at start + i + 1 of `translated`
-        inserted = sum(start + i + 1 < exc.position for i, start in enumerate(starts))
-        at, message = exc.position - inserted, exc.message
-        if at in starts:  # the offending token is a rewritten x or y: name it as typed
-            rewritten = translated[exc.position : exc.position + 2]
-            message = message.replace(repr(rewritten), repr(text[at]))
-        for slot, name in (("x1", "x"), ("x2", "y")):  # an exponent error names the slot
-            message = message.replace(f" of {slot} ", f" of {name} ")
-        raise PolyParseError(message, at) from None
+    """Parse a bivariate polynomial in x and y into (a, b, coeff) triples."""
+    poly = Polynomial.parse(text, Context(2), names=("x", "y"))
     return sorted((a, b, c) for (a, b), c in poly.items())
 
 

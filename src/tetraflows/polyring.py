@@ -3,7 +3,8 @@
 A polynomial lives in a :class:`Context` of ``n`` variables ``x1..xn``,
 ``2 <= n < DIM_LIMIT`` (128), plus, optionally, a formal variable ``eps``
 occupying a trailing exponent slot, and is stored as a dict mapping packed
-monomials to nonzero rational coefficients.
+monomials to nonzero rational coefficients.  In text the variables go by
+``Context.names``, or by the names given to :meth:`Polynomial.parse`.
 
 A monomial is packed into one Python int: every exponent slot is a field of
 ``EXP_BITS`` bits, slot 0 (``x1``) is the most significant field and the
@@ -122,6 +123,8 @@ class Context:
     has_epsilon: bool = False
     # The guard bits of all packed fields (derived, not compared).
     guard: int = field(init=False, repr=False, compare=False)
+    # The variables' names, slot by slot: x1..x<dim>, then eps (derived).
+    names: "tuple[str, ...]" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.dim, int) or not 2 <= self.dim < DIM_LIMIT:
@@ -132,16 +135,13 @@ class Context:
         # _FIELD has a 1 at the bottom of each field.
         ones = ((1 << (EXP_BITS * self.nslots)) - 1) // _FIELD
         object.__setattr__(self, "guard", ones * EXPONENT_LIMIT)
+        names = tuple(f"x{i}" for i in range(1, self.dim + 1)) + ("eps",) * self.has_epsilon
+        object.__setattr__(self, "names", names)
 
     @property
     def nslots(self) -> int:
         """Number of exponent slots (dim, plus one for eps when adjoined)."""
         return self.dim + 1 if self.has_epsilon else self.dim
-
-    def slot_name(self, slot: int) -> str:
-        if self.has_epsilon and slot == self.dim:
-            return "eps"
-        return f"x{slot + 1}"
 
     def slot_shift(self, slot: int) -> int:
         """Bit offset of a slot's field in a packed monomial."""
@@ -175,6 +175,35 @@ class Context:
 def _fields(nslots: int) -> struct.Struct:
     """The layout of a packed monomial: nslots big-endian 16-bit fields."""
     return struct.Struct(f">{nslots}H")
+
+
+@cache
+def _grammar(names: "tuple[str, ...]") -> "tuple[re.Pattern, dict]":
+    """The token pattern and the slot of each name, for the variables'
+    names: a name token is x, eps or a name less its trailing digits, then
+    any digits, so that x1 is an unknown variable among the names x and y."""
+    stems = {"x", "eps", *(n.rstrip("0123456789") for n in names)}
+    name = "(?:" + "|".join(map(re.escape, sorted(stems, key=len, reverse=True))) + r")\d*"
+    token = re.compile(rf"\s*(?:(?P<num>\d+)|(?P<name>{name})|(?P<op>[-+*/^]))")
+    return token, {n: slot for slot, n in enumerate(names)}
+
+
+def _tokenize(text: str, token: "re.Pattern") -> list:
+    """The (kind, value, position) tokens of a polynomial text."""
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = token.match(text, pos)
+        if m is None:
+            stripped = text[pos:].lstrip()
+            if not stripped:
+                break
+            at = len(text) - len(stripped)
+            raise PolyParseError(f"unexpected character {stripped[0]!r}", at)
+        kind = m.lastgroup
+        tokens.append((kind, m.group(kind), m.start(kind)))
+        pos = m.end()
+    return tokens
 
 
 def _require_same_ctx(a: "Polynomial", b: "Polynomial") -> None:
@@ -435,20 +464,24 @@ class Polynomial:
 
     # -- text format -------------------------------------------------------
 
-    _TOKEN = re.compile(r"\s*(?:(?P<num>\d+)|(?P<name>x\d+|eps)|(?P<op>[-+*/^]))")
-
     @classmethod
-    def parse(cls, text: str, ctx: Context) -> "Polynomial":
+    def parse(cls, text: str, ctx: Context, names: Sequence[str] = ()) -> "Polynomial":
         """Parse the bit-exact grammar, e.g. ``-2*x1*x2^3*x3^5*x4``.
 
         polynomial := term (("+"|"-") term)*
         term       := [sign] [rational "*"] factor ("*" factor)* | [sign] rational
-        factor     := var ["^" positive-int];  var := "x" positive-int | "eps"
+        factor     := var ["^" positive-int];  var := one of the names
         rational   := int ["/" positive-int];  whitespace is ignored.
 
+        ``names`` gives the variables' names slot by slot, by default
+        ``ctx.names``; ``names=("x", "y")`` reads phi(x, y) in ``Context(2)``.
         The exponent of each variable in a term must be below EXPONENT_LIMIT.
         """
-        tokens = cls._tokenize(text)
+        names = tuple(names) or ctx.names
+        if len(set(names)) != ctx.nslots or not all(n.rstrip("0123456789") for n in names):
+            raise ValueError(f"need {ctx.nslots} distinct variable names, not only digits: {names!r}")
+        token, slots = _grammar(names)
+        tokens = _tokenize(text, token)
         pos = 0
 
         def peek():
@@ -507,7 +540,9 @@ class Polynomial:
 
             exps = [0] * ns
             while True:
-                slot = cls._var_slot(val, ctx, at)
+                slot = slots.get(val)
+                if slot is None:
+                    raise PolyParseError(f"unknown variable {val!r} (variables: {', '.join(names)})", at)
                 pos += 1
                 e = 1
                 e_at = at
@@ -524,7 +559,7 @@ class Polynomial:
                 exps[slot] += e
                 if exps[slot] >= EXPONENT_LIMIT:
                     raise PolyParseError(
-                        f"exponent {exps[slot]} of {ctx.slot_name(slot)} is not below "
+                        f"exponent {exps[slot]} of {names[slot]} is not below "
                         f"the limit {EXPONENT_LIMIT}",
                         e_at,
                     )
@@ -539,36 +574,6 @@ class Polynomial:
 
         return finish(ctx, terms)
 
-    @classmethod
-    def _tokenize(cls, text: str):
-        tokens = []
-        pos = 0
-        while pos < len(text):
-            m = cls._TOKEN.match(text, pos)
-            if m is None:
-                stripped = text[pos:].lstrip()
-                if not stripped:
-                    break
-                at = len(text) - len(stripped)
-                raise PolyParseError(f"unexpected character {stripped[0]!r}", at)
-            for kind in ("num", "name", "op"):
-                if m.group(kind) is not None:
-                    tokens.append((kind, m.group(kind), m.start(kind)))
-                    break
-            pos = m.end()
-        return tokens
-
-    @staticmethod
-    def _var_slot(name: str, ctx: Context, at: int) -> int:
-        if name == "eps":
-            if not ctx.has_epsilon:
-                raise PolyParseError("unknown variable 'eps' (no eps in context)", at)
-            return ctx.dim
-        idx = int(name[1:])
-        if not 1 <= idx <= ctx.dim:
-            raise PolyParseError(f"unknown variable {name!r} (dim={ctx.dim})", at)
-        return idx - 1
-
     def render(self) -> str:
         """Deterministic text form: graded-lex monomial order, descending."""
         if not self.terms:
@@ -578,7 +583,7 @@ class Polynomial:
             ((sum(exps), mono, exps) for mono, exps in ((m, unpack(m)) for m in self.terms)),
             reverse=True,
         )
-        names = [self.ctx.slot_name(slot) for slot in range(self.ctx.nslots)]
+        names = self.ctx.names
         pieces = []
         for _, mono, exps in rows:
             c = self.terms[mono]

@@ -1,4 +1,5 @@
-"""Shared randomized builders and independent reference evaluators.
+"""Shared randomized builders, independent reference evaluators, the former
+phi reader as a reference parser, and a counter of the engine's products.
 
 The evaluators here are deliberately written from the defining formulas with
 plain nested loops and no pruning or index bookkeeping shared with the
@@ -6,14 +7,16 @@ package, so they can serve as independent oracles.  The one cache, of the
 vertex factors in ``naive_graph_tensor``, holds values of the definition.
 """
 
+import re
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
 from math import gcd
 
+import tetraflows._kgraph as kgraph_module
 from tetraflows.analysis import RatioSolution
 from tetraflows.graphflow import gamma1, gamma2, parse_kgraph
 from tetraflows.multivector import MultiVector, mv_linear_combination
-from tetraflows.polyring import Context, Polynomial
+from tetraflows.polyring import Context, PolyParseError, Polynomial
 
 # Fixed seed for the randomized property suites (reproducible runs).
 DEFAULT_SEED = 20160613
@@ -336,3 +339,57 @@ def fraction_find_ratios(p, basis):
         sign = -1 if next(x for x in ints if x) < 0 else 1
         vectors.append(tuple(sign * x // g for x in ints))
     return RatioSolution(len(vectors), tuple(vectors))
+
+
+def count_products(monkeypatch, each=None):
+    """Count the contraction engine's products from here on.
+
+    Patches ``_kgraph.addmul``, the engine's one product call, and returns
+    the list [products, term pairs], which every product updates in place
+    (reset it with ``counts[:] = [0, 0]``).  ``each``, when given, is also
+    called with the two operand term maps of every product.
+    """
+    counts = [0, 0]
+    addmul = kgraph_module.addmul
+
+    def counting_addmul(acc, a, b):
+        counts[0] += 1
+        counts[1] += len(a) * len(b)
+        if each is not None:
+            each(a, b)
+        addmul(acc, a, b)
+
+    monkeypatch.setattr(kgraph_module, "addmul", counting_addmul)
+    return counts
+
+
+# The former reader of ``gen --vanhaecke --phi``, kept verbatim as the
+# reference for the parser's names: it rewrites x and y to x1 and x2, parses
+# in the default grammar and maps each error back to the text as typed.
+_PHI_VAR = re.compile(r"(?<![A-Za-z_])[xy]\d*")  # also right after a number: "2x"
+
+
+def _parse_phi(text: str) -> "list[tuple]":
+    """Parse a bivariate polynomial in x, y into (a, b, coeff) triples.
+
+    x and y are read as x1 and x2; a parse error gives its position in ``text``.
+    """
+    starts = []
+    for m in _PHI_VAR.finditer(text):
+        if m.end() - m.start() > 1:  # x1, y2, ...: not a name of phi
+            raise PolyParseError(f"unknown variable {m.group()!r} (phi is in x and y)", m.start())
+        starts.append(m.start())
+    translated = _PHI_VAR.sub(lambda m: "x1" if m.group() == "x" else "x2", text)
+    try:
+        poly = Polynomial.parse(translated, Context(2))
+    except PolyParseError as exc:
+        # the i-th rewrite put one character at start + i + 1 of `translated`
+        inserted = sum(start + i + 1 < exc.position for i, start in enumerate(starts))
+        at, message = exc.position - inserted, exc.message
+        if at in starts:  # the offending token is a rewritten x or y: name it as typed
+            rewritten = translated[exc.position : exc.position + 2]
+            message = message.replace(repr(rewritten), repr(text[at]))
+        for slot, name in (("x1", "x"), ("x2", "y")):  # an exponent error names the slot
+            message = message.replace(f" of {slot} ", f" of {name} ")
+        raise PolyParseError(message, at) from None
+    return sorted((a, b, c) for (a, b), c in poly.items())

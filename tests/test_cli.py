@@ -13,11 +13,12 @@ from hypothesis import strategies as st
 
 from tetraflows import multivector
 from tetraflows.analysis import builtin_rows, reproduce_tables
-from tetraflows.cli import main
+from tetraflows.cli import _parse_phi, main
 from tetraflows.multivector import MultiVector
-from tetraflows.polyring import DIM_LIMIT
+from tetraflows.polyring import DIM_LIMIT, PolyParseError
 
 from example4d import BRACKET_P0_P1, P0_UPPER, P2_RAW, ctx4, p0, parse4
+from helpers import _parse_phi as reference_parse_phi
 from helpers import brute_jacobi_tensor, random_bivector
 
 
@@ -397,8 +398,8 @@ def test_loader_errors_name_the_file(tmp_path, capsys, p0_file, text):
         ("x^99999", "exponent 99999 of x is not below the limit 32768", 2),
         ("x*y^40000", "exponent 40000 of y is not below the limit 32768", 4),
         ("y^40000", "exponent 40000 of y is not below the limit 32768", 2),
-        ("x1", "unknown variable 'x1' (phi is in x and y)", 0),
-        ("y*x2", "unknown variable 'x2' (phi is in x and y)", 2),
+        ("x1", "unknown variable 'x1' (variables: x, y)", 0),
+        ("y*x2", "unknown variable 'x2' (variables: x, y)", 2),
         ("2x", "missing '*' before 'x'", 1),
         ("x^2 - 3/2y", "missing '*' before 'y'", 9),
     ],
@@ -407,6 +408,53 @@ def test_phi_parse_errors_give_the_position_in_the_text(capsys, phi, message, po
     code, out, err = run(capsys, "gen", "--vanhaecke", "--d", "2", "--phi", phi)
     assert code == 2 and out == ""
     assert err == f"error: {message} (at position {position})\n"
+
+
+def _phi_texts(rng):
+    """Seeded phi texts: 20,000 random strings over phi's alphabet (and a
+    few characters outside it), then 5,000 drawn from the grammar, with
+    random spacing, repeated factors and exponents near EXPONENT_LIMIT."""
+    alphabet = "xxxyyy0123456789+-*/^^ " + "ez_"
+    for _ in range(20000):
+        yield "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 12)))
+
+    def around(op):
+        return rng.choice(("", "", " ")) + op + rng.choice(("", "", " "))
+
+    def factor():
+        exponent = rng.choice(("", "", "1", "2", "10", "16384", "32767"))
+        return rng.choice("xy") + (around("^") + exponent if exponent else "")
+
+    for _ in range(5000):
+        text = ""
+        for _ in range(rng.randint(1, 4)):
+            coeff = rng.choice(("", "", "3", "0", "12", "1/2", "7/3", "4/6"))
+            factors = [factor() for _ in range(rng.randint(0, 3))]
+            text += around(rng.choice("+-")) + (around("*").join([coeff] * bool(coeff) + factors) or "5")
+        yield text if rng.random() < 0.5 else text.lstrip("+ ")
+
+
+def test_phi_parse_agrees_with_the_rewriting_reference():
+    # phi is parsed in its own names x and y; the reference rewrites them to
+    # x1 and x2 and maps the errors back.  Every text gets the same verdict
+    # and, when valid, the same triples.  An error is one PolyParseError
+    # inside the text; on a text with several faults the two may report
+    # different ones (the reference looks for x1-like names first).
+    outcomes = {True: 0, False: 0}
+    for text in _phi_texts(random.Random(25)):
+        try:
+            want = reference_parse_phi(text)
+        except PolyParseError:
+            want = None
+        try:
+            got = _parse_phi(text)
+        except PolyParseError as exc:
+            assert want is None, text
+            assert exc.__context__ is None and 0 <= exc.position <= len(text), text
+        else:
+            assert got == want, text
+        outcomes[want is not None] += 1
+    assert outcomes[True] > 3000 and outcomes[False] > 15000, outcomes
 
 
 # -- loader fuzzing ----------------------------------------------------------------

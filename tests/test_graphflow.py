@@ -41,6 +41,7 @@ from helpers import (
     WEDGE_GRAPH,
     brute_gamma1_raw,
     brute_gamma2_raw,
+    count_products,
     naive_evaluate_kgraph_raw,
     naive_graph_sum,
     naive_graph_tensor,
@@ -388,23 +389,16 @@ def test_graphs_with_a_double_edge_vanish(monkeypatch):
     assert all(kgraph_module.derivative_tensor(b, 2, True) for b in (p, q))
     graphs = [g for k in (1, 2, 3) for g in _all_graphs(k) if any(l == r for l, r in g.edges)]
     assert len(graphs) == 905  # 473 of them with at most two sinks
-    products = []
-
-    def counting_addmul(acc, a, b):
-        products.append(1)
-        addmul(acc, a, b)
-
-    addmul = kgraph_module.addmul
-    monkeypatch.setattr(kgraph_module, "addmul", counting_addmul)
+    counts = count_products(monkeypatch)
 
     def graphs_with_products():
         ran = 0
         for graph in graphs:
-            products.clear()
+            counts[:] = [0, 0]
             k = graph.n_internal
             for assignment in ((p, q, p)[:k], (q, p, q)[:k]):
                 assert graph_sum(graph, [assignment]) == {}, render_kgraph(graph)
-            ran += bool(products)
+            ran += bool(counts[0])
         return ran
 
     assert graphs_with_products() == 0
@@ -440,14 +434,7 @@ def test_graphs_with_an_odd_automorphism_vanish_with_no_product(monkeypatch):
     # eight without a double edge are sinkless 3-cycles.
     rng = random.Random(34)
     p = random_bivector(rng, Context(3), max_terms=3, max_degree=4)
-    products = []
-
-    def counting_addmul(acc, a, b):
-        products.append(1)
-        addmul(acc, a, b)
-
-    addmul = kgraph_module.addmul
-    monkeypatch.setattr(kgraph_module, "addmul", counting_addmul)
+    counts = count_products(monkeypatch)
     graphs = [
         g
         for k in (1, 2, 3)
@@ -458,10 +445,10 @@ def test_graphs_with_an_odd_automorphism_vanish_with_no_product(monkeypatch):
     assert (len(graphs), len(odd)) == (755, 481)
     assert sum(all(l != r for l, r in g.edges) for g in odd) == 8
     for graph in graphs:
-        products.clear()
+        counts[:] = [0, 0]
         total = graph_sum(graph, [(p,) * graph.n_internal])
         if graph in odd:
-            assert total == {} and not products, render_kgraph(graph)
+            assert total == {} and not counts[0], render_kgraph(graph)
         else:
             assert total, render_kgraph(graph)
 
@@ -510,15 +497,7 @@ def test_gamma1_rotation_is_used_only_where_the_assignment_respects_it(monkeypat
     rng = random.Random(35)
     ctx = Context(3)
     p, q = (random_bivector(rng, ctx, max_terms=4, max_degree=5) for _ in range(2))
-    counts = [0, 0]
-
-    def counting_addmul(acc, a, b):
-        counts[0] += 1
-        counts[1] += len(a) * len(b)
-        addmul(acc, a, b)
-
-    addmul = kgraph_module.addmul
-    monkeypatch.setattr(kgraph_module, "addmul", counting_addmul)
+    counts = count_products(monkeypatch)
 
     def run(assignment, skew):
         counts[:] = [0, 0]
@@ -676,15 +655,7 @@ def test_plan_pins_products_and_term_pairs(monkeypatch):
     p = build_bivector(rows[10])
     p1, p2 = gamma1(p).skew, gamma2(p).skew
     dim8, dim6 = build_bivector(VanhaeckeSpec(4, [(2, 1, 1)])), build_bivector(VanhaeckeSpec(3, [(3, 1, 1)]))
-    counts = [0, 0]
-
-    def counting_addmul(acc, a, b):
-        counts[0] += 1
-        counts[1] += len(a) * len(b)
-        addmul(acc, a, b)
-
-    addmul = kgraph_module.addmul
-    monkeypatch.setattr(kgraph_module, "addmul", counting_addmul)
+    counts = count_products(monkeypatch)
     cases = {
         "gamma2, row 10": (lambda: gamma2(p).raw, (800, 82371)),
         "gamma2, dim 8": (lambda: gamma2(dim8).raw, (4437, 12019)),
@@ -732,19 +703,6 @@ def _no_pruning(monkeypatch):
         yield
 
 
-def _counting_products(monkeypatch):
-    """Count the engine's products from here on, in the returned list."""
-    products = [0]
-
-    def counting_addmul(acc, a, b):
-        products[0] += 1
-        addmul(acc, a, b)
-
-    addmul = kgraph_module.addmul
-    monkeypatch.setattr(kgraph_module, "addmul", counting_addmul)
-    return products
-
-
 def _carries_a_test_back_over_two_steps(graph) -> bool:
     """Whether the graph's plan has middle steps s, t and u, s's result next
     meeting a vertex in t, t's in u and u's in a later step, with t and u
@@ -768,7 +726,7 @@ def test_support_pruning_matches_naive_and_unpruned_sums(monkeypatch):
     # test back over two steps.  The sample prunes: it runs fewer products
     # than with pruning off.
     rng = random.Random(41)
-    products = _counting_products(monkeypatch)
+    products = count_products(monkeypatch)
     ran, deep = {True: 0, False: 0}, 0
 
     def check(combination, assignments, naive):
@@ -805,7 +763,7 @@ def test_support_pruning_runs_fewer_products_on_sparse_inputs(monkeypatch):
     # sparse derivative tables: on each, the two flows run strictly fewer
     # products with pruning than without (none more on either flow), with
     # the same raw matrices.
-    products = _counting_products(monkeypatch)
+    products = count_products(monkeypatch)
     rows = {rid: spec for rid, _, spec, _ in builtin_rows()}
     specs = [VanhaeckeSpec(4, [(2, 1, 1)]), VanhaeckeSpec(3, [(3, 1, 1)]), rows[2], rows[8]]
     for spec in specs:
@@ -955,19 +913,13 @@ def test_balanced_flow_runs_the_products_of_both_skew_parts_with_shared_tables(m
     # and 13,685-13,727 term pairs on seeds 1-10, 351 and 15,067-15,116
     # before.)
     p = _probe_p_tilde()
-    counts, tables = [0, 0], []
-
-    def counting_addmul(acc, a, b):
-        counts[0] += 1
-        counts[1] += len(a) * len(b)
-        addmul(acc, a, b)
+    counts, tables = count_products(monkeypatch), []
 
     def counting_tensor(p, m, ascending):
         tables.append((m, ascending))
         return derivative_tensor(p, m, ascending)
 
-    addmul, derivative_tensor = kgraph_module.addmul, kgraph_module.derivative_tensor
-    monkeypatch.setattr(kgraph_module, "addmul", counting_addmul)
+    derivative_tensor = kgraph_module.derivative_tensor
     monkeypatch.setattr(kgraph_module, "derivative_tensor", counting_tensor)
     parts = []
     for run in (lambda: gamma1(p).skew, lambda: gamma2(p).skew, lambda: balanced_flow(p, 1, 6)):
@@ -1037,12 +989,10 @@ def test_rational_bracket_runs_its_products_on_ints(monkeypatch):
     assert 2 in _denominators([p2])
     fractions = []
 
-    def counting_addmul(acc, a, b):
+    def count_fractions(a, b):
         fractions.append(sum(isinstance(c, Fraction) for x in (a, b) for c in x.values()))
-        addmul(acc, a, b)
 
-    addmul = kgraph_module.addmul
-    monkeypatch.setattr(kgraph_module, "addmul", counting_addmul)
+    count_products(monkeypatch, count_fractions)
     bracket = schouten(p0, p2)
     assert fractions and sum(fractions) == 0
     monkeypatch.undo()

@@ -7,7 +7,6 @@ from itertools import combinations
 
 import pytest
 
-import tetraflows._kgraph as kgraph_module
 from tetraflows.graphflow import (
     GAMMA1_GRAPH,
     GAMMA2_GRAPH,
@@ -25,7 +24,7 @@ from tetraflows.multivector import (
     mv_linear_combination,
     schouten,
 )
-from tetraflows.polyring import Context, ContextMismatchError, Polynomial, addmul
+from tetraflows.polyring import Context, ContextMismatchError, Polynomial
 
 from example4d import (
     BRACKET_P0_P1,
@@ -45,6 +44,7 @@ from example4d import (
 from helpers import (
     WEDGE_GRAPH,
     brute_jacobi_tensor,
+    count_products,
     lie_derivative_bracket,
     random_bivector,
     random_polynomial,
@@ -131,24 +131,18 @@ def test_equal_copies_take_the_self_bracket_path(monkeypatch):
     # An equal copy (as from loading one file twice) gives the same bracket
     # as the object itself, through the same one-assignment graph sum: the
     # products run in the contraction engine's addmul.
-    calls = []
-
-    def counting_addmul(acc, a, b):
-        calls.append(1)
-        addmul(acc, a, b)
-
-    monkeypatch.setattr(kgraph_module, "addmul", counting_addmul)
+    counts = count_products(monkeypatch)
     rng = random.Random(14)
     for dim in (3, 4, 5):
         p = random_bivector(rng, Context(dim)).scale(Fraction(3, 2))
         copy = MultiVector.from_json_dict(json.loads(json.dumps(p.to_json_dict())))
         assert copy is not p
-        calls.clear()
+        counts[:] = [0, 0]
         same = schouten(p, p)
-        self_calls = len(calls)
-        calls.clear()
+        self_calls = counts[0]
+        counts[:] = [0, 0]
         assert schouten(p, copy) == same
-        assert len(calls) == self_calls
+        assert counts[0] == self_calls
         tensor = brute_jacobi_tensor(p)
         for idx in combinations(range(1, dim + 1), 3):
             assert same.comps.get(idx, Polynomial.zero(p.ctx)) == tensor[idx].scale(2)

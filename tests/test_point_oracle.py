@@ -1,9 +1,10 @@
 """Index sums at integer points as an oracle for the flows in dims 6 and 8.
 
 The naive graph oracle runs in dims 3-5 and the sympy one in dims 3 and 4.
-Here the raw matrices of gamma1 and gamma2 and the 1:6 balanced flow on
-builtin row 11 and on the flows benchmark's dim-8 and dim-6 inputs are
-evaluated at seeded integer points and compared, entry by entry, with
+Here the raw matrices of gamma1 and gamma2, their skew parts read alone,
+the 1:6 balanced flow and the bracket [[P, gamma2(P)]] on builtin row 11
+and on the flows benchmark's dim-8 and dim-6 inputs are evaluated at
+seeded integer points and compared, entry by entry, with
 ``helpers.point_oracle``: the graphs' index sums at those points, built from
 the edge tuples and ``numpy.einsum``.  Agreement at random points is a
 Schwartz-Zippel check, in exact ints and Fractions.
@@ -11,14 +12,15 @@ Schwartz-Zippel check, in exact ints and Fractions.
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
 from tetraflows.analysis import builtin_rows
 from tetraflows.generators import VanhaeckeSpec, build_bivector
 from tetraflows.graphflow import GAMMA1_GRAPH, GAMMA2_GRAPH, balanced_flow, gamma1, gamma2, parse_kgraph
-from tetraflows.polyring import Context
+from tetraflows.multivector import schouten
+from tetraflows.polyring import Context, Polynomial
 
 from helpers import SKEW_VANISHING_GRAPH, naive_graph_tensor, point_oracle, random_bivector, value_at
 
@@ -82,5 +84,40 @@ def test_flows_and_the_balanced_flow_match_the_point_oracle(name):
                 nonzero[at] += m[a, b] != 0
             want = Fraction(m1[a, b] - m1[b, a], 2) + 6 * Fraction(m2[a, b] - m2[b, a], 2)
             assert value_at(balanced.entry(a + 1, b + 1), x) == want, (name, x, a, b)
+            nonzero[2] += want != 0
+    assert all(nonzero), nonzero
+
+
+# The bracket graph of the multivector docstring: d_l P^{ij} Q^{lk}.
+BRACKET_GRAPH = parse_kgraph("2; (S1,S2) (V1,S3)")
+
+
+@pytest.mark.parametrize("name", INPUTS)
+def test_skew_parts_and_the_bracket_match_the_point_oracle(name):
+    # gamma1(P).skew and gamma2(P).skew each read alone, which runs the skew
+    # graph sum, not the raw matrix: entry (a, b) is (M - M^T) / 2 of the
+    # oracle's raw matrix M.  And [[P, Q]] for Q = gamma2(P).skew: entry
+    # (i, j, k) is the cyclic sum of R_PQ + R_QP, R_PQ the oracle's bracket
+    # graph with P on V1 and Q on V2.  At 3 seeded points, some entries of
+    # each nonzero.
+    p = build_bivector(INPUTS[name])
+    n = p.ctx.dim
+    skews = gamma1(p).skew, gamma2(p).skew
+    q = skews[1]
+    bracket = schouten(p, q)
+    zero = Polynomial.zero(p.ctx)
+    nonzero = [0, 0, 0]
+    for x in _points(random.Random(63), n, 3):
+        for at, (graph, skew) in enumerate(zip((GAMMA1_GRAPH, GAMMA2_GRAPH), skews)):
+            m = point_oracle(graph, (p,) * 4, x)
+            for a, b in combinations(range(n), 2):
+                want = Fraction(m[a, b] - m[b, a], 2)
+                assert value_at(skew.entry(a + 1, b + 1), x) == want, (name, x, at, a, b)
+                nonzero[at] += want != 0
+        r = point_oracle(BRACKET_GRAPH, (p, q), x) + point_oracle(BRACKET_GRAPH, (q, p), x)
+        for i, j, k in combinations(range(n), 3):
+            want = r[i, j, k] + r[j, k, i] + r[k, i, j]
+            got = value_at(bracket.comps.get((i + 1, j + 1, k + 1), zero), x)
+            assert got == want, (name, x, i, j, k)
             nonzero[2] += want != 0
     assert all(nonzero), nonzero

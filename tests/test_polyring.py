@@ -169,6 +169,33 @@ def test_parse_errors_carry_position():
     assert (err.value.message, err.value.position) == ("missing '*' before 'x1'", 1)
 
 
+def test_parse_reads_the_given_names():
+    # One grammar with the variables' names slot by slot: the default is the
+    # context's own, which render writes.  A name token is x, eps or a name,
+    # followed by any digits, so x1 among x and y is an unknown variable.
+    xy = ("x", "y")
+    assert CTX4.names == ("x1", "x2", "x3", "x4")
+    assert Context(2, has_epsilon=True).names == ("x1", "x2", "eps")
+    p = Polynomial.parse("3/2*y^2*x - x*x + 7", Context(2), names=xy)
+    assert p == Polynomial.parse("3/2*x1*x2^2 - x1^2 + 7", Context(2))
+    assert Polynomial.parse(p.render(), Context(2)) == p
+    for text, names, message, position in (
+        ("y*x2", xy, "unknown variable 'x2' (variables: x, y)", 2),
+        ("eps", xy, "unknown variable 'eps' (variables: x, y)", 0),
+        ("x^40000", xy, "exponent 40000 of x is not below the limit 32768", 2),
+        ("x1 + x", (), "unknown variable 'x' (variables: x1, x2, x3, x4)", 5),
+        ("eps", (), "unknown variable 'eps' (variables: x1, x2, x3, x4)", 0),
+        ("2x", (), "missing '*' before 'x'", 1),
+        ("2y", xy, "missing '*' before 'y'", 1),
+    ):
+        with pytest.raises(PolyParseError) as err:
+            Polynomial.parse(text, Context(2) if names else CTX4, names=names)
+        assert (err.value.message, err.value.position) == (message, position), text
+    for names in (xy, ("x", "x", "y"), ("x", "", "y"), ("x", "12", "y")):
+        with pytest.raises(ValueError):  # one distinct name per slot, each with a letter
+            Polynomial.parse("x", Context(3), names=names)
+
+
 def test_parse_rejects_exponents_at_the_limit():
     top = EXPONENT_LIMIT - 1
     assert dict(parse(f"x2^{top}").items()) == {(0, top, 0, 0): 1}
