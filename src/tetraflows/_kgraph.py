@@ -14,8 +14,9 @@ of a contraction depend on the edges alone, so each graph's plan is worked
 out once, on its first sum (``_plan``).
 
 Text encoding: ``"<k>; (t,t) (t,t) ..."`` with one ordered target pair per
-internal vertex; a target is ``S<i>`` or ``V<idx>``.  Tadpoles
-(self-loops) are rejected; double edges and two-edge loops are allowed.
+internal vertex; a target is ``S<i>`` or ``V<idx>``, every number in ASCII
+digits.  Tadpoles (self-loops) are rejected; double edges and two-edge loops
+are allowed.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ class KGraph:
                     raise GraphStructureError(f"tadpole at vertex {v}")
 
 
-_PAIR = re.compile(r"\(\s*([SV]\d+)\s*,\s*([SV]\d+)\s*\)")
+_PAIR = re.compile(r"\(\s*([SV][0-9]+)\s*,\s*([SV][0-9]+)\s*\)")
 
 
 def parse_kgraph(text: str) -> KGraph:
@@ -75,10 +76,9 @@ def parse_kgraph(text: str) -> KGraph:
     head, sep, body = text.partition(";")
     if not sep:
         raise GraphParseError("missing ';' after the vertex count")
-    try:
-        k = int(head.strip())
-    except ValueError:
-        raise GraphParseError(f"bad vertex count {head.strip()!r}") from None
+    if not re.fullmatch("[0-9]+", head.strip()):
+        raise GraphParseError(f"bad vertex count {head.strip()!r}")
+    k = int(head)
     pairs = []
     pos = 0
     while pos < len(body):

@@ -3,7 +3,10 @@
 * compatibility reports: the five exact zero-tests for a Poisson bi-vector
   P0 and its flows P1 = gamma1(P0), P2 = gamma2(P0), Q = P1 + 6*P2;
 * the exact ratio solver: the rational null space of
-  sum_i c_i * [[P, B_i]] = 0 by monomial-coefficient matching;
+  sum_i c_i * [[P, B_i]] = 0.  The brackets' values at integer points
+  narrow the candidates (a point only excludes combinations that are not
+  solutions), and only the candidates are bracketed and solved by
+  monomial-coefficient matching;
 * the eps-perturbation probe: eps-graded brackets of P~ = P + eps*Delta;
 * reproduction of the builtin grid of eleven finite-dimensional examples
   (two 3D determinant+prefactor rows, four pure determinant rows in
@@ -15,16 +18,19 @@ All zero-tests are exact canonical-form equalities, never numeric.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from itertools import combinations
+from math import comb, gcd, lcm, prod
+from operator import mul
 from typing import Sequence
 
+from ._kgraph import check_sum
 from .generators import (
     build_bivector,
     generator_from_json_dict,
     generator_to_json_dict,
 )
 from .graphflow import balanced_flow, gamma1, gamma2
-from .multivector import MultiVector, is_poisson, jacobiator, mv_linear_combination, schouten
+from .multivector import _BRACKET_GRAPH, MultiVector, is_poisson, jacobiator, mv_linear_combination, schouten
 from .polyring import Polynomial, _denominator_lcm, _quotient
 
 __all__ = [
@@ -108,26 +114,104 @@ class RatioSolution:
     basis: tuple  # tuples of primitive integers, first nonzero entry positive
 
 
+# The integer points of the candidate step, read cyclically: point t gives
+# slot s (x1..x<dim>, then eps) the entry at t * nslots + s.
+_POINTS = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71)
+
+
 def find_ratios(p: MultiVector, basis: Sequence[MultiVector]) -> RatioSolution:
-    """Solve sum_i c_i * [[P, B_i]] = 0 exactly by coefficient matching."""
+    """Solve sum_i c_i * [[P, B_i]] = 0 exactly, bracketing only candidates.
+
+    Evaluation at a point is linear, so the null space N of the brackets'
+    values at fixed integer points, taken from the values and first
+    partials of P and the B_i, contains the exact space S.  Only the
+    combinations B'_j = sum_i v_ji B_i of a basis v_j of N are bracketed
+    (none if N = {0}), and S is the image of the exact null space of the
+    [[P, B'_j]] by coefficient matching.  So a point only excludes
+    combinations that are not solutions, every vector of S comes from a
+    canonical-form bracket, and a degenerate point costs at most the k
+    brackets of the full solve.  The basis returned is the canonical basis
+    of S, through its orthogonal complement, so it depends on S alone.
+    """
     basis = list(basis)
     if not basis:
         raise ValueError("empty basis")
     if not is_poisson(p):
         raise ValueError("input bi-vector is not Poisson")
-    return _ratio_space([schouten(p, b) for b in basis])
+    check_sum(_BRACKET_GRAPH, [(p, b) for b in basis])
+    k = len(basis)
+    rows, scales = _point_rows(p, basis)
+    candidates = [_primitive([u * s for u, s in zip(vec, scales)]) for vec in _kernel(rows, k)]
+    combos = [mv_linear_combination([(c, b) for c, b in zip(v, basis) if c]) for v in candidates]
+    space = [
+        [sum(w * v[i] for w, v in zip(ws, candidates)) for i in range(k)]
+        for ws in _ratio_space([schouten(p, b) for b in combos]).basis
+    ]
+    kernel = _kernel(_kernel(space, k), k)
+    return RatioSolution(len(kernel), tuple(kernel))
+
+
+def _point_rows(p: MultiVector, basis: list) -> tuple:
+    """The rows of D * s_i * [[P, B_i]] at the fewest points that give one
+    row per B_i: one row per point and i < j < k, one column per B_i, with
+    D and s_i the lcm of the coefficient denominators of P and of B_i.
+    Returns the rows and the s_i.
+
+    With V and G the values and gradients of the full matrices at x, the
+    bracket formula of ``multivector`` reads, as V^{lc} = -V^{cl},
+    [[P,B]]^{ijk} = -sum_cyc (G_P^{ab} . V_B^{c} + G_B^{ab} . V_P^{c}).
+    """
+    n, slots = p.ctx.dim, p.ctx.nslots
+    scales = [_denominator_lcm(b.comps.values()) for b in basis]
+    rows = []
+    for t in range(-(-len(basis) // max(comb(n, 3), 1))):
+        x = _point(t, slots)
+        vp, gp = _jets(p, _denominator_lcm(p.comps.values()), x)
+        jets = [_jets(b, s, x) for b, s in zip(basis, scales)]
+        for i, j, k in combinations(range(n), 3):
+            cyc = ((i, j, k), (j, k, i), (k, i, j))
+            rows.append([
+                -sum(sum(map(mul, gp[a][b], vb[c])) + sum(map(mul, gb[a][b], vp[c])) for a, b, c in cyc)
+                for vb, gb in jets
+            ])
+    return rows, scales
+
+
+def _point(t: int, slots: int) -> list:
+    return [_POINTS[(t * slots + s) % len(_POINTS)] for s in range(slots)]
+
+
+def _jets(mv: MultiVector, s: int, x: list) -> tuple:
+    """The full antisymmetric matrices of the values and of the gradients
+    (d_1..d_n) of s * mv at the integer point x, s clearing every
+    denominator of mv.  x_l * d_l f(x) is the sum of e_l * c * x^e over the
+    terms c * x^e of f: one exact division where x_l is nonzero; where
+    x_l = 0 only the terms with e_l = 1 count, at x with x_l set to 1."""
+    n = mv.ctx.dim
+    values = [[0] * n for _ in range(n)]
+    grads = [[[0] * n] * n for _ in range(n)]
+    for (a, b), poly in mv.comps.items():
+        expss, coeffs = zip(*poly.items())
+        coeffs = [c.numerator * (s // c.denominator) for c in coeffs]
+        terms = [c * prod(map(pow, x, e)) for c, e in zip(coeffs, expss)]
+        grad = [
+            sum(map(mul, terms, col)) // xl
+            if xl
+            else sum(c * prod(map(pow, x[:l] + [1] + x[l + 1 :], e)) for c, e in zip(coeffs, expss) if e[l] == 1)
+            for l, (col, xl) in enumerate(zip(zip(*expss), x[:n]))
+        ]
+        value = sum(terms)
+        values[a - 1][b - 1], values[b - 1][a - 1] = value, -value
+        grads[a - 1][b - 1], grads[b - 1][a - 1] = grad, [-d for d in grad]
+    return values, grads
 
 
 def _ratio_space(brackets: "list[MultiVector]") -> RatioSolution:
-    """The null space of sum_i c_i * brackets[i] = 0, solved in integers.
+    """The null space of sum_i c_i * brackets[i] = 0 by coefficient matching.
 
-    Column i is multiplied by s_i, the lcm of the denominators of brackets[i].
-    Each row, one per (component, monomial), is reduced against the kept
-    rows; a row left nonzero is kept and reduces them in turn.  The kept rows
-    are primitive, with a positive pivot and zeros at the other pivots: the
-    unique reduced echelon form up to a positive factor per row, whatever the
-    row order.  A free column f gives the null vector that is 1 at f and 0 at
-    the other free columns, scaled back by the s_i and made primitive.
+    Column i is multiplied by s_i, the lcm of the denominators of brackets[i],
+    so that the rows, one per (component, monomial), are integers; each null
+    vector of :func:`_kernel` is scaled back by the s_i and made primitive.
     """
     ncols = len(brackets)
     scales = [_denominator_lcm(t.comps.values()) for t in brackets]
@@ -136,8 +220,23 @@ def _ratio_space(brackets: "list[MultiVector]") -> RatioSolution:
         for idx, poly in t.comps.items():
             for mono, c in poly.terms.items():
                 rows.setdefault((idx, mono), [0] * ncols)[col] = c.numerator * (s // c.denominator)
+    kernel = [_primitive([x * s for x, s in zip(vec, scales)]) for vec in _kernel(rows.values(), ncols)]
+    return RatioSolution(len(kernel), tuple(kernel))
+
+
+def _kernel(rows, ncols: int) -> list:
+    """The null space of integer rows of length ``ncols``, as the canonical
+    basis: primitive vectors, first nonzero entry positive.
+
+    Each row is reduced against the kept rows; a row left nonzero is kept
+    and reduces them in turn.  The kept rows are primitive, with a positive
+    pivot and zeros at the other pivots: the unique reduced echelon form up
+    to a positive factor per row, whatever the row order.  A free column f
+    gives the null vector that is 1 at f and 0 at the other free columns,
+    made primitive.  So the basis depends only on the null space.
+    """
     echelon: dict = {}  # pivot column -> its kept row
-    for row in rows.values():
+    for row in rows:
         for pc, kept in echelon.items():
             if row[pc]:
                 row = _eliminate(row, kept, pc)
@@ -158,8 +257,8 @@ def _ratio_space(brackets: "list[MultiVector]") -> RatioSolution:
         vec[f] = lead
         for pc, kept in echelon.items():
             vec[pc] = -kept[f] * (lead // kept[pc])
-        kernel.append(_primitive([x * s for x, s in zip(vec, scales)]))
-    return RatioSolution(len(kernel), tuple(kernel))
+        kernel.append(_primitive(vec))
+    return kernel
 
 
 def _eliminate(row, kept, pc: int) -> list:

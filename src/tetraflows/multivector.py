@@ -20,6 +20,7 @@ gives R^{abc} = sum_l d_l P^{ab} Q^{lc}, and [[P,Q]] = sum_cyc (R_PQ + R_QP).
 
 from __future__ import annotations
 
+import re
 from typing import Iterable, Mapping, Sequence
 
 from ._kgraph import graph_sum, parse_kgraph
@@ -177,7 +178,9 @@ class MultiVector:
         degree = _json_field(doc, "degree", int)
         comps = {}
         for key, text in doc.get("components", {}).items():
-            idx = tuple(int(s) for s in str(key).split(","))
+            if not re.fullmatch("[0-9]+(,[0-9]+)*", str(key)):
+                raise ValueError(f"component key {key!r} must be indices in ASCII digits joined by ','")
+            idx = tuple(map(int, str(key).split(",")))
             comps[idx] = Polynomial.parse(text, ctx)
         return cls(ctx, degree, comps)
 

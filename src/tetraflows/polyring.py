@@ -49,6 +49,7 @@ import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, reduce
+from itertools import repeat
 from math import lcm
 from operator import or_
 from typing import Iterator, Mapping, Sequence
@@ -181,10 +182,11 @@ def _fields(nslots: int) -> struct.Struct:
 def _grammar(names: "tuple[str, ...]") -> "tuple[re.Pattern, dict]":
     """The token pattern and the slot of each name, for the variables'
     names: a name token is x, eps or a name less its trailing digits, then
-    any digits, so that x1 is an unknown variable among the names x and y."""
+    any digits, so that x1 is an unknown variable among the names x and y.
+    Digits are ASCII only: any other character is unexpected."""
     stems = {"x", "eps", *(n.rstrip("0123456789") for n in names)}
-    name = "(?:" + "|".join(map(re.escape, sorted(stems, key=len, reverse=True))) + r")\d*"
-    token = re.compile(rf"\s*(?:(?P<num>\d+)|(?P<name>{name})|(?P<op>[-+*/^]))")
+    name = "(?:" + "|".join(map(re.escape, sorted(stems, key=len, reverse=True))) + ")[0-9]*"
+    token = re.compile(rf"\s*(?:(?P<num>[0-9]+)|(?P<name>{name})|(?P<op>[-+*/^]))")
     return token, {n: slot for slot, n in enumerate(names)}
 
 
@@ -374,10 +376,11 @@ class Polynomial:
         return not self.terms
 
     def items(self) -> "Iterator[tuple[tuple[int, ...], object]]":
-        """The terms as (exponent tuple, coefficient) pairs."""
-        unpack = self.ctx.unpack
-        for mono, c in self.terms.items():
-            yield unpack(mono), c
+        """The terms as (exponent tuple, coefficient) pairs; the monomials
+        are unpacked in one pass over their packed bytes."""
+        fields = _fields(self.ctx.nslots)
+        packed = b"".join(map(int.to_bytes, self.terms, repeat(fields.size), repeat("big")))
+        return zip(fields.iter_unpack(packed), self.terms.values())
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):

@@ -1,14 +1,19 @@
 import json
 import random
 from fractions import Fraction
+from functools import cache
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tetraflows import analysis
 from tetraflows.analysis import (
     FLAG_NAMES,
     RatioSolution,
+    _point,
+    _point_rows,
     _ratio_space,
     builtin_rows,
     compat_report,
@@ -19,10 +24,16 @@ from tetraflows.analysis import (
 from tetraflows.generators import DetSpec, build_bivector, det_bracket
 from tetraflows.graphflow import gamma1, gamma2
 from tetraflows.multivector import MultiVector, is_poisson, mv_linear_combination, schouten
-from tetraflows.polyring import Context, Polynomial
+from tetraflows.polyring import Context, Polynomial, _denominator_lcm
 
 from example4d import ctx4, p0, p0_spec
-from helpers import fraction_find_ratios, fraction_perturb_probe, random_bivector
+from helpers import (
+    count_products,
+    fraction_find_ratios,
+    fraction_perturb_probe,
+    random_bivector,
+    value_at,
+)
 
 CTX3 = Context(3)
 
@@ -181,13 +192,97 @@ def _rational_det_brackets(draw):
 
 
 @settings(max_examples=25, deadline=None)
-@given(_rational_det_brackets(), st.lists(_RATIONALS, min_size=2, max_size=3))
+@given(_rational_det_brackets(), st.lists(_RATIONALS, min_size=2, max_size=4))
 def test_find_ratios_matches_brute_force_sympy_reference(p, factors):
-    # rational multiples of gamma1, gamma2 and (optionally) gamma1 again
-    p1 = gamma1(p).skew
-    flows = [p1, gamma2(p).skew, p1]
-    basis = [flow.scale(c) for flow, c in zip(flows, factors)]
+    # rational multiples of gamma1, gamma2, then of both again: duplicated
+    # and rescaled columns, up to k = 4 (four points in dim 3, one row each)
+    p1, p2 = gamma1(p).skew, gamma2(p).skew
+    basis = [flow.scale(c) for flow, c in zip([p1, p2, p1, p2], factors)]
     assert find_ratios(p, basis) == fraction_find_ratios(p, basis)
+
+
+@cache
+def _row_flows(row_id):
+    spec = next(spec for rid, _, spec, _ in builtin_rows() if rid == row_id)
+    p = build_bivector(spec)
+    return p, gamma1(p).skew, gamma2(p).skew
+
+
+def _ratio_inputs():
+    """(name, P, basis): each grid row with the basis (P1, P2, P0), whose
+    space is span{(1, 6, 0), (0, 0, 1)}, and an eps-context input."""
+    for row_id in range(1, 12):
+        p, p1, p2 = _row_flows(row_id)
+        yield f"row {row_id}", p, [p1, p2, p]
+    # P = (1 + eps) * P0 and brackets that depend on eps: P1, P2, eps * P1
+    # and eps * P2, whose space is span{(1, 6, 0, 0), (0, 0, 1, 6)}
+    ctx = ctx4().with_epsilon()
+    eps = Polynomial.epsilon(ctx)
+    p1, p2 = gamma1(p0()).skew.lift(ctx), gamma2(p0()).skew.lift(ctx)
+    p = p0().lift(ctx).mul_poly(Polynomial.one(ctx) + eps)
+    yield "eps", p, [p1, p2, p1.mul_poly(eps), p2.mul_poly(eps)]
+
+
+def test_find_ratios_equals_the_solve_over_every_bracket():
+    # the point step changes the work, never the answer: the coefficient
+    # matching of all k brackets gives the same RatioSolution
+    for name, p, basis in _ratio_inputs():
+        sol = find_ratios(p, basis)
+        assert sol == _ratio_space([schouten(p, b) for b in basis]), name
+        k = len(basis)
+        assert sol.basis == (((1, 6, 0), (0, 0, 1)) if k == 3 else ((1, 6, 0, 0), (0, 0, 1, 6))), name
+
+
+def test_find_ratios_at_the_origin_brackets_every_element(monkeypatch):
+    # every bracket of positive degree vanishes at the origin, so the points
+    # exclude no combination and all k elements are bracketed
+    want = {name: find_ratios(p, basis) for name, p, basis in _ratio_inputs()}
+    monkeypatch.setattr(analysis, "_POINTS", (0,))
+    for name, p, basis in _ratio_inputs():
+        assert not any(map(any, _point_rows(p, basis)[0])), name
+        assert find_ratios(p, basis) == want[name], name
+
+
+def test_point_rows_are_the_engine_brackets_at_the_points():
+    # row r holds D * s_i * [[P, B_i]] at point r // C(n, 3), component
+    # number r % C(n, 3) in the order of combinations
+    for name, p, basis in _ratio_inputs():
+        rows, scales = _point_rows(p, basis)
+        d = _denominator_lcm(p.comps.values())
+        triples = list(combinations(range(1, p.ctx.dim + 1), 3))
+        brackets = [schouten(p, b) for b in basis]
+        zero = Polynomial.zero(p.ctx)
+        assert len(rows) == len(triples) * -(-len(basis) // len(triples)), name
+        for r, row in enumerate(rows):
+            x, idx = _point(r // len(triples), p.ctx.nslots), triples[r % len(triples)]
+            values = [value_at(t.comps.get(idx, zero), x) for t in brackets]
+            assert row == [d * s * v for s, v in zip(scales, values)], (name, idx, x)
+
+
+def test_find_ratios_brackets_only_the_candidate(monkeypatch):
+    # row 10: the point leaves the one candidate (1, 6), so the solve runs
+    # the Jacobi test and [[P0, P1 + 6*P2]], one bracket instead of two
+    p, p1, p2 = _row_flows(10)
+    q = mv_linear_combination([(1, p1), (6, p2)])
+    counts = count_products(monkeypatch)
+    is_poisson(p)
+    schouten(p, q)
+    want = list(counts)
+    counts[:] = [0, 0]
+    assert find_ratios(p, [p1, p2]) == RatioSolution(1, ((1, 6),))
+    assert counts == want and counts[1] == 19_253
+
+
+def test_find_ratios_without_candidates_runs_no_bracket(monkeypatch):
+    # [[P0, P1]] is nonzero at the point, so nothing is left to bracket
+    bi = p0()
+    p1 = gamma1(bi).skew
+    counts = count_products(monkeypatch)
+    is_poisson(bi)
+    want = list(counts)
+    counts[:] = [0, 0]
+    assert find_ratios(bi, [p1]) == RatioSolution(0, ())
+    assert counts == want
 
 
 def _brackets_of(matrix):

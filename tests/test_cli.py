@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 from tetraflows import multivector
 from tetraflows.analysis import builtin_rows, reproduce_tables
 from tetraflows.cli import _parse_phi, main
+from tetraflows.graphflow import GraphParseError, parse_kgraph
 from tetraflows.multivector import MultiVector
-from tetraflows.polyring import DIM_LIMIT, PolyParseError
+from tetraflows.polyring import DIM_LIMIT, Context, PolyParseError, Polynomial
 
 from example4d import BRACKET_P0_P1, P0_UPPER, P2_RAW, ctx4, p0, parse4
 from helpers import _parse_phi as reference_parse_phi
@@ -385,6 +386,39 @@ def test_loader_errors_name_the_file(tmp_path, capsys, p0_file, text):
     code, out, err = run(capsys, "bracket", p0_file, str(bad))
     assert code == 2 and out == ""
     assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+
+
+# -- digits are ASCII only -----------------------------------------------------------
+# int() and the regex class \d read every Unicode decimal digit, so without
+# these checks a Bengali or Arabic-Indic digit loads as if typed in ASCII.
+
+
+def test_polynomial_digits_are_ascii_only(capsys):
+    with pytest.raises(PolyParseError, match="unexpected character '৩'"):
+        Polynomial.parse("৩*x1^২", Context(2))
+    code, out, err = run(capsys, "gen", "--det", "--dim", "3", "--arg", "x1^২")
+    assert (code, out, err) == (2, "", "error: unexpected character '২' (at position 3)\n")
+    code, out, err = run(capsys, "gen", "--vanhaecke", "--d", "2", "--phi", "x^٢")
+    assert (code, out, err) == (2, "", "error: unexpected character '٢' (at position 2)\n")
+
+
+def test_graph_digits_are_ascii_only(capsys, p0_file):
+    with pytest.raises(GraphParseError, match="bad vertex count"):
+        parse_kgraph("٢; (S1,S٢) (V١,S3)")
+    with pytest.raises(GraphParseError, match="bad target pair"):
+        parse_kgraph("2; (S1,S٢) (V1,S3)")
+    code, out, err = run(capsys, "graph", "eval", "1; (S1,S٢)", p0_file)
+    assert (code, out) == (2, "") and err.startswith("error: bad target pair") and err.count("\n") == 1
+
+
+def test_component_key_digits_are_ascii_only(tmp_path, capsys):
+    doc = {"dim": 3, "degree": 2, "components": {"١,2": "x1"}}
+    with pytest.raises(ValueError, match="ASCII digits"):
+        MultiVector.from_json_dict(doc)
+    path = tmp_path / "P.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "jacobi", str(path))
+    assert (code, out) == (2, "") and err.startswith(f"error: {path}: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
