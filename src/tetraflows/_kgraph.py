@@ -609,12 +609,23 @@ def _fold_key(width: int, positions: tuple, swapped: tuple = ()):
     return lambda key: rebuild(key + tuple(sorted(pick(key))))
 
 
+# [products, term pairs] of every ``_contract`` so far, added once per call.
+_tally = [0, 0]
+
+
 def _contract(ea: tuple, ta: dict, eb: tuple, tb: dict, slot) -> None:
     """Add the contraction of two tensors along their shared edges into term
     dicts, one per key over the free edges (a's, then b's): ``slot(key)``
     gives the dict at the key's first product, or None to drop the key.
     The smaller tensor is grouped by its shared indices.  No context is
-    checked here."""
+    checked here.
+
+    An entry with one term also carries its (monomial, coefficient) pair,
+    and a product of two such entries is one update of its dict, in place;
+    every other product calls ``addmul``, the only product loop.  The
+    products and term pairs go to ``_tally`` once per call: the products
+    are the visits less the dropped ones, and only a call of ``addmul``
+    adds its term pairs beyond the one of an in-place product."""
     a_outer = len(ta) >= len(tb)
     if not a_outer:  # so that ta is the larger
         ea, ta, eb, tb = eb, tb, ea, ta
@@ -625,14 +636,37 @@ def _contract(ea: tuple, ta: dict, eb: tuple, tb: dict, slot) -> None:
     rest_b = _picker([at for at, e in enumerate(eb) if e not in ea])
     groups: dict = {}
     for key, terms in tb.items():
-        groups.setdefault(link_b(key), []).append((rest_b(key), terms))
+        if len(terms) == 1:
+            [(m, c)] = terms.items()
+        else:
+            m = c = None
+        groups.setdefault(link_b(key), []).append((rest_b(key), terms, m, c))
     slots: dict = {}
+    visits = dropped = extra = 0
     for key, pa in ta.items():
+        group = groups.get(link_a(key))
+        if group is None:
+            continue
+        visits += len(group)
         head = rest_a(key)
-        for tail, pb in groups.get(link_a(key), ()):
+        na = len(pa)
+        if na == 1:
+            [(m1, c1)] = pa.items()
+        else:
+            m1 = c1 = None
+        for tail, pb, m2, c2 in group:
             full = head + tail if a_outer else tail + head
-            if full not in slots:
-                slots[full] = slot(full)
-            terms = slots[full]
-            if terms is not None:
+            terms = slots.get(full, False)  # one hash when the key has a slot
+            if terms is False:
+                terms = slots[full] = slot(full)
+            if terms is None:
+                dropped += 1
+            elif m1 is None or m2 is None:
                 addmul(terms, pa, pb)
+                extra += na * len(pb) - 1
+            else:
+                m = m1 + m2
+                terms[m] = terms.get(m, 0) + c1 * c2
+    products = visits - dropped
+    _tally[0] += products
+    _tally[1] += products + extra

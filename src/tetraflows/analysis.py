@@ -31,7 +31,7 @@ from .generators import (
 )
 from .graphflow import balanced_flow, gamma1, gamma2
 from .multivector import _BRACKET_GRAPH, MultiVector, is_poisson, jacobiator, mv_linear_combination, schouten
-from .polyring import Polynomial, _denominator_lcm, _quotient
+from .polyring import Polynomial, _denominator_lcm, _quotient, finish
 
 __all__ = [
     "FLAG_NAMES",
@@ -126,12 +126,14 @@ def find_ratios(p: MultiVector, basis: Sequence[MultiVector]) -> RatioSolution:
     values at fixed integer points, taken from the values and first
     partials of P and the B_i, contains the exact space S.  Only the
     combinations B'_j = sum_i v_ji B_i of a basis v_j of N are bracketed
-    (none if N = {0}), and S is the image of the exact null space of the
-    [[P, B'_j]] by coefficient matching.  So a point only excludes
-    combinations that are not solutions, every vector of S comes from a
-    canonical-form bracket, and a degenerate point costs at most the k
-    brackets of the full solve.  The basis returned is the canonical basis
-    of S, through its orthogonal complement, so it depends on S alone.
+    (none if N = {0}), each built in ints: v_ji is a multiple of s_i, which
+    clears B_i's denominators (``_point_rows``).  S is the image of the
+    exact null space of the [[P, B'_j]] by coefficient matching.  So a
+    point only excludes combinations that are not solutions, every vector
+    of S comes from a canonical-form bracket, and a degenerate point costs
+    at most the k brackets of the full solve.  The basis returned is the
+    canonical basis of S, through its orthogonal complement, so it depends
+    on S alone.
     """
     basis = list(basis)
     if not basis:
@@ -141,14 +143,26 @@ def find_ratios(p: MultiVector, basis: Sequence[MultiVector]) -> RatioSolution:
     check_sum(_BRACKET_GRAPH, [(p, b) for b in basis])
     k = len(basis)
     rows, scales = _point_rows(p, basis)
-    candidates = [_primitive([u * s for u, s in zip(vec, scales)]) for vec in _kernel(rows, k)]
-    combos = [mv_linear_combination([(c, b) for c, b in zip(v, basis) if c]) for v in candidates]
+    candidates = [[u * s for u, s in zip(vec, scales)] for vec in _kernel(rows, k)]
+    combos = [_int_combination(v, basis) for v in candidates]
     space = [
         [sum(w * v[i] for w, v in zip(ws, candidates)) for i in range(k)]
         for ws in _ratio_space([schouten(p, b) for b in combos]).basis
     ]
     kernel = _kernel(_kernel(space, k), k)
     return RatioSolution(len(kernel), tuple(kernel))
+
+
+def _int_combination(coeffs: list, basis: list) -> MultiVector:
+    """sum_i c_i * B_i in int arithmetic, each int c_i a multiple of every
+    coefficient denominator of B_i."""
+    ctx, acc = basis[0].ctx, {}  # component index -> term dict
+    for c, b in zip(coeffs, basis):
+        for idx, poly in b.comps.items() if c else ():
+            terms = acc.setdefault(idx, {})
+            for m, v in poly.terms.items():
+                terms[m] = terms.get(m, 0) + c // v.denominator * v.numerator
+    return MultiVector(ctx, 2, {idx: finish(ctx, terms) for idx, terms in acc.items()})
 
 
 def _point_rows(p: MultiVector, basis: list) -> tuple:

@@ -28,7 +28,10 @@ mutable term dict, :func:`addto` adds ``c`` times a term map into one, and
 :func:`finish` turns the dict into a canonical :class:`Polynomial`.  Sums,
 scalings, sums of products, exact divisions and graph contractions are each
 built in such dicts, with no temporary polynomial per product or summand;
-only :func:`finish` makes a result canonical.
+only :func:`finish` makes a result canonical.  :func:`addmul` is the only
+product loop; the graph engine's join (``_kgraph._contract``) runs a
+product of two one-term maps in place, as one update of the term dict, and
+keeps the count of its products in ``_kgraph._tally``.
 
 Coefficients are kept as plain ``int`` whenever the value is integral and as
 ``fractions.Fraction`` otherwise; the two compare and hash equal, so the term
@@ -218,7 +221,8 @@ def addmul(acc: dict, ta: Mapping, tb: Mapping) -> None:
     context, which is not checked here) into the term dict ``acc``.
 
     ``acc`` may hold zero or non-canonical coefficients until :func:`finish`
-    turns it into a Polynomial.  This is the only multiplication loop.
+    turns it into a Polynomial.  This is the only multiplication loop; the
+    graph engine runs a product of two one-term maps without it.
     """
     if len(ta) > len(tb):  # fewer outer iterations on the smaller operand
         ta, tb = tb, ta
@@ -581,15 +585,14 @@ class Polynomial:
         """Deterministic text form: graded-lex monomial order, descending."""
         if not self.terms:
             return "0"
-        unpack = self.ctx.unpack
+        # the monomials are unpacked in one pass (``items``); no two are equal
         rows = sorted(
-            ((sum(exps), mono, exps) for mono, exps in ((m, unpack(m)) for m in self.terms)),
+            ((sum(exps), mono, exps, c) for mono, (exps, c) in zip(self.terms, self.items())),
             reverse=True,
         )
         names = self.ctx.names
         pieces = []
-        for _, mono, exps in rows:
-            c = self.terms[mono]
+        for _, _, exps, c in rows:
             neg = c < 0
             mag = -c if neg else c
             factors = [name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e]

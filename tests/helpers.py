@@ -341,25 +341,15 @@ def fraction_find_ratios(p, basis):
     return RatioSolution(len(vectors), tuple(vectors))
 
 
-def count_products(monkeypatch, each=None):
+def count_products(monkeypatch):
     """Count the contraction engine's products from here on.
 
-    Patches ``_kgraph.addmul``, the engine's one product call, and returns
-    the list [products, term pairs], which every product updates in place
-    (reset it with ``counts[:] = [0, 0]``).  ``each``, when given, is also
-    called with the two operand term maps of every product.
+    Swaps the engine's tally ``_kgraph._tally`` for a fresh list [products,
+    term pairs] and returns it; each contraction adds its counts to it in
+    place (reset it with ``counts[:] = [0, 0]``).
     """
     counts = [0, 0]
-    addmul = kgraph_module.addmul
-
-    def counting_addmul(acc, a, b):
-        counts[0] += 1
-        counts[1] += len(a) * len(b)
-        if each is not None:
-            each(a, b)
-        addmul(acc, a, b)
-
-    monkeypatch.setattr(kgraph_module, "addmul", counting_addmul)
+    monkeypatch.setattr(kgraph_module, "_tally", counts)
     return counts
 
 

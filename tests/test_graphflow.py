@@ -630,6 +630,45 @@ def test_fold_maps_match_the_sort_definition():
                     assert fold(key) == tuple(want), (width, positions, swapped, key)
 
 
+def test_contract_matches_a_plain_join_and_tallies_every_product(monkeypatch):
+    # _contract on seeded random tensors whose entries have one to three
+    # terms, so that one-term times one-term products (run in place) mix
+    # with addmul's, and some keys are dropped by the slot: each result dict
+    # equals addmul summed over every kept pair of a plain nested join, and
+    # the tally gains exactly the kept pairs and their term pairs.
+    rng = random.Random(47)
+    counts = count_products(monkeypatch)
+    in_place = 0
+
+    def terms():
+        coeffs = (-2, -1, 1, 3, Fraction(1, 2))
+        return {rng.randrange(1 << 20): rng.choice(coeffs) for _ in range(rng.choice((1, 1, 2, 3)))}
+
+    def tensor(edges):
+        return {key: terms() for key in product(range(1, 4), repeat=len(edges)) if rng.random() < 0.6}
+
+    for trial in range(40):
+        ea, eb = (0, 1, 2), rng.choice(((2, 3), (1, 2, 3), (4,)))
+        ta, tb = tensor(ea), tensor(eb)
+        shared = [e for e in ea if e in eb]
+        free_a, free_b = [e for e in ea if e not in eb], [e for e in eb if e not in ea]
+        drop = {key for key in product(range(1, 4), repeat=len(free_a + free_b)) if rng.random() < 0.3}
+        want, pairs = {}, [0, 0]
+        for ka, pa in ta.items():
+            for kb, pb in tb.items():
+                key = tuple(ka[ea.index(e)] for e in free_a) + tuple(kb[eb.index(e)] for e in free_b)
+                if all(ka[ea.index(e)] == kb[eb.index(e)] for e in shared) and key not in drop:
+                    kgraph_module.addmul(want.setdefault(key, {}), pa, pb)
+                    pairs[0] += 1
+                    pairs[1] += len(pa) * len(pb)
+                    in_place += len(pa) == len(pb) == 1
+        got: dict = {}
+        counts[:] = [0, 0]
+        kgraph_module._contract(ea, ta, eb, tb, lambda key: None if key in drop else got.setdefault(key, {}))
+        assert got == want and counts == pairs, trial
+    assert in_place
+
+
 def test_plan_pins_products_and_term_pairs(monkeypatch):
     # (products, term pairs) at the engine's one product loop.  On gamma2 the
     # plan joins V2, then V1, each with all of its in-edges present, so both
@@ -650,9 +689,12 @@ def test_plan_pins_products_and_term_pairs(monkeypatch):
     # meet no partner later on: no change on the dense row 10; in dim 8
     # gamma2 5,795 / 15,326 -> 4,437 / 12,019 (skew 5,680 / 14,773 -> 4,322
     # / 11,466) and gamma1 3,142 / 7,488 -> 371 / 1,119, in dim 6 gamma1
-    # 1,642 / 12,578 -> 546 / 4,479.
+    # 1,642 / 12,578 -> 546 / 4,479.  Row 3's bi-vector has one-term
+    # entries only, so every product is one term times one term, run in
+    # place in the join and not by ``addmul``: one term pair each.
     rows = {rid: spec for rid, _, spec, _ in builtin_rows()}
     p = build_bivector(rows[10])
+    row3 = build_bivector(rows[3])
     p1, p2 = gamma1(p).skew, gamma2(p).skew
     dim8, dim6 = build_bivector(VanhaeckeSpec(4, [(2, 1, 1)])), build_bivector(VanhaeckeSpec(3, [(3, 1, 1)]))
     counts = count_products(monkeypatch)
@@ -664,6 +706,8 @@ def test_plan_pins_products_and_term_pairs(monkeypatch):
         "gamma1, row 10": (lambda: gamma1(p).raw, (335, 26637)),
         "gamma1, dim 8": (lambda: gamma1(dim8).raw, (371, 1119)),
         "gamma1, dim 6": (lambda: gamma1(dim6).raw, (546, 4479)),
+        "gamma2, row 3": (lambda: gamma2(row3).raw, (948, 948)),
+        "gamma1, row 3": (lambda: gamma1(row3).raw, (329, 329)),
         "Jacobiator, row 10": (lambda: jacobiator(p), (16, 792)),
         "[[P0, P1]], row 10": (lambda: schouten(p, p1), (32, 14124)),
         "[[P0, P2]], row 10": (lambda: schouten(p, p2), (48, 18358)),
@@ -988,11 +1032,13 @@ def test_rational_bracket_runs_its_products_on_ints(monkeypatch):
     p2 = gamma2(p0).skew
     assert 2 in _denominators([p2])
     fractions = []
+    contract = kgraph_module._contract
 
-    def count_fractions(a, b):
-        fractions.append(sum(isinstance(c, Fraction) for x in (a, b) for c in x.values()))
+    def count_fractions(ea, ta, eb, tb, slot):
+        fractions.append(sum(isinstance(c, Fraction) for t in (ta, tb) for x in t.values() for c in x.values()))
+        contract(ea, ta, eb, tb, slot)
 
-    count_products(monkeypatch, count_fractions)
+    monkeypatch.setattr(kgraph_module, "_contract", count_fractions)
     bracket = schouten(p0, p2)
     assert fractions and sum(fractions) == 0
     monkeypatch.undo()

@@ -130,7 +130,7 @@ def test_schouten_is_twice_jacobiator_on_the_diagonal():
 def test_equal_copies_take_the_self_bracket_path(monkeypatch):
     # An equal copy (as from loading one file twice) gives the same bracket
     # as the object itself, through the same one-assignment graph sum: the
-    # products run in the contraction engine's addmul.
+    # products are counted by the contraction engine's tally.
     counts = count_products(monkeypatch)
     rng = random.Random(14)
     for dim in (3, 4, 5):

@@ -2,8 +2,8 @@
 
 The naive graph oracle runs in dims 3-5 and the sympy one in dims 3 and 4.
 Here the raw matrices of gamma1 and gamma2, their skew parts read alone,
-the 1:6 balanced flow and the bracket [[P, gamma2(P)]] on builtin row 11
-and on the flows benchmark's dim-8 and dim-6 inputs are evaluated at
+the 1:6 balanced flow and the bracket [[P, gamma2(P)]] on builtin rows 11
+and 3 and on the flows benchmark's dim-8 and dim-6 inputs are evaluated at
 seeded integer points and compared, entry by entry, with
 ``helpers.point_oracle``: the graphs' index sums at those points, built from
 the edge tuples and ``numpy.einsum``.  Agreement at random points is a
@@ -28,6 +28,8 @@ pytest.importorskip("numpy")
 
 INPUTS = {
     "row 11": next(spec for rid, _, spec, _ in builtin_rows() if rid == 11),
+    # a determinant bracket whose entries are all one term: its flows multiply one term by one term only
+    "row 3": next(spec for rid, _, spec, _ in builtin_rows() if rid == 3),
     "dim 8": VanhaeckeSpec(4, [(2, 1, 1)]),  # the flows workload's Vanhaecke d=4, phi=x^2*y
     "dim 6": VanhaeckeSpec(3, [(3, 1, 1)]),  # and d=3, phi=x^3*y
 }
