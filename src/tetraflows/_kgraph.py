@@ -104,25 +104,42 @@ def render_kgraph(g: KGraph) -> str:
     return f"{g.n_internal}; {body}"
 
 
-def derivative_tensor(p, m: int, ascending: bool) -> dict:
+def derivative_tensor(p, m: int, ascending: bool, mirrored: bool = False) -> dict:
     """Nonzero m-th derivatives of a bi-vector's matrix, a < b.
 
     Keys are (a, b, c1, ..., cm), values the term maps of the nonzero
     d^m P^{ab} / dx_{c1} ... dx_{cm}: every order of the c's, or only
     c1 <= ... <= cm when ``ascending`` (derivatives commute, so the other
-    orders repeat these values).
+    orders repeat these values).  ``mirrored`` adds the a > b entries, the
+    negations.
+
+    The tables live in the bi-vector's own store (``MultiVector._tables``)
+    for as long as the bi-vector does, and each is built once, on its first
+    read: order m from the stored order m - 1 of the same index order
+    (orders 0 and 1 have one table each), a mirrored table from the one it
+    mirrors, whose entries it shares.  Nobody writes into a stored table.
     """
-    n = p.ctx.dim
-    shifts = [None] + [p.ctx.slot_shift(c - 1) for c in range(1, n + 1)]
-    table = {key: poly.terms for key, poly in p.comps.items()}
-    for step in range(m):
-        table = {
-            key + (c,): d
-            for key, terms in table.items()
-            for c in range(key[-1] if step and ascending else 1, n + 1)
-            if (d := _diff(terms, shifts[c]))
-        }
+    which = (m, ascending and m > 1, mirrored)
+    table = p._tables.get(which)
+    if table is None:
+        table = p._tables[which] = _build_table(p, *which)
     return table
+
+
+def _build_table(p, m: int, ascending: bool, mirrored: bool) -> dict:
+    """The derivative table ``which`` of ``derivative_tensor``, from the
+    stored ones below it."""
+    if mirrored:
+        return _mirror(derivative_tensor(p, m, ascending))
+    if not m:
+        return {key: poly.terms for key, poly in p.comps.items()}
+    shifts = [None] + [p.ctx.slot_shift(c - 1) for c in range(1, p.ctx.dim + 1)]
+    return {
+        key + (c,): d
+        for key, terms in derivative_tensor(p, m - 1, ascending).items()
+        for c in range(key[-1] if ascending else 1, len(shifts))
+        if (d := _diff(terms, shifts[c]))
+    }
 
 
 def _mirror(table: dict) -> dict:
@@ -142,9 +159,8 @@ def graph_sum(g: KGraph | list, assignments: list, skew: bool = False) -> dict:
     ``g`` is a graph, or a weighted combination of graphs with the same
     sinks: a list of (weight, graph) pairs, int or Fraction weights, whose
     sum is sum_i w_i * graph_sum(g_i, assignments, skew) in one pass, with
-    one derivative table cache and one accumulator.  A graph with k vertices
-    reads the first k bi-vectors of each assignment; a zero weight runs no
-    product.
+    one accumulator.  A graph with k vertices reads the first k bi-vectors
+    of each assignment; a zero weight runs no product.
 
     A vertex holding two sinks is taken only for a < b on its out-edges:
     the entries with a > b are the negations and are left out, so with
@@ -157,7 +173,9 @@ def graph_sum(g: KGraph | list, assignments: list, skew: bool = False) -> dict:
     every key and the vertex's full table.
 
     Every vertex is a sparse tensor over its edges (L, R, in-edges): {index
-    tuple: term map of the derivative of P^{LR} along the in-edge indices}.
+    tuple: term map of the derivative of P^{LR} along the in-edge indices},
+    read from the tables stored on P (``derivative_tensor``), so the graph
+    sums on one bi-vector build each of its tables once between them.
     They are contracted pairwise along shared edges as the graph's cached
     ``_plan`` says; after a step, zero terms are dropped.  The products of
     the last step go straight into the result.
@@ -179,12 +197,13 @@ def graph_sum(g: KGraph | list, assignments: list, skew: bool = False) -> dict:
 
     Every product runs in integers: with D the lcm of the coefficient
     denominators of all the bi-vectors, each distinct bi-vector is replaced
-    by one copy D * p, so every product of the k vertices carries D^k.  With
-    K the most vertices of a graph of nonzero weight and L the lcm of the
-    weights' denominators, graph i contributes L * w_i * D^(K - k_i) times
-    its products (a factor put on the smaller operand of its last step, and
-    none for a lone weight-1 graph), and each result coefficient is divided
-    by L * D^K once, at the end (``_quotient``).
+    by one copy D * p, whose tables last the call, so every product of the
+    k vertices carries D^k.  With K the most vertices of a graph of nonzero
+    weight and L the lcm of the weights' denominators, graph i contributes
+    L * w_i * D^(K - k_i) times its products (a factor put on the smaller
+    operand of its last step, and none for a lone weight-1 graph), and each
+    result coefficient is divided by L * D^K once, at the end
+    (``_quotient``).
 
     Support pruning: before its first product, a middle step works out
     from the index keys of the vertex tables alone which of its keys can
@@ -213,19 +232,6 @@ def graph_sum(g: KGraph | list, assignments: list, skew: bool = False) -> dict:
     most = max((h.n_internal for w, h in combination if w), default=0)
     parts = [((w * common).numerator * scale ** (most - h.n_internal), h) for w, h in combination if w]
 
-    derivs: dict = {}  # (id(p), m, mirrored, ascending) -> a vertex table
-
-    def vertex_tensor(p, m, mirrored, ascending) -> dict:
-        which = (id(p), m, mirrored, ascending)
-        if which not in derivs:
-            # a mirrored table is built from the a < b one, not differentiated again
-            derivs[which] = (
-                _mirror(vertex_tensor(p, m, False, ascending))
-                if mirrored
-                else derivative_tensor(p, m, ascending)
-            )
-        return derivs[which]
-
     plus: dict = {}  # result key -> term dict
     minus: dict = {}  # result key -> term dict of odd sorts, subtracted at the end
 
@@ -247,7 +253,7 @@ def graph_sum(g: KGraph | list, assignments: list, skew: bool = False) -> dict:
         halved = {mirror[0] for (*_, mirror, _, _), weigh in zip(middle, rules) if mirror and not weigh}
         # Operands in plan order: the vertices, the unit tensor, step results.
         tensors = [
-            vertex_tensor(p, m, mirrored and v not in halved, ascending)
+            derivative_tensor(p, m, ascending, mirrored and v not in halved)
             for v, (p, (m, mirrored, ascending)) in enumerate(zip(ps, vertices))
         ] + [{(): {0: 1}}]
         tests = _supports(steps, tensors, rules, ctx.dim)
@@ -625,7 +631,8 @@ def _contract(ea: tuple, ta: dict, eb: tuple, tb: dict, slot) -> None:
     every other product calls ``addmul``, the only product loop.  The
     products and term pairs go to ``_tally`` once per call: the products
     are the visits less the dropped ones, and only a call of ``addmul``
-    adds its term pairs beyond the one of an in-place product."""
+    adds its term pairs, which it returns, beyond the one of an in-place
+    product."""
     a_outer = len(ta) >= len(tb)
     if not a_outer:  # so that ta is the larger
         ea, ta, eb, tb = eb, tb, ea, ta
@@ -649,8 +656,7 @@ def _contract(ea: tuple, ta: dict, eb: tuple, tb: dict, slot) -> None:
             continue
         visits += len(group)
         head = rest_a(key)
-        na = len(pa)
-        if na == 1:
+        if len(pa) == 1:
             [(m1, c1)] = pa.items()
         else:
             m1 = c1 = None
@@ -662,8 +668,7 @@ def _contract(ea: tuple, ta: dict, eb: tuple, tb: dict, slot) -> None:
             if terms is None:
                 dropped += 1
             elif m1 is None or m2 is None:
-                addmul(terms, pa, pb)
-                extra += na * len(pb) - 1
+                extra += addmul(terms, pa, pb) - 1
             else:
                 m = m1 + m2
                 terms[m] = terms.get(m, 0) + c1 * c2

@@ -46,9 +46,15 @@ def _json_field(doc: Mapping, key: str, kind: type, *default):
 
 
 class MultiVector:
-    """Degree-k (k = 2, 3) skew multi-vector with Polynomial components."""
+    """Degree-k (k = 2, 3) skew multi-vector with Polynomial components.
 
-    __slots__ = ("ctx", "degree", "comps")
+    ``_tables`` is the private store of a bi-vector's derivative tables,
+    filled by ``_kgraph.derivative_tensor`` on first read and kept as long
+    as the bi-vector, so every graph sum on it shares them.  It is not
+    compared, and pickle and copy start it empty.
+    """
+
+    __slots__ = ("ctx", "degree", "comps", "_tables")
 
     def __init__(self, ctx: Context, degree: int, comps: Mapping | None = None):
         if degree not in (2, 3):
@@ -71,6 +77,7 @@ class MultiVector:
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "comps", clean)
+        object.__setattr__(self, "_tables", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiVector is immutable")

@@ -216,15 +216,17 @@ def _require_same_ctx(a: "Polynomial", b: "Polynomial") -> None:
         raise ContextMismatchError(f"context mismatch: {a.ctx} vs {b.ctx}")
 
 
-def addmul(acc: dict, ta: Mapping, tb: Mapping) -> None:
+def addmul(acc: dict, ta: Mapping, tb: Mapping) -> int:
     """Accumulate the product of the term maps ``ta`` and ``tb`` (of one
-    context, which is not checked here) into the term dict ``acc``.
+    context, which is not checked here) into the term dict ``acc``, and
+    return its number of term pairs.
 
     ``acc`` may hold zero or non-canonical coefficients until :func:`finish`
     turns it into a Polynomial.  This is the only multiplication loop; the
     graph engine runs a product of two one-term maps without it.
     """
-    if len(ta) > len(tb):  # fewer outer iterations on the smaller operand
+    na, nb = len(ta), len(tb)
+    if na > nb:  # fewer outer iterations on the smaller operand
         ta, tb = tb, ta
     tb = tb.items()
     get = acc.get
@@ -232,6 +234,7 @@ def addmul(acc: dict, ta: Mapping, tb: Mapping) -> None:
         for m2, c2 in tb:
             m = m1 + m2
             acc[m] = get(m, 0) + c1 * c2
+    return na * nb
 
 
 def addto(acc: dict, terms: Mapping, c=1) -> None:

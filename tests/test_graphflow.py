@@ -1,6 +1,7 @@
 import random
 import re
 from contextlib import contextmanager, nullcontext
+from functools import cache
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
@@ -947,32 +948,109 @@ def _probe_p_tilde():
     return (p.lift(ctx) + delta.mul_poly(Polynomial.epsilon(ctx))).scale(12)
 
 
+def _counting_builds(monkeypatch) -> list:
+    """Wraps the engine's derivative table builder; the returned list gets
+    one (bi-vector, (order, ascending, mirrored)) per table built."""
+    builds = []
+    build = kgraph_module._build_table
+
+    def counting_build(p, *which):
+        builds.append((p, which))
+        return build(p, *which)
+
+    monkeypatch.setattr(kgraph_module, "_build_table", counting_build)
+    return builds
+
+
+# The tables gamma1 builds on a fresh bi-vector: its ascending order 3 from
+# orders 2, 1 and 0, and the mirrored order 1.  gamma2 then adds only the
+# mirror of the ascending order 2.
+GAMMA1_TABLES = [(0, False, False), (1, False, False), (1, False, True), (2, True, False), (3, True, False)]
+GAMMA2_EXTRA_TABLES = [(2, True, True)]
+
+
 def test_balanced_flow_runs_the_products_of_both_skew_parts_with_shared_tables(monkeypatch):
     # One weighted sum runs exactly the products and term pairs of
-    # gamma1(P).skew and gamma2(P).skew together, and the two graphs share
-    # the first-derivative table: 3 derivative tables, where two separate
-    # flows build 2 each.  Its weights 1 and 6 / 2 = 3 are integers, so no
-    # coefficient is divided.  Support pruning takes it from 351 / 15,115 to
-    # 303 / 13,726.  (The probe benchmark's seeded Deltas give 303 products
-    # and 13,685-13,727 term pairs on seeds 1-10, 351 and 15,067-15,116
-    # before.)
+    # gamma1(P).skew and gamma2(P).skew together.  Its weights 1 and 6 / 2 =
+    # 3 are integers, so no coefficient is divided.  Support pruning takes
+    # it from 351 / 15,115 to 303 / 13,726.  (The probe benchmark's seeded
+    # Deltas give 303 products and 13,685-13,727 term pairs on seeds 1-10,
+    # 351 and 15,067-15,116 before.)  The derivative tables live on P, and
+    # each is built once: balanced_flow after the two flows builds none, and
+    # on a fresh P it builds the six tables the two flows build between
+    # them, after which no flow or repeated call builds one.
     p = _probe_p_tilde()
-    counts, tables = count_products(monkeypatch), []
-
-    def counting_tensor(p, m, ascending):
-        tables.append((m, ascending))
-        return derivative_tensor(p, m, ascending)
-
-    derivative_tensor = kgraph_module.derivative_tensor
-    monkeypatch.setattr(kgraph_module, "derivative_tensor", counting_tensor)
+    counts, builds = count_products(monkeypatch), _counting_builds(monkeypatch)
     parts = []
     for run in (lambda: gamma1(p).skew, lambda: gamma2(p).skew, lambda: balanced_flow(p, 1, 6)):
-        counts[:], tables[:] = [0, 0], []
+        counts[:], builds[:] = [0, 0], []
         run()
-        parts.append((*counts, len(tables)))
-    (p1, t1, d1), (p2, t2, d2), balanced = parts
-    assert (d1, d2) == (2, 2)
-    assert balanced == (p1 + p2, t1 + t2, 3) == (303, 13726, 3)
+        parts.append((*counts, sorted(which for _, which in builds)))
+    (p1, t1, b1), (p2, t2, b2), (pb, tb, bb) = parts
+    assert (pb, tb) == (p1 + p2, t1 + t2) == (303, 13726)
+    assert (b1, b2, bb) == (GAMMA1_TABLES, GAMMA2_EXTRA_TABLES, [])
+    fresh = _probe_p_tilde()
+    builds.clear()
+    balanced_flow(fresh, 1, 6)
+    assert sorted(which for _, which in builds) == sorted(GAMMA1_TABLES + GAMMA2_EXTRA_TABLES)
+    assert all(q is fresh for q, _ in builds)
+    builds.clear()
+    balanced_flow(fresh, 1, 6), gamma1(fresh).raw, gamma2(fresh).raw, gamma2(fresh).skew
+    assert builds == []
+
+
+# Where a table is read: grid rows 3 and 10 and the flows workload's dim-8 input.
+TABLE_INPUTS = {
+    "row 3": next(spec for rid, _, spec, _ in builtin_rows() if rid == 3),
+    "row 10": next(spec for rid, _, spec, _ in builtin_rows() if rid == 10),
+    "dim 8": VanhaeckeSpec(4, [(2, 1, 1)]),
+}
+
+
+def _table_from_scratch(p, m, ascending, mirrored) -> dict:
+    """The nonzero d^m P^{ab} / dx_{c1} ... dx_{cm} by ``Polynomial.diff``
+    from the full matrix, a < b (every a != b when ``mirrored``), every
+    order of the c's (only ascending ones when ``ascending``)."""
+    n = p.ctx.dim
+
+    @cache
+    def derivative(a, b, cs):
+        return derivative(a, b, cs[:-1]).diff(cs[-1]) if cs else p.entry(a, b)
+
+    table = {}
+    for a, b in permutations(range(1, n + 1), 2):
+        for cs in product(range(1, n + 1), repeat=m):
+            if (a < b or mirrored) and (not ascending or list(cs) == sorted(cs)):
+                if not (poly := derivative(a, b, cs)).is_zero:
+                    table[(a, b, *cs)] = poly.terms
+    return table
+
+
+@pytest.mark.parametrize("name", TABLE_INPUTS)
+def test_stored_derivative_tables_equal_tables_built_from_scratch(name):
+    # The Jacobi test, both flows raw and skew, the balanced flow and the
+    # bracket [[P, Q]] fill the stores of P and Q; then every table of
+    # orders 0-3, ascending or in every order, mirrored or not, is read
+    # once more.  Each stored table equals one differentiated from scratch:
+    # one built from a wrong order below it, or an entry a graph sum wrote
+    # into, would differ.  The graph sums give the same results again when
+    # they read the stored tables.
+    p = build_bivector(TABLE_INPUTS[name])
+
+    def graph_sums():
+        q = balanced_flow(p, 1, 6)
+        flows = [(flow(p).raw, flow(p).skew) for flow in (gamma1, gamma2)]
+        return jacobiator(p), flows, q, schouten(p, q)
+
+    first = graph_sums()
+    assert graph_sums() == first
+    q = first[2]
+    for bivector in (p, q):
+        for m, ascending, mirrored in product(range(4), (False, True), (False, True)):
+            kgraph_module.derivative_tensor(bivector, m, ascending, mirrored)
+        assert len(bivector._tables) == 12  # orders 0 and 1 have one table each
+        for (m, ascending, mirrored), table in bivector._tables.items():
+            assert table == _table_from_scratch(bivector, m, ascending, mirrored), (m, ascending, mirrored)
 
 
 # -- integer arithmetic for rational bi-vectors ------------------------------------
@@ -1048,24 +1126,31 @@ def test_rational_bracket_runs_its_products_on_ints(monkeypatch):
 
 def test_rational_bivectors_share_one_derivative_table_each(monkeypatch):
     # One scaled copy per distinct bi-vector, not per vertex: a flow of a
-    # rational bi-vector builds as many derivative tables as of an integral one.
-    tables = []
-
-    def counting_tensor(p, m, ascending):
-        tables.append((m, ascending))
-        return derivative_tensor(p, m, ascending)
-
-    derivative_tensor = kgraph_module.derivative_tensor
-    monkeypatch.setattr(kgraph_module, "derivative_tensor", counting_tensor)
+    # rational bi-vector builds the tables of an integral one, each once, on
+    # that copy.  The copy lasts the call, so the rational bi-vector's own
+    # store stays empty and each call builds its tables again, where the
+    # integral one keeps them: its gamma2 builds one table and a repeated
+    # call none.
+    builds = _counting_builds(monkeypatch)
     p = _rational_bivector(random.Random(31), Context(3))
     assert _denominators([p]) != {1}
-    counts = []
-    for bivector in (p, p.scale(27720)):  # 27720 = lcm(1, ..., 12)
+    integral = p.scale(27720)  # 27720 = lcm(1, ..., 12)
+    runs = []
+    for bivector in (p, integral, p, integral):
         for graph in (GAMMA1_GRAPH, GAMMA2_GRAPH):
-            tables.clear()
+            builds.clear()
             graph_sum(graph, [(bivector,) * 4])
-            counts.append(len(tables))
-    assert counts[:2] == counts[2:] == [2, 2]
+            owners = {id(q) for q, _ in builds}
+            if bivector is p:
+                assert len(owners) == 1 and id(p) not in owners  # the one scaled copy
+            else:
+                assert owners <= {id(integral)}
+            runs.append(sorted(which for _, which in builds))
+    rational, integral_runs = runs[0:2] + runs[4:6], runs[2:4] + runs[6:8]
+    gamma2_alone = sorted({*GAMMA1_TABLES, *GAMMA2_EXTRA_TABLES} - {(3, True, False)})
+    assert rational == [GAMMA1_TABLES, gamma2_alone] * 2
+    assert integral_runs == [GAMMA1_TABLES, GAMMA2_EXTRA_TABLES, [], []]
+    assert p._tables == {} and len(integral._tables) == 6
 
 
 def test_exponent_overflow_inside_a_flow_fails_loudly():

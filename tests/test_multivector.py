@@ -350,6 +350,12 @@ def test_pickle_and_deepcopy_keep_results_immutable():
             with pytest.raises(AttributeError, match="immutable"):
                 twin.ctx = eps_ctx
     assert isinstance(results[-1], RawMatrix)
+    # A bi-vector's store of derivative tables is neither compared nor copied.
+    p = p0()
+    gamma2(p).raw
+    assert p._tables
+    for twin in [pickle.loads(pickle.dumps(p)), copy.deepcopy(p), copy.copy(p)]:
+        assert twin == p and twin._tables == {}
 
 
 def test_flow_result_skew_recomputable_from_raw():

@@ -3,7 +3,8 @@
 The naive graph oracle runs in dims 3-5 and the sympy one in dims 3 and 4.
 Here the raw matrices of gamma1 and gamma2, their skew parts read alone,
 the 1:6 balanced flow and the bracket [[P, gamma2(P)]] on builtin rows 11
-and 3 and on the flows benchmark's dim-8 and dim-6 inputs are evaluated at
+and 3 and on the flows benchmark's dim-8 and dim-6 inputs, and a weighted
+sum of the two flows on row 3 and dim 8, are evaluated at
 seeded integer points and compared, entry by entry, with
 ``helpers.point_oracle``: the graphs' index sums at those points, built from
 the edge tuples and ``numpy.einsum``.  Agreement at random points is a
@@ -16,6 +17,7 @@ from itertools import combinations, product
 
 import pytest
 
+from tetraflows._kgraph import graph_sum
 from tetraflows.analysis import builtin_rows
 from tetraflows.generators import VanhaeckeSpec, build_bivector
 from tetraflows.graphflow import GAMMA1_GRAPH, GAMMA2_GRAPH, balanced_flow, gamma1, gamma2, parse_kgraph
@@ -122,4 +124,32 @@ def test_skew_parts_and_the_bracket_match_the_point_oracle(name):
             got = value_at(bracket.comps.get((i + 1, j + 1, k + 1), zero), x)
             assert got == want, (name, x, i, j, k)
             nonzero[2] += want != 0
+    assert all(nonzero), nonzero
+
+
+@pytest.mark.parametrize("name", ["row 3", "dim 8"])
+def test_a_weighted_sum_of_the_flows_matches_the_point_oracle(name):
+    # graph_sum of 2 * gamma1 - 5/3 * gamma2, raw and skew, run after both
+    # flows on the same P, so that it reads the derivative tables stored on
+    # P.  gamma1's vertex holding both sinks is taken for a < b only, so
+    # the raw sum's (a, b) entry is 2 M1^{ab} [a < b] - 5/3 M2^{ab}, and the
+    # skew sum's, for a < b, 2 M1^{ab} - 5/3 (M2^{ab} - M2^{ba}), M1 and M2
+    # the oracle's raw matrices.  At 3 seeded points, some entries nonzero.
+    p = build_bivector(INPUTS[name])
+    n = p.ctx.dim
+    gamma1(p).raw, gamma2(p).raw
+    combination = [(2, GAMMA1_GRAPH), (Fraction(-5, 3), GAMMA2_GRAPH)]
+    raw, skew = (graph_sum(combination, [(p,) * 4], skew=s) for s in (False, True))
+    zero = Polynomial.zero(p.ctx)
+    nonzero = [0, 0]
+    for x in _points(random.Random(64), n, 3):
+        m1, m2 = (point_oracle(g, (p,) * 4, x) for g in (GAMMA1_GRAPH, GAMMA2_GRAPH))
+        for a, b in product(range(n), repeat=2):
+            want = 2 * m1[a, b] * (a < b) + Fraction(-5, 3) * m2[a, b]
+            assert value_at(raw.get((a + 1, b + 1), zero), x) == want, (name, x, a, b)
+            nonzero[0] += want != 0
+            if a < b:
+                want = 2 * m1[a, b] + Fraction(-5, 3) * (m2[a, b] - m2[b, a])
+                assert value_at(skew.get((a + 1, b + 1), zero), x) == want, (name, x, a, b)
+                nonzero[1] += want != 0
     assert all(nonzero), nonzero
