@@ -25,7 +25,7 @@ import re
 from dataclasses import dataclass
 from functools import cache, reduce
 from itertools import chain, combinations, permutations, product
-from math import comb, lcm
+from math import comb, lcm, prod
 from operator import itemgetter, or_
 
 from .polyring import EXPONENT_LIMIT, ContextMismatchError, _denominator_lcm, addmul, addto
@@ -118,6 +118,8 @@ def derivative_tensor(p, m: int, ascending: bool, mirrored: bool = False) -> dic
     read: order m from the stored order m - 1 of the same index order
     (orders 0 and 1 have one table each), a mirrored table from the one it
     mirrors, whose entries it shares.  Nobody writes into a stored table.
+    ``graph_sum`` reads the tables of a bi-vector's integral form
+    (``_integral``), which a rational bi-vector keeps in its store.
     """
     which = (m, ascending and m > 1, mirrored)
     table = p._tables.get(which)
@@ -140,6 +142,18 @@ def _build_table(p, m: int, ascending: bool, mirrored: bool) -> dict:
         for c in range(key[-1] if ascending else 1, len(shifts))
         if (d := _diff(terms, shifts[c]))
     }
+
+
+def _integral(p) -> tuple:
+    """(D, D * p), D the lcm of the coefficient denominators of the
+    bi-vector p ((1, p) when p is integral), worked out once and kept in p's
+    store with the tables built on D * p: graph sums on p share them."""
+    if "integral" not in p._tables:
+        d = _denominator_lcm(p.comps.values())
+        # an integral p keeps no reference to itself, which would be a cycle
+        p._tables["integral"] = d, p.scale(d) if d != 1 else None
+    d, q = p._tables["integral"]
+    return d, p if q is None else q
 
 
 def _mirror(table: dict) -> dict:
@@ -195,14 +209,15 @@ def graph_sum(g: KGraph | list, assignments: list, skew: bool = False) -> dict:
     equal indices) and the step before keeps e2 <= e4: 7,760,955 ->
     3,372,917 term pairs on Vanhaecke d=4, phi=x^2*y^2.
 
-    Every product runs in integers: with D the lcm of the coefficient
-    denominators of all the bi-vectors, each distinct bi-vector is replaced
-    by one copy D * p, whose tables last the call, so every product of the
-    k vertices carries D^k.  With K the most vertices of a graph of nonzero
-    weight and L the lcm of the weights' denominators, graph i contributes
-    L * w_i * D^(K - k_i) times its products (a factor put on the smaller
-    operand of its last step, and none for a lone weight-1 graph), and each
-    result coefficient is divided by L * D^K once, at the end
+    Every product runs in integers: each bi-vector p is read through its
+    integral form D_p * p (``_integral``), D_p the lcm of its coefficient
+    denominators, kept in p's store with the tables built on it.  So the
+    products of a graph's k vertices under an assignment carry Pi, the
+    product of their D_p.  With M the lcm of the Pi of all (graph,
+    assignment) pairs of nonzero weight and L the lcm of the weights'
+    denominators, a pair contributes L * w * M / Pi times its products (a
+    factor put on the smaller operand of its last step, none when it is
+    1), and each result coefficient is divided by L * M once, at the end
     (``_quotient``).
 
     Support pruning: before its first product, a middle step works out
@@ -224,13 +239,10 @@ def graph_sum(g: KGraph | list, assignments: list, skew: bool = False) -> dict:
     ctx = assignments[0][0].ctx
     monos = (m for p in distinct.values() for poly in p.comps.values() for m in poly.terms)
     top = max(ctx.unpack(reduce(or_, monos, 0)))
-    scale = _denominator_lcm(poly for p in distinct.values() for poly in p.comps.values())
-    if scale != 1:
-        scaled = {key: p.scale(scale) for key, p in distinct.items()}
-        assignments = [tuple(scaled[id(p)] for p in ps) for ps in assignments]
+    forms = {key: _integral(p) for key, p in distinct.items()}
     common = lcm(*(w.denominator for w, _ in combination))
-    most = max((h.n_internal for w, h in combination if w), default=0)
-    parts = [((w * common).numerator * scale ** (most - h.n_internal), h) for w, h in combination if w]
+    runs = [(w, h, ps, prod(forms[id(p)][0] for p in ps[: h.n_internal])) for w, h in combination if w for ps in assignments]
+    lcm_pi = lcm(*(pi for *_, pi in runs))
 
     plus: dict = {}  # result key -> term dict
     minus: dict = {}  # result key -> term dict of odd sorts, subtracted at the end
@@ -240,7 +252,8 @@ def graph_sum(g: KGraph | list, assignments: list, skew: bool = False) -> dict:
         if placed:
             return (minus if placed[1] else plus).setdefault(placed[0], {})
 
-    for (factor, graph), ps in product(parts, assignments):
+    for w, graph, ps, pi in runs:
+        factor, ps = (w * common).numerator * (lcm_pi // pi), tuple(forms[id(p)][1] for p in ps)
         vertices, steps, sinks, symmetries = _plan(graph)
         *middle, last = steps
         respected = tuple(
@@ -302,7 +315,7 @@ def graph_sum(g: KGraph | list, assignments: list, skew: bool = False) -> dict:
 
     for key, terms in minus.items():
         addto(plus.setdefault(key, {}), terms, -1)
-    q = common * scale**most
+    q = common * lcm_pi
     return {key: poly for key, terms in plus.items() if (poly := _quotient(ctx, terms, q))}
 
 

@@ -23,7 +23,7 @@ from math import comb, gcd, lcm, prod
 from operator import mul
 from typing import Sequence
 
-from ._kgraph import check_sum
+from ._kgraph import _integral, check_sum
 from .generators import (
     build_bivector,
     generator_from_json_dict,
@@ -31,7 +31,7 @@ from .generators import (
 )
 from .graphflow import balanced_flow, gamma1, gamma2
 from .multivector import _BRACKET_GRAPH, MultiVector, is_poisson, jacobiator, mv_linear_combination, schouten
-from .polyring import Polynomial, _denominator_lcm, _quotient, finish
+from .polyring import Polynomial, _quotient
 
 __all__ = [
     "FLAG_NAMES",
@@ -104,9 +104,8 @@ def compat_report(p0: MultiVector, spec=None) -> CompatReport:
         "bracket_q_zero": mv_linear_combination([(1, b1), (6, b2)]),
     }
     flags = tuple(checks[name].is_zero for name in FLAG_NAMES)
-    witnesses = {
-        name: mv for name, mv in checks.items() if not mv.is_zero
-    }
+    # each witness with an empty store: P2's holds the tables of its bracket
+    witnesses = {name: MultiVector(mv.ctx, mv.degree, mv.comps) for name, mv in checks.items() if not mv.is_zero}
     return CompatReport(spec, flags, witnesses)
 
 
@@ -130,9 +129,10 @@ def find_ratios(p: MultiVector, basis: Sequence[MultiVector]) -> RatioSolution:
     values at fixed integer points, taken from the values and first
     partials of P and the B_i, contains the exact space S.  Only the
     combinations B'_j = sum_i v_ji B_i of a basis v_j of N are bracketed
-    (none if N = {0}), each built in ints: v_ji is a multiple of s_i, which
-    clears B_i's denominators (``_point_rows``).  S is the image of the
-    exact null space of the [[P, B'_j]] by coefficient matching.  So a
+    (none if N = {0}), each built in ints as sum_i u_ji (s_i B_i), where
+    s_i * B_i is B_i's integral form (``_integral``), v_ji = u_ji * s_i and
+    u_j a null vector of the point rows (``_point_rows``).  S is the image
+    of the exact null space of the [[P, B'_j]] by coefficient matching.  So a
     point only excludes combinations that are not solutions, every vector
     of S comes from a canonical-form bracket, and a degenerate point costs
     at most the k brackets of the full solve.  The basis returned is the
@@ -146,9 +146,10 @@ def find_ratios(p: MultiVector, basis: Sequence[MultiVector]) -> RatioSolution:
         raise ValueError("input bi-vector is not Poisson")
     check_sum(_BRACKET_GRAPH, [(p, b) for b in basis])
     k = len(basis)
-    rows, scales = _point_rows(p, basis)
-    candidates = [[u * s for u, s in zip(vec, scales)] for vec in _kernel(rows, k)]
-    combos = [_int_combination(v, basis) for v in candidates]
+    nulls = _kernel(_point_rows(p, basis), k)
+    scales, ints = zip(*map(_integral, basis))
+    candidates = [[u * s for u, s in zip(vec, scales)] for vec in nulls]
+    combos = [mv_linear_combination(zip(u, ints)) for u in nulls]
     space = [
         [sum(w * v[i] for w, v in zip(ws, candidates)) for i in range(k)]
         for ws in _ratio_space([schouten(p, b) for b in combos]).basis
@@ -157,60 +158,46 @@ def find_ratios(p: MultiVector, basis: Sequence[MultiVector]) -> RatioSolution:
     return RatioSolution(len(kernel), tuple(kernel))
 
 
-def _int_combination(coeffs: list, basis: list) -> MultiVector:
-    """sum_i c_i * B_i in int arithmetic, each int c_i a multiple of every
-    coefficient denominator of B_i."""
-    ctx, acc = basis[0].ctx, {}  # component index -> term dict
-    for c, b in zip(coeffs, basis):
-        for idx, poly in b.comps.items() if c else ():
-            terms = acc.setdefault(idx, {})
-            for m, v in poly.terms.items():
-                terms[m] = terms.get(m, 0) + c // v.denominator * v.numerator
-    return MultiVector(ctx, 2, {idx: finish(ctx, terms) for idx, terms in acc.items()})
-
-
-def _point_rows(p: MultiVector, basis: list) -> tuple:
+def _point_rows(p: MultiVector, basis: list) -> list:
     """The rows of D * s_i * [[P, B_i]] at the fewest points that give one
     row per B_i: one row per point and i < j < k, one column per B_i, with
-    D and s_i the lcm of the coefficient denominators of P and of B_i.
-    Returns the rows and the s_i.
+    D * P and s_i * B_i the integral forms of P and B_i (``_integral``).
 
     With V and G the values and gradients of the full matrices at x, the
     bracket formula of ``multivector`` reads, as V^{lc} = -V^{cl},
     [[P,B]]^{ijk} = -sum_cyc (G_P^{ab} . V_B^{c} + G_B^{ab} . V_P^{c}).
     """
     n, slots = p.ctx.dim, p.ctx.nslots
-    scales = [_denominator_lcm(b.comps.values()) for b in basis]
+    p, basis = _integral(p)[1], [_integral(b)[1] for b in basis]
     rows = []
     for t in range(-(-len(basis) // max(comb(n, 3), 1))):
         x = _point(t, slots)
-        vp, gp = _jets(p, _denominator_lcm(p.comps.values()), x)
-        jets = [_jets(b, s, x) for b, s in zip(basis, scales)]
+        vp, gp = _jets(p, x)
+        jets = [_jets(b, x) for b in basis]
         for i, j, k in combinations(range(n), 3):
             cyc = ((i, j, k), (j, k, i), (k, i, j))
             rows.append([
                 -sum(sum(map(mul, gp[a][b], vb[c])) + sum(map(mul, gb[a][b], vp[c])) for a, b, c in cyc)
                 for vb, gb in jets
             ])
-    return rows, scales
+    return rows
 
 
 def _point(t: int, slots: int) -> list:
     return [_POINTS[(t * slots + s) % len(_POINTS)] for s in range(slots)]
 
 
-def _jets(mv: MultiVector, s: int, x: list) -> tuple:
+def _jets(mv: MultiVector, x: list) -> tuple:
     """The full antisymmetric matrices of the values and of the gradients
-    (d_1..d_n) of s * mv at the integer point x, s clearing every
-    denominator of mv.  x_l * d_l f(x) is the sum of e_l * c * x^e over the
-    terms c * x^e of f: one exact division where x_l is nonzero; where
-    x_l = 0 only the terms with e_l = 1 count, at x with x_l set to 1."""
+    (d_1..d_n) of the integral mv at the integer point x.  x_l * d_l f(x)
+    is the sum of e_l * c * x^e over the terms c * x^e of f: one exact
+    division where x_l is nonzero; where x_l = 0 only the terms with
+    e_l = 1 count, at x with x_l set to 1."""
     n = mv.ctx.dim
     values = [[0] * n for _ in range(n)]
     grads = [[[0] * n] * n for _ in range(n)]
     for (a, b), poly in mv.comps.items():
         expss, coeffs = zip(*poly.items())
-        coeffs = [c.numerator * (s // c.denominator) for c in coeffs]
         terms = [c * prod(map(pow, x, e)) for c, e in zip(coeffs, expss)]
         grad = [
             sum(map(mul, terms, col)) // xl
@@ -227,18 +214,17 @@ def _jets(mv: MultiVector, s: int, x: list) -> tuple:
 def _ratio_space(brackets: "list[MultiVector]") -> RatioSolution:
     """The null space of sum_i c_i * brackets[i] = 0 by coefficient matching.
 
-    Column i is multiplied by s_i, the lcm of the denominators of brackets[i],
-    so that the rows, one per (component, monomial), are integers; each null
+    Column i holds the integral form s_i * brackets[i] (``_integral``), so
+    that the rows, one per (component, monomial), are integers; each null
     vector of :func:`_kernel` is scaled back by the s_i and made primitive.
     """
-    ncols = len(brackets)
-    scales = [_denominator_lcm(t.comps.values()) for t in brackets]
-    rows: dict = {}  # (component, monomial) -> row of scaled coefficients
-    for col, (t, s) in enumerate(zip(brackets, scales)):
+    ncols, forms = len(brackets), [_integral(t) for t in brackets]
+    rows: dict = {}  # (component, monomial) -> row of integral coefficients
+    for col, (_, t) in enumerate(forms):
         for idx, poly in t.comps.items():
             for mono, c in poly.terms.items():
-                rows.setdefault((idx, mono), [0] * ncols)[col] = c.numerator * (s // c.denominator)
-    kernel = [_primitive([x * s for x, s in zip(vec, scales)]) for vec in _kernel(rows.values(), ncols)]
+                rows.setdefault((idx, mono), [0] * ncols)[col] = c
+    kernel = [_primitive([x * s for x, (s, _) in zip(vec, forms)]) for vec in _kernel(rows.values(), ncols)]
     return RatioSolution(len(kernel), tuple(kernel))
 
 
@@ -305,8 +291,8 @@ def perturb_probe(p: MultiVector, delta: MultiVector) -> dict:
     Poisson input yields an empty map); the order-0 parts vanish by the
     precondition that P is Poisson.
 
-    The brackets run on the integer multiple D * P~ (D the lcm of the
-    coefficient denominators of P and Delta together).  [[P~, P~]] is
+    The brackets run on the integral form D * P~ (``_integral``; D the lcm
+    of the coefficient denominators of P and Delta together).  [[P~, P~]] is
     quadratic and [[P~, Q(P~)]] quintic in P~, so every order of the first,
     2 * Jac(D * P~), is divided back exactly by D^2 and every order of the
     second by D^5, one quotient per coefficient.
@@ -320,11 +306,10 @@ def perturb_probe(p: MultiVector, delta: MultiVector) -> dict:
         raise ValueError("P and Delta must be eps-free")
     if not is_poisson(p):
         raise ValueError("P must be Poisson")
-    # graph_sum would clear these denominators inside each bracket, but it
-    # divides its result back, so the brackets would reach the eps split as
-    # Fractions; scaled here, they stay ints up to the one division per part.
-    d = _denominator_lcm([*p.comps.values(), *delta.comps.values()])
-    p_tilde = (p + delta.mul_poly(Polynomial.epsilon(ctx))).scale(d)
+    # graph_sum reads P~ through the same integral form, but it divides its
+    # result back, so the brackets would reach the eps split as Fractions;
+    # on D * P~ they stay ints up to the one division per part.
+    d, p_tilde = _integral(p + delta.mul_poly(Polynomial.epsilon(ctx)))
     j_parts = jacobiator(p_tilde).epsilon_split()
     c_parts = schouten(p_tilde, balanced_flow(p_tilde, 1, 6)).epsilon_split()
     base = ctx.without_epsilon()

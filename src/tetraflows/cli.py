@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .analysis import (
     find_ratios,
@@ -39,7 +38,7 @@ from .graphflow import (
     parse_kgraph,
 )
 from .multivector import MultiVector, is_poisson, jacobiator, schouten
-from .polyring import Context, Polynomial
+from .polyring import Context, Polynomial, _number
 
 __all__ = ["main"]
 
@@ -70,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     kind.add_argument("--det", action="store_true", help="determinant construction")
     kind.add_argument("--vanhaecke", action="store_true", help="even-dimensional construction")
     kind.add_argument("--spec", metavar="PATH", help="generator spec JSON file")
-    gen.add_argument("--dim", type=int, help="dimension n (determinant construction)")
+    gen.add_argument("--dim", help="dimension n (determinant construction)")
     gen.add_argument(
         "--arg",
         action="append",
@@ -79,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="argument polynomial (repeat n-2 times)",
     )
     gen.add_argument("--prefactor", metavar="POLY", help="pre-multiplication factor")
-    gen.add_argument("--d", type=int, help="degree d (even-dimensional construction)")
+    gen.add_argument("--d", help="degree d (even-dimensional construction)")
     gen.add_argument("--phi", metavar="POLY", help="bivariate polynomial in x, y")
 
     flow = sub.add_parser("flow", parents=[common], help="apply a tetrahedral flow")
@@ -205,13 +204,6 @@ def _mv_lines(mv: MultiVector, label: str) -> "list[str]":
     return lines
 
 
-def _parse_rational(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise _UsageError(f"bad rational {text!r}: {exc}") from None
-
-
 def _parse_phi(text: str) -> "list[tuple]":
     """Parse a bivariate polynomial in x and y into (a, b, coeff) triples."""
     poly = Polynomial.parse(text, Context(2), names=("x", "y"))
@@ -222,21 +214,22 @@ def _parse_phi(text: str) -> "list[tuple]":
 
 
 def _cmd_gen(args) -> int:
+    dim, d = (t if t is None else _number(t, flag, integer=True) for t, flag in ((args.dim, "--dim"), (args.d, "--d")))
     if args.spec:
         spec = _load_doc(args.spec, generator_from_json_dict)
     elif args.det:
-        if args.dim is None:
+        if dim is None:
             raise _UsageError("--det requires --dim")
-        ctx = Context(args.dim)
+        ctx = Context(dim)
         spec = DetSpec(
             ctx,
             [Polynomial.parse(t, ctx) for t in args.arg],
             Polynomial.parse(args.prefactor, ctx) if args.prefactor else None,
         )
     else:
-        if args.d is None or args.phi is None:
+        if d is None or args.phi is None:
             raise _UsageError("--vanhaecke requires --d and --phi")
-        spec = VanhaeckeSpec(args.d, _parse_phi(args.phi))
+        spec = VanhaeckeSpec(d, _parse_phi(args.phi))
 
     mv = build_bivector(spec)
     poisson = is_poisson(mv)
@@ -276,7 +269,7 @@ def _cmd_flow(args) -> int:
     if args.which == "balanced":
         if args.raw:
             raise _UsageError("--raw applies to gamma1/gamma2 only")
-        skew = balanced_flow(p, _parse_rational(args.a), _parse_rational(args.b))
+        skew = balanced_flow(p, _number(args.a, "--a"), _number(args.b, "--b"))
         _emit(args, {"artifact": skew.to_json_dict()}, _mv_lines(skew, "balanced skew part"))
     else:
         result = (gamma1 if args.which == "gamma1" else gamma2)(p)

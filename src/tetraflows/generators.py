@@ -33,7 +33,7 @@ from typing import Mapping
 
 from .multivector import MultiVector, _json_field
 from .multivector import is_poisson  # noqa: F401 (bench/selftest.py traces this name)
-from .polyring import Context, ContextMismatchError, Polynomial
+from .polyring import Context, ContextMismatchError, Polynomial, _number
 
 __all__ = [
     "GeneratorError",
@@ -237,14 +237,11 @@ def generator_from_json_dict(doc: Mapping):
             raise GeneratorError(f"dim {doc['dim']} inconsistent with d = {d}")
         phi = doc["phi"]
         if not isinstance(phi, list) or not all(
-            isinstance(t, list) and len(t) == 3 and type(t[0]) is type(t[1]) is int
+            isinstance(t, list) and len(t) == 3 and type(t[0]) is type(t[1]) is int and type(t[2]) in (int, str)
             for t in phi
         ):
-            raise TypeError('"phi" must be a list of [a, b, coeff] triples, a and b integers')
-        try:
-            phi = [(a, b, Fraction(str(c))) for a, b, c in phi]
-        except ZeroDivisionError:
-            raise GeneratorError('a "phi" coefficient has a zero denominator') from None
+            raise TypeError('"phi" must be a list of [a, b, coeff] triples: ints a and b, coeff an int or a string')
+        phi = [(a, b, c if type(c) is int else _number(c, "phi coefficient")) for a, b, c in phi]
         return VanhaeckeSpec(d, phi)
     raise GeneratorError(f"unknown generator kind {kind!r}")
 

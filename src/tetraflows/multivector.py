@@ -50,8 +50,9 @@ class MultiVector:
 
     ``_tables`` is the private store of a bi-vector's derivative tables,
     filled by ``_kgraph.derivative_tensor`` on first read and kept as long
-    as the bi-vector, so every graph sum on it shares them.  It is not
-    compared, and pickle and copy start it empty.
+    as the bi-vector, so every graph sum on it shares them; a rational one
+    keeps its integral form there, which holds them (``_kgraph._integral``).
+    It is not compared; pickle, copy and the constructor start it empty.
     """
 
     __slots__ = ("ctx", "degree", "comps", "_tables")

@@ -211,6 +211,60 @@ def _tokenize(text: str, token: "re.Pattern") -> list:
     return tokens
 
 
+class _Lookahead:
+    """One token of lookahead over the (kind, value, position) tokens of a
+    text: ``now`` is the current token, ("end", "", len(text)) after the last."""
+
+    def __init__(self, text: str, token: "re.Pattern"):
+        self.tokens = _tokenize(text, token) + [("end", "", len(text))]
+        self.at, self.now = 0, self.tokens[0]
+
+    def take(self, kind: str, ops: str = ""):
+        """The current token's value, consumed, if it is a ``kind`` (and one
+        of ``ops`` when given); else None."""
+        got, val, _ = self.now
+        if got != kind or ops and val not in ops:
+            return None
+        self.at += 1
+        self.now = self.tokens[self.at]
+        return val
+
+    def fail(self, message: str):
+        raise PolyParseError(message, self.now[2])
+
+    def positive(self, message: str) -> int:
+        """A positive int (an exponent, a denominator), consumed; else fail."""
+        kind, val, _ = self.now
+        if kind != "num" or int(val) == 0:
+            self.fail(message)
+        return int(self.take("num"))
+
+    def rational(self):
+        """rational := int ["/" positive-int], read at a number token."""
+        numer = int(self.take("num"))
+        if self.take("op", "/"):
+            return Fraction(numer, self.positive("expected positive denominator"))
+        return numer
+
+
+def _number(text: str, what: str, integer: bool = False):
+    """The int or Fraction ``text`` by the grammar's ``[sign] rational``
+    (``[sign] int`` when ``integer``), whitespace ignored: the one reader of
+    a number given as text (phi coefficients, flow weights, dimensions).
+    Anything else is a PolyParseError naming ``what``."""
+    try:
+        r = _Lookahead(text, _grammar(())[0])
+        sign = -1 if r.take("op", "+-") == "-" else 1
+        if r.now[0] != "num":
+            r.fail(f"expected a number, found {r.now[1]!r}")
+        value = int(r.take("num")) if integer else r.rational()
+        if r.now[0] != "end":
+            r.fail(f"expected the end of the number, found {r.now[1]!r}")
+    except PolyParseError as exc:
+        raise PolyParseError(f"{what} {text!r}: {exc.message}", exc.position) from None
+    return _norm_coeff(sign * value)
+
+
 def _require_same_ctx(a: "Polynomial", b: "Polynomial") -> None:
     if a.ctx is not b.ctx and a.ctx != b.ctx:
         raise ContextMismatchError(f"context mismatch: {a.ctx} vs {b.ctx}")
@@ -486,102 +540,46 @@ class Polynomial:
         ``names`` gives the variables' names slot by slot, by default
         ``ctx.names``; ``names=("x", "y")`` reads phi(x, y) in ``Context(2)``.
         The exponent of each variable in a term must be below EXPONENT_LIMIT.
+        Read with one token of lookahead (``_Lookahead``), whose ``rational``
+        rule reads every other number given as text too (``_number``).
         """
         names = tuple(names) or ctx.names
         if len(set(names)) != ctx.nslots or not all(n.rstrip("0123456789") for n in names):
             raise ValueError(f"need {ctx.nslots} distinct variable names, not only digits: {names!r}")
         token, slots = _grammar(names)
-        tokens = _tokenize(text, token)
-        pos = 0
-
-        def peek():
-            return tokens[pos] if pos < len(tokens) else ("end", "", len(text))
-
-        terms: dict = {}
-        ns = ctx.nslots
-
-        def add_term(exps, coeff):
-            mono = ctx.pack(exps)
-            terms[mono] = terms.get(mono, 0) + coeff
-
-        first = True
-        while True:
-            kind, val, at = peek()
-            if kind == "end":
-                if first:
-                    raise PolyParseError("empty polynomial", at)
-                break
-            sign = 1
-            if kind == "op" and val in "+-":
-                sign = -1 if val == "-" else 1
-                pos += 1
-                kind, val, at = peek()
-            elif not first:
-                raise PolyParseError(f"expected '+' or '-', found {val!r}", at)
-            first = False
-
-            coeff = None
-            if kind == "num":
-                pos += 1
-                numer = int(val)
-                kind, val, at = peek()
-                if kind == "op" and val == "/":
-                    pos += 1
-                    kind, val, at = peek()
-                    if kind != "num" or int(val) == 0:
-                        raise PolyParseError("expected positive denominator", at)
-                    coeff = Fraction(numer, int(val))
-                    pos += 1
-                    kind, val, at = peek()
-                else:
-                    coeff = numer
-                if kind == "op" and val == "*":
-                    pos += 1
-                    kind, val, at = peek()
-                    if kind != "name":
-                        raise PolyParseError("expected variable after '*'", at)
-                elif kind == "name":
-                    raise PolyParseError(f"missing '*' before {val!r}", at)
-                else:
-                    add_term((0,) * ns, sign * coeff)  # constant term
-                    continue
-            if kind != "name":
-                raise PolyParseError(f"expected term, found {val!r}", at)
-
-            exps = [0] * ns
-            while True:
-                slot = slots.get(val)
-                if slot is None:
-                    raise PolyParseError(f"unknown variable {val!r} (variables: {', '.join(names)})", at)
-                pos += 1
-                e = 1
-                e_at = at
-                kind, val, at = peek()
-                if kind == "op" and val == "^":
-                    pos += 1
-                    kind, val, at = peek()
-                    if kind != "num" or int(val) == 0:
-                        raise PolyParseError("expected positive exponent", at)
-                    e = int(val)
-                    e_at = at
-                    pos += 1
-                    kind, val, at = peek()
+        r = _Lookahead(text, token)
+        take, fail = r.take, r.fail
+        terms: dict = {}  # every term read leaves its monomial here
+        while r.now[0] != "end":
+            sign = take("op", "+-")
+            if sign is None and terms:
+                fail(f"expected '+' or '-', found {r.now[1]!r}")
+            coeff = r.rational() if r.now[0] == "num" else None
+            if r.now[0] != "name" and coeff is None:
+                fail(f"expected term, found {r.now[1]!r}")
+            if r.now[0] == "name" and coeff is not None:
+                fail(f"missing '*' before {r.now[1]!r}")
+            exps = [0] * ctx.nslots
+            more = coeff is None or take("op", "*")
+            while more:
+                kind, val, at = r.now
+                if kind != "name":
+                    fail("expected variable after '*'")
+                if (slot := slots.get(val)) is None:
+                    fail(f"unknown variable {val!r} (variables: {', '.join(names)})")
+                take("name")
+                # an exponent error points at the exponent, else at the variable
+                at, e = (r.now[2], r.positive("expected positive exponent")) if take("op", "^") else (at, 1)
                 exps[slot] += e
                 if exps[slot] >= EXPONENT_LIMIT:
                     raise PolyParseError(
-                        f"exponent {exps[slot]} of {names[slot]} is not below "
-                        f"the limit {EXPONENT_LIMIT}",
-                        e_at,
+                        f"exponent {exps[slot]} of {names[slot]} is not below the limit {EXPONENT_LIMIT}", at
                     )
-                if kind == "op" and val == "*":
-                    pos += 1
-                    kind, val, at = peek()
-                    if kind != "name":
-                        raise PolyParseError("expected variable after '*'", at)
-                    continue
-                break
-            add_term(exps, sign * (1 if coeff is None else coeff))
-
+                more = take("op", "*")
+            mono = ctx.pack(exps)
+            terms[mono] = terms.get(mono, 0) + (-1 if sign == "-" else 1) * (1 if coeff is None else coeff)
+        if not terms:
+            fail("empty polynomial")
         return finish(ctx, terms)
 
     def render(self) -> str:

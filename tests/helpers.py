@@ -1,5 +1,6 @@
 """Shared randomized builders, independent reference evaluators, the former
-phi reader as a reference parser, and a counter of the engine's products.
+polynomial parser and phi reader as reference parsers, and a counter of the
+engine's products.
 
 The evaluators here are deliberately written from the defining formulas with
 plain nested loops and no pruning or index bookkeeping shared with the
@@ -11,12 +12,13 @@ import re
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
 from math import gcd
+from typing import Sequence
 
 import tetraflows._kgraph as kgraph_module
 from tetraflows.analysis import RatioSolution
 from tetraflows.graphflow import gamma1, gamma2, parse_kgraph
 from tetraflows.multivector import MultiVector, mv_linear_combination
-from tetraflows.polyring import Context, PolyParseError, Polynomial
+from tetraflows.polyring import EXPONENT_LIMIT, Context, PolyParseError, Polynomial, _grammar, _tokenize, finish
 
 # Fixed seed for the randomized property suites (reproducible runs).
 DEFAULT_SEED = 20160613
@@ -383,3 +385,116 @@ def _parse_phi(text: str) -> "list[tuple]":
             message = message.replace(f" of {slot} ", f" of {name} ")
         raise PolyParseError(message, at) from None
     return sorted((a, b, c) for (a, b), c in poly.items())
+
+
+# The former ``Polynomial.parse``, kept verbatim (as a function) as the
+# reference for the one-token-lookahead parser: the same grammar, results,
+# error messages and positions.
+def reference_parse(text: str, ctx: Context, names: Sequence[str] = ()) -> "Polynomial":
+    """Parse the bit-exact grammar, e.g. ``-2*x1*x2^3*x3^5*x4``.
+
+    polynomial := term (("+"|"-") term)*
+    term       := [sign] [rational "*"] factor ("*" factor)* | [sign] rational
+    factor     := var ["^" positive-int];  var := one of the names
+    rational   := int ["/" positive-int];  whitespace is ignored.
+
+    ``names`` gives the variables' names slot by slot, by default
+    ``ctx.names``; ``names=("x", "y")`` reads phi(x, y) in ``Context(2)``.
+    The exponent of each variable in a term must be below EXPONENT_LIMIT.
+    """
+    names = tuple(names) or ctx.names
+    if len(set(names)) != ctx.nslots or not all(n.rstrip("0123456789") for n in names):
+        raise ValueError(f"need {ctx.nslots} distinct variable names, not only digits: {names!r}")
+    token, slots = _grammar(names)
+    tokens = _tokenize(text, token)
+    pos = 0
+
+    def peek():
+        return tokens[pos] if pos < len(tokens) else ("end", "", len(text))
+
+    terms: dict = {}
+    ns = ctx.nslots
+
+    def add_term(exps, coeff):
+        mono = ctx.pack(exps)
+        terms[mono] = terms.get(mono, 0) + coeff
+
+    first = True
+    while True:
+        kind, val, at = peek()
+        if kind == "end":
+            if first:
+                raise PolyParseError("empty polynomial", at)
+            break
+        sign = 1
+        if kind == "op" and val in "+-":
+            sign = -1 if val == "-" else 1
+            pos += 1
+            kind, val, at = peek()
+        elif not first:
+            raise PolyParseError(f"expected '+' or '-', found {val!r}", at)
+        first = False
+
+        coeff = None
+        if kind == "num":
+            pos += 1
+            numer = int(val)
+            kind, val, at = peek()
+            if kind == "op" and val == "/":
+                pos += 1
+                kind, val, at = peek()
+                if kind != "num" or int(val) == 0:
+                    raise PolyParseError("expected positive denominator", at)
+                coeff = Fraction(numer, int(val))
+                pos += 1
+                kind, val, at = peek()
+            else:
+                coeff = numer
+            if kind == "op" and val == "*":
+                pos += 1
+                kind, val, at = peek()
+                if kind != "name":
+                    raise PolyParseError("expected variable after '*'", at)
+            elif kind == "name":
+                raise PolyParseError(f"missing '*' before {val!r}", at)
+            else:
+                add_term((0,) * ns, sign * coeff)  # constant term
+                continue
+        if kind != "name":
+            raise PolyParseError(f"expected term, found {val!r}", at)
+
+        exps = [0] * ns
+        while True:
+            slot = slots.get(val)
+            if slot is None:
+                raise PolyParseError(f"unknown variable {val!r} (variables: {', '.join(names)})", at)
+            pos += 1
+            e = 1
+            e_at = at
+            kind, val, at = peek()
+            if kind == "op" and val == "^":
+                pos += 1
+                kind, val, at = peek()
+                if kind != "num" or int(val) == 0:
+                    raise PolyParseError("expected positive exponent", at)
+                e = int(val)
+                e_at = at
+                pos += 1
+                kind, val, at = peek()
+            exps[slot] += e
+            if exps[slot] >= EXPONENT_LIMIT:
+                raise PolyParseError(
+                    f"exponent {exps[slot]} of {names[slot]} is not below "
+                    f"the limit {EXPONENT_LIMIT}",
+                    e_at,
+                )
+            if kind == "op" and val == "*":
+                pos += 1
+                kind, val, at = peek()
+                if kind != "name":
+                    raise PolyParseError("expected variable after '*'", at)
+                continue
+            break
+        add_term(exps, sign * (1 if coeff is None else coeff))
+
+    return finish(ctx, terms)

@@ -21,7 +21,7 @@ from tetraflows.analysis import (
     perturb_probe,
     reproduce_tables,
 )
-from tetraflows.generators import DetSpec, build_bivector, det_bracket
+from tetraflows.generators import DetSpec, VanhaeckeSpec, build_bivector, det_bracket
 from tetraflows.graphflow import gamma1, gamma2
 from tetraflows.multivector import MultiVector, is_poisson, mv_linear_combination, schouten
 from tetraflows.polyring import Context, Polynomial, _denominator_lcm
@@ -113,6 +113,18 @@ def test_compat_report_is_pure():
 
 
 # -- ratio solver -------------------------------------------------------------
+
+
+def test_witnesses_are_handed_out_with_empty_stores():
+    # A report's brackets store derivative tables on P2 (on its integral
+    # form, kept in P2's store, when P2 is rational, as for row 10 with phi
+    # = x^3*y^3 / 3); each witness is a copy with an empty store, so a
+    # report, and the grid, keeps no table alive.
+    spec = VanhaeckeSpec(2, [(3, 3, Fraction(1, 3))])
+    reports = [compat_report(build_bivector(spec), spec)] + [row.report for row in reproduce_tables().rows]
+    for report in reports:
+        assert "p2_zero" in report.witnesses
+        assert all(mv._tables == {} for mv in report.witnesses.values()), report.spec
 
 
 def test_find_ratios_reference_balance():
@@ -239,7 +251,7 @@ def test_find_ratios_at_the_origin_brackets_every_element(monkeypatch):
     want = {name: find_ratios(p, basis) for name, p, basis in _ratio_inputs()}
     monkeypatch.setattr(analysis, "_POINTS", (0,))
     for name, p, basis in _ratio_inputs():
-        assert not any(map(any, _point_rows(p, basis)[0])), name
+        assert not any(map(any, _point_rows(p, basis))), name
         assert find_ratios(p, basis) == want[name], name
 
 
@@ -247,7 +259,7 @@ def test_point_rows_are_the_engine_brackets_at_the_points():
     # row r holds D * s_i * [[P, B_i]] at point r // C(n, 3), component
     # number r % C(n, 3) in the order of combinations
     for name, p, basis in _ratio_inputs():
-        rows, scales = _point_rows(p, basis)
+        rows, scales = _point_rows(p, basis), [_denominator_lcm(b.comps.values()) for b in basis]
         d = _denominator_lcm(p.comps.values())
         triples = list(combinations(range(1, p.ctx.dim + 1), 3))
         brackets = [schouten(p, b) for b in basis]

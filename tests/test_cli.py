@@ -4,6 +4,7 @@ import json
 import random
 import tempfile
 import time
+from fractions import Fraction
 from hashlib import sha256
 from pathlib import Path
 
@@ -14,7 +15,8 @@ from hypothesis import strategies as st
 from tetraflows import multivector
 from tetraflows.analysis import builtin_rows, reproduce_tables
 from tetraflows.cli import _parse_phi, main
-from tetraflows.graphflow import GraphParseError, parse_kgraph
+from tetraflows.generators import VanhaeckeSpec, build_bivector
+from tetraflows.graphflow import GraphParseError, balanced_flow, parse_kgraph
 from tetraflows.multivector import MultiVector
 from tetraflows.polyring import DIM_LIMIT, Context, PolyParseError, Polynomial
 
@@ -419,6 +421,54 @@ def test_component_key_digits_are_ascii_only(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     code, out, err = run(capsys, "jacobi", str(path))
     assert (code, out) == (2, "") and err.startswith(f"error: {path}: ") and err.count("\n") == 1
+
+
+# -- numbers ------------------------------------------------------------------------
+# Every number given as text is read by the grammar's rational rule, an int
+# where one is needed: Fraction() and int() would also read "0.5", "1e3",
+# "1_0" and non-ASCII digits.
+
+
+@pytest.mark.parametrize(
+    "coeff",
+    ["0.5", "1e3", "1_0", "١/٢", 0.5, True, "1/0"],
+    ids=["decimal", "exponent", "underscore", "arabic-indic", "json-float", "json-true", "zero-denominator"],
+)
+def test_phi_coefficients_outside_the_rational_rule_are_one_line_errors(tmp_path, capsys, coeff):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"kind": "vanhaecke", "d": 2, "phi": [[2, 2, coeff]]}))
+    code, out, err = run(capsys, "gen", "--spec", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("coeff, value", [("-1/3", Fraction(-1, 3)), (" 2 ", 2), (3, 3)])
+def test_phi_coefficients_in_the_rational_rule_load(tmp_path, capsys, coeff, value):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"kind": "vanhaecke", "d": 2, "phi": [[2, 2, coeff]]}))
+    code, out, err = run(capsys, "gen", "--spec", str(path), "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["artifact"] == build_bivector(VanhaeckeSpec(2, [(2, 2, value)])).to_json_dict()
+
+
+@pytest.mark.parametrize("flag, text", [("--a", "0.5"), ("--a", "١"), ("--dim", "٣"), ("--d", "2_0")])
+def test_number_flags_outside_the_rational_rule_are_one_line_errors(capsys, p0_file, flag, text):
+    argv = {
+        "--a": ["flow", p0_file, "--which", "balanced"],
+        "--dim": ["gen", "--det", "--arg", "x3"],
+        "--d": ["gen", "--vanhaecke", "--phi", "x^2*y"],
+    }[flag]
+    code, out, err = run(capsys, *argv, flag, text)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {flag} {text!r}: ") and err.count("\n") == 1
+
+
+def test_flow_weights_are_read_as_rationals(capsys, p0_file):
+    # "--a -5/3" would be taken for an option by argparse (only "-5" or "-.5"
+    # read as negative numbers), here as at the parent: "--a=-5/3" passes it
+    code, out, err = run(capsys, "flow", p0_file, "--which", "balanced", "--a=-5/3", "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["artifact"] == balanced_flow(p0(), Fraction(-5, 3), 6).to_json_dict()
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ from contextlib import contextmanager, nullcontext
 from functools import cache
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from math import lcm
 
 import pytest
 
@@ -964,9 +965,11 @@ def _counting_builds(monkeypatch) -> list:
 
 # The tables gamma1 builds on a fresh bi-vector: its ascending order 3 from
 # orders 2, 1 and 0, and the mirrored order 1.  gamma2 then adds only the
-# mirror of the ascending order 2.
+# mirror of the ascending order 2, and the Schouten bracket the mirrored
+# order 0.
 GAMMA1_TABLES = [(0, False, False), (1, False, False), (1, False, True), (2, True, False), (3, True, False)]
 GAMMA2_EXTRA_TABLES = [(2, True, True)]
+BRACKET_EXTRA_TABLES = [(0, False, True)]
 
 
 def test_balanced_flow_runs_the_products_of_both_skew_parts_with_shared_tables(monkeypatch):
@@ -999,10 +1002,13 @@ def test_balanced_flow_runs_the_products_of_both_skew_parts_with_shared_tables(m
     assert builds == []
 
 
-# Where a table is read: grid rows 3 and 10 and the flows workload's dim-8 input.
+# Where a table is read: grid rows 3 and 10, row 10 with phi = x^3*y^3 / 3
+# (a rational P0, read through its integral form) and the flows workload's
+# dim-8 input.
 TABLE_INPUTS = {
     "row 3": next(spec for rid, _, spec, _ in builtin_rows() if rid == 3),
     "row 10": next(spec for rid, _, spec, _ in builtin_rows() if rid == 10),
+    "row 10 phi/3": VanhaeckeSpec(2, [(3, 3, Fraction(1, 3))]),
     "dim 8": VanhaeckeSpec(4, [(2, 1, 1)]),
 }
 
@@ -1029,12 +1035,13 @@ def _table_from_scratch(p, m, ascending, mirrored) -> dict:
 @pytest.mark.parametrize("name", TABLE_INPUTS)
 def test_stored_derivative_tables_equal_tables_built_from_scratch(name):
     # The Jacobi test, both flows raw and skew, the balanced flow and the
-    # bracket [[P, Q]] fill the stores of P and Q; then every table of
-    # orders 0-3, ascending or in every order, mirrored or not, is read
-    # once more.  Each stored table equals one differentiated from scratch:
-    # one built from a wrong order below it, or an entry a graph sum wrote
-    # into, would differ.  The graph sums give the same results again when
-    # they read the stored tables.
+    # bracket [[P, Q]] fill the stores of P and Q, or of their integral
+    # forms D * P and D * Q, which the stores of P and Q keep when D != 1;
+    # then every table of orders 0-3, ascending or in every order, mirrored
+    # or not, is read once more.  Each stored table equals one
+    # differentiated from scratch: one built from a wrong order below it,
+    # or an entry a graph sum wrote into, would differ.  The graph sums give
+    # the same results again when they read the stored tables.
     p = build_bivector(TABLE_INPUTS[name])
 
     def graph_sums():
@@ -1045,12 +1052,18 @@ def test_stored_derivative_tables_equal_tables_built_from_scratch(name):
     first = graph_sums()
     assert graph_sums() == first
     q = first[2]
+    assert (_denominators([p]) != {1}) == (name == "row 10 phi/3")
     for bivector in (p, q):
+        d, form = kgraph_module._integral(bivector)
+        assert d == lcm(*_denominators([bivector])) and form == bivector.scale(d)
+        assert (form is bivector) == (d == 1) and bivector._tables["integral"] == (d, None if d == 1 else form)
         for m, ascending, mirrored in product(range(4), (False, True), (False, True)):
-            kgraph_module.derivative_tensor(bivector, m, ascending, mirrored)
-        assert len(bivector._tables) == 12  # orders 0 and 1 have one table each
-        for (m, ascending, mirrored), table in bivector._tables.items():
-            assert table == _table_from_scratch(bivector, m, ascending, mirrored), (m, ascending, mirrored)
+            kgraph_module.derivative_tensor(form, m, ascending, mirrored)
+        tables = {which: table for which, table in form._tables.items() if which != "integral"}
+        assert len(tables) == 12  # orders 0 and 1 have one table each
+        assert set(bivector._tables) == ({"integral", *tables} if d == 1 else {"integral"})
+        for (m, ascending, mirrored), table in tables.items():
+            assert table == _table_from_scratch(form, m, ascending, mirrored), (m, ascending, mirrored)
 
 
 # -- integer arithmetic for rational bi-vectors ------------------------------------
@@ -1125,32 +1138,30 @@ def test_rational_bracket_runs_its_products_on_ints(monkeypatch):
 
 
 def test_rational_bivectors_share_one_derivative_table_each(monkeypatch):
-    # One scaled copy per distinct bi-vector, not per vertex: a flow of a
-    # rational bi-vector builds the tables of an integral one, each once, on
-    # that copy.  The copy lasts the call, so the rational bi-vector's own
-    # store stays empty and each call builds its tables again, where the
-    # integral one keeps them: its gamma2 builds one table and a repeated
-    # call none.
+    # A rational bi-vector p is read through its integral form D * p, which
+    # p's store keeps: its flows build the tables of an integral bi-vector,
+    # each once, on that one copy, and a repeated flow or bracket builds
+    # none, as on an integral bi-vector.  p's own store holds only the form.
     builds = _counting_builds(monkeypatch)
     p = _rational_bivector(random.Random(31), Context(3))
-    assert _denominators([p]) != {1}
     integral = p.scale(27720)  # 27720 = lcm(1, ..., 12)
+    d, form = kgraph_module._integral(p)
+    assert d != 1 and form == p.scale(d) and kgraph_module._integral(integral) == (1, integral)
     runs = []
     for bivector in (p, integral, p, integral):
-        for graph in (GAMMA1_GRAPH, GAMMA2_GRAPH):
+        owner = kgraph_module._integral(bivector)[1]
+        for run in (
+            lambda: graph_sum(GAMMA1_GRAPH, [(bivector,) * 4]),
+            lambda: graph_sum(GAMMA2_GRAPH, [(bivector,) * 4]),
+            lambda: schouten(bivector, bivector),
+        ):
             builds.clear()
-            graph_sum(graph, [(bivector,) * 4])
-            owners = {id(q) for q, _ in builds}
-            if bivector is p:
-                assert len(owners) == 1 and id(p) not in owners  # the one scaled copy
-            else:
-                assert owners <= {id(integral)}
+            run()
+            assert all(q is owner for q, _ in builds)
             runs.append(sorted(which for _, which in builds))
-    rational, integral_runs = runs[0:2] + runs[4:6], runs[2:4] + runs[6:8]
-    gamma2_alone = sorted({*GAMMA1_TABLES, *GAMMA2_EXTRA_TABLES} - {(3, True, False)})
-    assert rational == [GAMMA1_TABLES, gamma2_alone] * 2
-    assert integral_runs == [GAMMA1_TABLES, GAMMA2_EXTRA_TABLES, [], []]
-    assert p._tables == {} and len(integral._tables) == 6
+    first = [GAMMA1_TABLES, GAMMA2_EXTRA_TABLES, BRACKET_EXTRA_TABLES]
+    assert runs == first + first + [[]] * 6
+    assert set(p._tables) == {"integral"} and len(form._tables) == len(integral._tables) - 1 == 7
 
 
 def test_exponent_overflow_inside_a_flow_fails_loudly():

@@ -3,7 +3,8 @@
 The naive graph oracle runs in dims 3-5 and the sympy one in dims 3 and 4.
 Here the raw matrices of gamma1 and gamma2, their skew parts read alone,
 the 1:6 balanced flow and the bracket [[P, gamma2(P)]] on builtin rows 11
-and 3 and on the flows benchmark's dim-8 and dim-6 inputs, and a weighted
+and 3, on row 10 with a rational phi and on the flows benchmark's dim-8
+and dim-6 inputs, and a weighted
 sum of the two flows on row 3 and dim 8, are evaluated at
 seeded integer points and compared, entry by entry, with
 ``helpers.point_oracle``: the graphs' index sums at those points, built from
@@ -32,6 +33,8 @@ INPUTS = {
     "row 11": next(spec for rid, _, spec, _ in builtin_rows() if rid == 11),
     # a determinant bracket whose entries are all one term: its flows multiply one term by one term only
     "row 3": next(spec for rid, _, spec, _ in builtin_rows() if rid == 3),
+    # row 10 with phi = x^3*y^3 / 3: a rational P0, read through its integral form 3 * P0
+    "row 10 phi/3": VanhaeckeSpec(2, [(3, 3, Fraction(1, 3))]),
     "dim 8": VanhaeckeSpec(4, [(2, 1, 1)]),  # the flows workload's Vanhaecke d=4, phi=x^2*y
     "dim 6": VanhaeckeSpec(3, [(3, 1, 1)]),  # and d=3, phi=x^3*y
 }

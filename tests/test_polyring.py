@@ -1,5 +1,8 @@
 import copy
 import pickle
+import random
+import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -20,6 +23,7 @@ from tetraflows.polyring import (
 )
 
 from example4d import JACOBI_123_TERMS, REFERENCE_CORPUS
+from helpers import reference_parse
 
 CTX3 = Context(3)
 CTX4 = Context(4)
@@ -194,6 +198,57 @@ def test_parse_reads_the_given_names():
     for names in (xy, ("x", "x", "y"), ("x", "", "y"), ("x", "12", "y")):
         with pytest.raises(ValueError):  # one distinct name per slot, each with a letter
             Polynomial.parse("x", Context(3), names=names)
+
+
+def _parse_texts(rng, names, count):
+    """Seeded texts in the given names: three in four joined from random
+    pieces (the names, unknown names, numbers, operators, spaces and a few
+    stray characters), one in four drawn from the grammar, with random
+    spacing, repeated factors and exponents near EXPONENT_LIMIT."""
+    pieces = [*names, *names, "x", "x0", "x13", "eps", "y", "z", "0", "1", "12", "007", "32767", "32768"]
+    pieces += [*"+-*/^" * 3, " ", " ", ".", "_", "٢", "e"]
+    exponents = ("", "", "1", "2", "10", "16384", "32767")
+
+    def around(op):
+        return rng.choice(("", "", " ")) + op + rng.choice(("", "", " "))
+
+    def factor():
+        exponent = rng.choice(exponents)
+        return rng.choice(names) + (around("^") + exponent if exponent else "")
+
+    for i in range(count):
+        if i % 4:
+            yield "".join(rng.choice(pieces) for _ in range(rng.randint(0, 10)))
+            continue
+        text = ""
+        for _ in range(rng.randint(1, 4)):
+            coeff = rng.choice(("", "", "3", "0", "12", "1/2", "7/3", "4/6", "5/0"))
+            factors = [factor() for _ in range(rng.randint(0, 3))]
+            text += around(rng.choice("+-")) + (around("*").join([coeff] * bool(coeff) + factors) or "5")
+        yield text if rng.random() < 0.5 else text.lstrip("+ ")
+
+
+def _parse_outcome(parse, text, ctx, names):
+    """The terms of the parsed text, or the error's class, message and position."""
+    try:
+        return parse(text, ctx, names).terms
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+
+
+def test_parse_agrees_with_the_former_parser():
+    # The one-token-lookahead parser against the former one, kept verbatim in
+    # helpers: 104,000 seeded texts over four variable grammars (x1..x3,
+    # with eps, two-digit names x10..x12, and phi's x and y) give the same
+    # terms, or an error of the same class, message and position.
+    outcomes = Counter()
+    rng = random.Random(29)
+    for ctx, names in ((CTX3, ()), (Context(3, True), ()), (Context(12), ()), (Context(2), ("x", "y"))):
+        for text in _parse_texts(rng, names or ctx.names, 26000):
+            want = _parse_outcome(reference_parse, text, ctx, names)
+            assert _parse_outcome(Polynomial.parse, text, ctx, names) == want, (text, ctx, names)
+            outcomes[re.sub(r"'[^']*'|[0-9]+| of \w+|\(.*", "_", want[1]) if isinstance(want, tuple) else "valid"] += 1
+    assert outcomes["valid"] > 20000 and len(outcomes) == 11, outcomes  # every message of the parser
 
 
 def test_parse_rejects_exponents_at_the_limit():
