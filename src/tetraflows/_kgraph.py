@@ -28,8 +28,8 @@ from itertools import chain, combinations, permutations, product
 from math import comb, lcm, prod
 from operator import itemgetter, or_
 
-from .polyring import EXPONENT_LIMIT, ContextMismatchError, _denominator_lcm, addmul, addto
-from .polyring import _check_guard, _diff, _nonzero, _norm_coeff, _quotient
+from .polyring import EXPONENT_LIMIT, ContextMismatchError, PolyParseError, _denominator_lcm, addmul, addto
+from .polyring import _check_guard, _diff, _integer, _nonzero, _norm_coeff, _quotient
 
 
 class GraphParseError(ValueError):
@@ -73,23 +73,26 @@ _PAIR = re.compile(r"\(\s*([SV][0-9]+)\s*,\s*([SV][0-9]+)\s*\)")
 
 def parse_kgraph(text: str) -> KGraph:
     """Parse ``"<k>; (t,t) (t,t) ..."`` into a validated KGraph."""
-    head, sep, body = text.partition(";")
+    head, sep, _ = text.partition(";")
     if not sep:
         raise GraphParseError("missing ';' after the vertex count")
     if not re.fullmatch("[0-9]+", head.strip()):
         raise GraphParseError(f"bad vertex count {head.strip()!r}")
-    k = int(head)
     pairs = []
-    pos = 0
-    while pos < len(body):
-        if body[pos].isspace():
-            pos += 1
-            continue
-        m = _PAIR.match(body, pos)
-        if m is None:
-            raise GraphParseError(f"bad target pair near {body[pos : pos + 20]!r}")
-        pairs.append(tuple((tok[0], int(tok[1:])) for tok in m.groups()))
-        pos = m.end()
+    pos = len(head) + 1
+    try:
+        k = _integer(head.strip(), len(head) - len(head.lstrip()))
+        while pos < len(text):
+            if text[pos].isspace():
+                pos += 1
+                continue
+            m = _PAIR.match(text, pos)
+            if m is None:
+                raise GraphParseError(f"bad target pair near {text[pos : pos + 20]!r}")
+            pairs.append(tuple((m[g][0], _integer(m[g][1:], m.start(g) + 1)) for g in (1, 2)))  # after S or V
+            pos = m.end()
+    except PolyParseError as exc:  # a number too long for int()
+        raise GraphParseError(str(exc)) from None
     if len(pairs) != k:
         raise GraphParseError(f"declared {k} vertices but found {len(pairs)} pairs")
     return KGraph(k, tuple(pairs))
@@ -176,16 +179,6 @@ def graph_sum(g: KGraph | list, assignments: list, skew: bool = False) -> dict:
     one accumulator.  A graph with k vertices reads the first k bi-vectors
     of each assignment; a zero weight runs no product.
 
-    A vertex holding two sinks is taken only for a < b on its out-edges:
-    the entries with a > b are the negations and are left out, so with
-    ``skew`` the pair counts once.  The same sign rule halves a step in
-    which a vertex keeps both of its out-edges, not both into sinks: the
-    vertex is enumerated a < b, and each entry of the step's result is
-    added at its key and, negated, at the key with L and R exchanged.  On
-    gamma2 (V3, then V2) that is 24,170,465 -> 16,291,689 term pairs on
-    Vanhaecke d=4, phi=x^2*y^2.  A step with orbit weights (below) takes
-    every key and the vertex's full table.
-
     Every vertex is a sparse tensor over its edges (L, R, in-edges): {index
     tuple: term map of the derivative of P^{LR} along the in-edge indices},
     read from the tables stored on P (``derivative_tensor``), so the graph
@@ -198,16 +191,21 @@ def graph_sum(g: KGraph | list, assignments: list, skew: bool = False) -> dict:
     onto ascending indices there as it is built.  Any other vertex table
     holds every order of its in-edge indices.
 
-    The automorphisms that respect an assignment (v and its image carry the
-    same bi-vector) are used twice.  One with an odd number of L/R swaps
-    negates the evaluation, so the assignment is zero and runs no product
-    (a double edge is such a swap).  An even one that maps a step's result
-    onto itself, moving only fold positions, leaves it unchanged: the step
-    adds only the products whose key is the least of its orbit, weighted by
-    the orbit size (``_orbit_rules``).  On gamma1 the rotation of V2, V3, V4
-    cuts the step closing their cycle to a third (weight 3, or 1 for three
-    equal indices) and the step before keeps e2 <= e4: 7,760,955 ->
-    3,372,917 term pairs on Vanhaecke d=4, phi=x^2*y^2.
+    A vertex holding two sinks is taken only for a < b on its out-edges:
+    the entries with a > b are the negations and are left out, so with
+    ``skew`` the pair counts once.  A middle step in which a vertex keeps
+    both of its out-edges, not both into sinks, is halved the same way: the
+    plan enumerates the vertex a < b, and each entry is also written,
+    negated, at the key with L and R exchanged.  The automorphisms that
+    respect an assignment (v and its image carry the same bi-vector) are
+    used twice.  One with an odd number of L/R swaps negates the evaluation,
+    so the assignment is zero and runs no product (a double edge is such a
+    swap).  An even one that maps a step's result onto itself, moving only
+    fold positions, leaves it unchanged: an image of an entry is written
+    only if it is the least of its orbit, times the orbit size
+    (``_orbit_rules``).  An entry whose only image is itself at weight 1
+    goes straight into the step's result, any other after the step's
+    products.
 
     Every product runs in integers: each bi-vector p is read through its
     integral form D_p * p (``_integral``), D_p the lcm of its coefficient
@@ -262,47 +260,42 @@ def graph_sum(g: KGraph | list, assignments: list, skew: bool = False) -> dict:
         if any(sum(symmetries[i][1]) % 2 for i in respected):
             continue  # an odd automorphism negates this assignment's graph: it is zero
         rules = _orbit_rules(graph, respected)
-        # a step with orbit weights takes every key, so its vertex is not halved
-        halved = {mirror[0] for (*_, mirror, _, _), weigh in zip(middle, rules) if mirror and not weigh}
         # Operands in plan order: the vertices, the unit tensor, step results.
         tensors = [
-            derivative_tensor(p, m, ascending, mirrored and v not in halved)
-            for v, (p, (m, mirrored, ascending)) in enumerate(zip(ps, vertices))
+            derivative_tensor(p, m, ascending, mirrored)
+            for p, (m, mirrored, ascending) in zip(ps, vertices)
         ] + [{(): {0: 1}}]
         tests = _supports(steps, tensors, rules, ctx.dim)
-        for (a, b, ea, eb, mirror, ec, fold), weigh, admit in zip(middle, rules, tests):
-            out = _fold_key(len(ec), fold)
+        for (a, b, ea, eb, mirror, ec, fold), weigh, test in zip(middle, rules, tests):
+            pick, allowed = test or (None, None)
+            out, flip = _fold_key(len(ec), fold), _fold_key(len(ec), fold, mirror[1:])
+            swap = _fold_key(len(ec), (), mirror[1:]) if mirror else None
             acc: dict = {}
-            if mirror and not weigh:
-                # The halved vertex's entry at (b, a) is minus the one at (a, b).
-                half: dict = {}
+            later: dict = {(1, -1): {}}  # (coefficient at out, at flip) -> key -> term dict
+            target, place = (later[1, -1], tuple) if mirror else (acc, out)  # each key when all weigh 1
 
-                def half_slot(key: tuple):
-                    if admit is None or admit(key):
-                        return half.setdefault(key, {})
+            def slot(key: tuple):
+                if allowed is None or pick(key) in allowed or swap and pick(swap(key)) in allowed:  # either image
+                    if weigh is None:
+                        return target.setdefault(place(key), {})
+                    weights = weigh(key), -weigh(swap(key)) if swap else 0
+                    if weights == (1, 0):
+                        return acc.setdefault(out(key), {})
+                    if weights != (0, 0):
+                        return later.setdefault(weights, {}).setdefault(key, {})
 
-                _contract(ea, tensors[a], eb, tensors[b], half_slot)
-                flip = _fold_key(len(ec), fold, mirror[1:])
-                for key, terms in half.items():
-                    if (at := flip(key)) in acc:
-                        addto(acc[at], terms, -1)
-                    else:
-                        acc[at] = {m: -c for m, c in terms.items()}
-                    into = acc.setdefault(out(key), terms)  # a new key takes the entry itself
-                    if into is not terms:
-                        addto(into, terms)
-            else:
-                weighted: dict = {}  # orbit weight > 1 -> result key -> term dict
-
-                def slot(key: tuple):
-                    weight = weigh(key) if weigh else 1
-                    if weight and (admit is None or admit(key)):
-                        return (acc if weight == 1 else weighted.setdefault(weight, {})).setdefault(out(key), {})
-
-                _contract(ea, tensors[a], eb, tensors[b], slot)
-                for weight, part in weighted.items():
-                    for key, terms in part.items():
-                        addto(acc.setdefault(key, {}), terms, weight)
+            _contract(ea, tensors[a], eb, tensors[b], slot)
+            for (weight, image), part in later.items():
+                for key, terms in part.items():
+                    if image:  # the halved vertex's entry at (b, a) is minus the one at (a, b)
+                        if (at := flip(key)) in acc:
+                            addto(acc[at], terms, image)
+                        else:
+                            acc[at] = {m: image * c for m, c in terms.items()}
+                    if weight:  # a new key takes the entry itself
+                        into = acc.setdefault(out(key), terms if weight == 1 else {})
+                        if into is not terms:
+                            addto(into, terms, weight)
             if graph.n_internal * top >= EXPONENT_LIMIT:
                 _check_guard(ctx, list(chain.from_iterable(acc.values())))
             tensors.append({key: kept for key, terms in acc.items() if (kept := _nonzero(terms))})
@@ -353,15 +346,15 @@ def _plan(g: KGraph) -> tuple:
     """How ``graph_sum`` contracts a graph, worked out once from its edges.
 
     Returns (vertices, steps, sinks, symmetries).  Per vertex: its number of
-    in-edges, whether its table is mirrored (it holds no two sinks), and
-    whether it is enumerated ascending.  Per step (a, b, ea, eb, mirror, ec,
-    fold): operands a and b, over the edges ea and eb, contract into a
-    tensor over ec whose indices at ``fold`` are summed onto ascending order
-    as it is built.  ``mirror`` is (x, i, j) when operand x is a vertex that
-    keeps its L and R, at positions i and j of ec, and holds no two sinks:
-    it may be enumerated a < b, its step adding the negated mirror of each
-    entry; else ().  Only a step that is not the last can have one (the
-    last keeps only sink edges).  Operand v - 1 is vertex v, k the unit
+    in-edges, whether its table is mirrored (neither halved nor holding two
+    sinks), and whether it is enumerated ascending.  Per step (a, b, ea, eb,
+    mirror, ec, fold): operands a and b, over the edges ea and eb, contract
+    into a tensor over ec whose indices at ``fold`` are summed onto
+    ascending order as it is built.  ``mirror`` is (x, i, j) when operand x
+    is a vertex that keeps its L and R, at positions i and j of ec, and
+    holds no two sinks: x is halved, enumerated a < b, and its step adds the
+    negated mirror of each entry; else ().  Only a middle step can have one
+    (the last keeps only sink edges).  Operand v - 1 is vertex v, k the unit
     tensor and k + s the result of step s.  ``sinks`` are the positions in
     the last ec of the edges into S1, S2, ...  ``symmetries``: the graph's
     automorphisms but the identity (``_automorphisms``), or none above
@@ -422,17 +415,20 @@ def _plan(g: KGraph) -> tuple:
         )
         steps.append([a, b, ea, eb, mirror, ec, ()])
         operands.append((ec, k + len(steps)))
-    vertices = tuple((len(in_edges[v]), v not in paired, v in ascending) for v in in_edges)
+    halved = {mirror[0] + 1 for *_, mirror, _, _ in steps if mirror}
+    vertices = tuple((len(in_edges[v]), v not in paired | halved, v in ascending) for v in in_edges)
     sinks = tuple(steps[-1][5].index(sink_edges[s][0]) for s in sorted(sink_edges))
     steps = tuple(map(tuple, steps))
     return vertices, steps, sinks, _automorphisms(g) if k <= SYMMETRY_SEARCH_LIMIT else ()
 
 
 def _supports(steps: tuple, tensors: list, rules: tuple, n: int) -> list:
-    """Per middle step of ``steps``, the test of a new key: whether it can
+    """Per middle step of ``steps``, the test of a new key, whether it can
     still meet a partner in a later step, from the keys of the vertex tables
-    alone (``tensors``: those, then the unit tensor), last step first; None
-    when all n^free * C(n + f - 1, f) possible keys pass, f on fold edges.
+    alone (``tensors``: those, then the unit tensor), last step first:
+    (pick, allowed), a key passing when ``pick`` takes it to an allowed
+    tuple; None when all n^free * C(n + f - 1, f) possible keys pass, f on
+    fold edges.
 
     When step s's result next meets vertex x, in step t, its test is a set
     of index tuples over named edges (``_layout``): those s shares with x,
@@ -441,8 +437,9 @@ def _supports(steps: tuple, tensors: list, rules: tuple, n: int) -> list:
     t's whole key; with no test at t, x's keys projected (one hop).
     Unfolded into every order of its fold entries, it tests a key before it
     is folded, and all members of an orbit pass or fail together.  A halved
-    step passes a key when it or its mirror image does, so its test is not
-    carried back: that would need both images of every partner entry.
+    step keeps a key when either of its images passes (``graph_sum``), so
+    its test is not carried back: that would need both images of every
+    partner entry.
     """
     k = len(tensors) - 1
     tests: list = [None] * (len(steps) - 1)
@@ -451,7 +448,7 @@ def _supports(steps: tuple, tensors: list, rules: tuple, n: int) -> list:
         tested, after = found.get(k + 1 + s, ((), ()))
         if (layout := _layout(steps, k, s, tested)) is None:
             continue  # the result next meets another step's result
-        x, t, edges, link, by, wx, ws, whole, pick, flip, unfolds = layout
+        x, t, edges, link, by, wx, ws, whole, pick, unfolds = layout
         if tested:
             heads: dict = {}  # x's entries at the tested edges -> its entries at the shared ones
             for y in tensors[x]:
@@ -466,7 +463,7 @@ def _supports(steps: tuple, tensors: list, rules: tuple, n: int) -> list:
         if len(allowed) < n ** (len(edges) - f) * comb(n + f - 1, f):
             if f:
                 allowed = {unfold(w) for w in allowed for unfold in unfolds}
-            tests[s] = _admit(allowed, pick, flip if mirror and not rules[s] else None)
+            tests[s] = pick, allowed
             if not mirror:  # the step is never halved
                 found[a] = found[b] = edges, allowed
     return tests
@@ -477,20 +474,19 @@ def _layout(steps: tuple, k: int, s: int, tested: tuple):
     """How middle step s's result meets its partner in the step t that
     consumes it, given the edges ``tested`` of t's own test (none when it
     has none); None unless that partner is a vertex, operand x.  Returns (x,
-    t, edges, link, by, wx, ws, whole, pick, flip, unfolds): the edges of
-    s's allowed tuples, and pickers.  ``link`` and ``by`` take a key of x to
-    its entries at the shared edges and at ``tested``; ``wx`` and ``ws``
-    take an allowed tuple of t to its entries at x's edges and at the
-    others, ``whole`` to t's key when it holds all of it (else None);
-    ``pick`` and ``flip`` take a key of s to its entries at ``edges``, before
-    and after exchanging its mirror pair; ``unfolds`` take an allowed tuple
-    to every order of its fold entries.
+    t, edges, link, by, wx, ws, whole, pick, unfolds): the edges of s's
+    allowed tuples, and pickers.  ``link`` and ``by`` take a key of x to its
+    entries at the shared edges and at ``tested``; ``wx`` and ``ws`` take an
+    allowed tuple of t to its entries at x's edges and at the others,
+    ``whole`` to t's key when it holds all of it (else None); ``pick`` takes
+    a key of s to its entries at ``edges``; ``unfolds`` take an allowed
+    tuple to every order of its fold entries.
     """
     t, (a, b, ea, eb, _, later, _) = next((t, step) for t, step in enumerate(steps) if k + 1 + s in step[:2])
     x, partner = (b, eb) if a == k + 1 + s else (a, ea)
     if x >= k:
         return None
-    *_, mirror, ec, fold = steps[s]
+    *_, ec, fold = steps[s]
 
     def take(names, wanted):
         return _picker([names.index(e) for e in wanted])
@@ -498,21 +494,11 @@ def _layout(steps: tuple, k: int, s: int, tested: tuple):
     shared = [e for e in ec if e in partner]
     common, handed = [e for e in tested if e in partner], [e for e in tested if e not in partner]
     edges = (*shared, *handed)
-    on = [ec.index(e) for e in edges]  # their positions in a key of s
-    swap = dict(zip(mirror[1:], mirror[:0:-1]))
     folds = [ec[at] for at in fold]
     unfolds = [take(edges, [dict(zip(folds, order)).get(e, e) for e in edges]) for order in permutations(folds)]
     whole = take(tested, later) if len(tested) == len(later) else None
     link, by, wx, ws = take(partner, shared), take(partner, common), take(tested, common), take(tested, handed)
-    return x, t, edges, link, by, wx, ws, whole, _picker(on), _picker([swap.get(at, at) for at in on]), unfolds
-
-
-def _admit(allowed: set, pick, flip):
-    """The test that a key's entries at ``pick`` are an allowed tuple, or,
-    for a halved step, those of its mirror image (``flip``, else None)."""
-    if flip is None:
-        return lambda key: pick(key) in allowed
-    return lambda key: pick(key) in allowed or flip(key) in allowed
+    return x, t, edges, link, by, wx, ws, whole, _picker([ec.index(e) for e in edges]), unfolds
 
 
 # Above this many vertices the plan skips the automorphism search (k! maps).
@@ -576,6 +562,8 @@ def _orbit_rules(g: KGraph, respected: tuple) -> tuple:
             for p, q in ordered:
                 if key[p] > key[q]:
                     return 0
+            if not others:
+                return 1
             least = own(key)
             images = {least}
             for image in others:

@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import re
 import struct
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, reduce
@@ -211,6 +212,16 @@ def _tokenize(text: str, token: "re.Pattern") -> list:
     return tokens
 
 
+def _integer(digits: str, at: int) -> int:
+    """The int of the ASCII ``digits`` at position ``at`` of a text, or a
+    PolyParseError there past int()'s limit (``sys.get_int_max_str_digits``)."""
+    try:
+        return int(digits)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise PolyParseError(f"number of {len(digits)} digits is above the limit of {limit} digits", at) from None
+
+
 class _Lookahead:
     """One token of lookahead over the (kind, value, position) tokens of a
     text: ``now`` is the current token, ("end", "", len(text)) after the last."""
@@ -221,13 +232,13 @@ class _Lookahead:
 
     def take(self, kind: str, ops: str = ""):
         """The current token's value, consumed, if it is a ``kind`` (and one
-        of ``ops`` when given); else None."""
-        got, val, _ = self.now
+        of ``ops`` when given), a number's as its int (``_integer``); else None."""
+        got, val, at = self.now
         if got != kind or ops and val not in ops:
             return None
         self.at += 1
         self.now = self.tokens[self.at]
-        return val
+        return _integer(val, at) if kind == "num" else val
 
     def fail(self, message: str):
         raise PolyParseError(message, self.now[2])
@@ -235,13 +246,13 @@ class _Lookahead:
     def positive(self, message: str) -> int:
         """A positive int (an exponent, a denominator), consumed; else fail."""
         kind, val, _ = self.now
-        if kind != "num" or int(val) == 0:
+        if kind != "num" or not val.strip("0"):  # no number, or a zero
             self.fail(message)
-        return int(self.take("num"))
+        return self.take("num")
 
     def rational(self):
         """rational := int ["/" positive-int], read at a number token."""
-        numer = int(self.take("num"))
+        numer = self.take("num")
         if self.take("op", "/"):
             return Fraction(numer, self.positive("expected positive denominator"))
         return numer
@@ -257,7 +268,7 @@ def _number(text: str, what: str, integer: bool = False):
         sign = -1 if r.take("op", "+-") == "-" else 1
         if r.now[0] != "num":
             r.fail(f"expected a number, found {r.now[1]!r}")
-        value = int(r.take("num")) if integer else r.rational()
+        value = r.take("num") if integer else r.rational()
         if r.now[0] != "end":
             r.fail(f"expected the end of the number, found {r.now[1]!r}")
     except PolyParseError as exc:

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import random
+import sys
 import tempfile
 import time
 from fractions import Fraction
@@ -461,6 +462,39 @@ def test_number_flags_outside_the_rational_rule_are_one_line_errors(capsys, p0_f
     code, out, err = run(capsys, *argv, flag, text)
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {flag} {text!r}: ") and err.count("\n") == 1
+
+
+# One digit more than int() converts from text (sys.get_int_max_str_digits).
+LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+LONG = "1" * (LIMIT + 1)
+TOO_LONG = f"number of {LIMIT + 1} digits is above the limit of {LIMIT} digits"
+
+
+@pytest.mark.skipif(not LIMIT, reason="int() converts numbers of any length")
+@pytest.mark.parametrize("source", ["parse", "--phi", "--dim", "--a", "component", "graph"])
+def test_numbers_longer_than_int_converts_are_one_line_errors(tmp_path, capsys, p0_file, source):
+    # A number token is read by one conversion, which raises a parse error
+    # at the token's position: the flag or file is named as for any other
+    # malformed number, and no bare ValueError of int() gets through.
+    if source == "parse":
+        with pytest.raises(PolyParseError, match=rf"^{TOO_LONG} \(at position 3\)$"):
+            Polynomial.parse("x1^" + LONG, Context(2))
+        with pytest.raises(PolyParseError, match=rf"^{TOO_LONG} \(at position 7\)$"):
+            Polynomial.parse("x1 + 1/" + LONG, Context(2))
+        return
+    path = tmp_path / "P.json"
+    path.write_text(json.dumps({"dim": 3, "degree": 2, "components": {"1,2": "x1^" + LONG}}))
+    argv, want = {
+        "--phi": (["gen", "--vanhaecke", "--d", "2", "--phi", "x^" + LONG], f"{TOO_LONG} (at position 2)"),
+        "--dim": (["gen", "--det", "--dim", LONG, "--arg", "x1"], f"--dim {LONG!r}: {TOO_LONG} (at position 0)"),
+        "--a": (["flow", p0_file, "--which", "balanced", "--a", LONG], f"--a {LONG!r}: {TOO_LONG} (at position 0)"),
+        "component": (["jacobi", str(path)], f"{path}: {TOO_LONG} (at position 3)"),
+        "graph": (["graph", "eval", "1; (S1,S" + LONG + ")", p0_file], f"{TOO_LONG} (at position 8)"),
+    }[source]
+    assert run(capsys, *argv) == (2, "", f"error: {want}\n")
+    if source == "graph":
+        with pytest.raises(GraphParseError, match=rf"^{TOO_LONG} \(at position 0\)$"):
+            parse_kgraph(LONG + "; (S1,S2)")
 
 
 def test_flow_weights_are_read_as_rationals(capsys, p0_file):

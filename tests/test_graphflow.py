@@ -1,5 +1,6 @@
 import random
 import re
+from collections import Counter
 from contextlib import contextmanager, nullcontext
 from functools import cache
 from fractions import Fraction
@@ -490,12 +491,13 @@ def test_gamma1_rotation_is_used_only_where_the_assignment_respects_it(monkeypat
     # compares the bi-vectors by identity), so (P, Q, Q', Q'') runs every
     # product of the cycle step: the reduced run does fewer, the other one
     # the same.  Both agree with full iteration, in both modes; so does the
-    # probe's P + eps*Delta on every vertex.  Without the rotation, the first
-    # step (V2 with V3) enumerates V2 over a < b and adds the negated mirror
-    # (before support pruning, (P, P, Q, Q) ran 95 / 966 halved and 125 /
-    # 1,062 unhalved).  With it, that step carries orbit weights and takes V2's
-    # full table.  Support pruning takes (P, Q, Q, Q) from 61 / 500 to 46 /
-    # 426 and (P, P, Q, Q) from 95 / 966 to 80 / 838.
+    # probe's P + eps*Delta on every vertex.  The first step (V2 with V3)
+    # enumerates V2 over a < b and adds the negated mirror of each entry,
+    # under the rotation too, where it also keeps e2 <= e4 and weighs each
+    # image on its own (before support pruning, (P, P, Q, Q) ran 95 / 966
+    # halved and 125 / 1,062 unhalved).  Support pruning takes (P, P, Q, Q)
+    # from 95 / 966 to 80 / 838; (P, Q, Q, Q) ran 61 / 500, then 46 / 426
+    # with V2's full table in the first step, and 39 / 398 halved.
     rng = random.Random(35)
     ctx = Context(3)
     p, q = (random_bivector(rng, ctx, max_terms=4, max_degree=5) for _ in range(2))
@@ -516,7 +518,7 @@ def test_gamma1_rotation_is_used_only_where_the_assignment_respects_it(monkeypat
             full, every = run(hidden, skew)
             assert full == got
             assert (pinned[1] < every[1]) if reduced else (pinned == every)
-        assert pinned == ((46, 426) if reduced else (80, 838))
+        assert pinned == ((39, 398) if reduced else (80, 838))
     eps_ctx = Context(3, has_epsilon=True)
     p, delta = (random_bivector(rng, eps_ctx, max_terms=4, max_degree=5) for _ in range(2))
     p_tilde = p + delta.mul_poly(Polynomial.epsilon(eps_ctx))
@@ -609,6 +611,57 @@ def test_halved_steps_match_naive_evaluation(monkeypatch):
             assert graph_sum(graph, [(p, q, p)]) == graph_sum(graph, [(q, p, q)]) == {}, render_kgraph(graph)
 
 
+def _sinks_in_order(k):
+    """Every graph with k internal vertices whose two free edges go to S1
+    and S2, in that order."""
+    for s1, s2 in combinations(range(2 * k), 2):
+        others = [e for e in range(2 * k) if e not in (s1, s2)]
+        for targets in product(*([("V", w) for w in range(1, k + 1) if w != e // 2 + 1] for e in others)):
+            placed = dict(zip(others, targets)) | {s1: ("S", 1), s2: ("S", 2)}
+            yield KGraph(k, tuple((placed[2 * v], placed[2 * v + 1]) for v in range(k)))
+
+
+def _halves_a_weighted_step(graph) -> bool:
+    """Whether a step of the graph's plan both halves a vertex and carries
+    an orbit rule under (P, P, P, P), the graph having no odd automorphism
+    (it would be zero and run no product).  An orbit rule needs an
+    automorphism but the identity, which swaps a double edge (an odd one)
+    or moves a vertex holding no sink to another of the same in-degree, so
+    any other graph is passed over unplanned."""
+    indegree = Counter(t for pair in graph.edges for t in pair)
+    free = Counter(indegree["V", v] for v, pair in enumerate(graph.edges, 1) if "S" not in {pair[0][0], pair[1][0]})
+    if any(l == r for l, r in graph.edges) or max(free.values(), default=0) < 2:
+        return False
+    _, steps, _, symmetries = kgraph_module._plan(graph)
+    if any(sum(swaps) % 2 for _, swaps in symmetries):
+        return False
+    rules = kgraph_module._orbit_rules(graph, tuple(range(len(symmetries))))
+    return any(mirror and rule for (*_, mirror, _, _), rule in zip(steps, rules))
+
+
+def test_halved_steps_with_orbit_weights_match_naive_evaluation():
+    # A halved step that carries an orbit rule writes each entry at its key
+    # and at its L/R-exchanged key, each image times its own orbit weight.
+    # No graph with k <= 3 runs such a step (the 32 that have one also have
+    # an odd automorphism, so they are zero), gamma1 does: of the 20,412
+    # four-vertex graphs whose free edges go to S1 and S2 in that order, 64
+    # have one and no odd automorphism.  A seeded sample of 12 against full
+    # iteration at n = 3 in both modes, under (P, P, P, P) and (P, Q, Q, Q).
+    graphs = list(_sinks_in_order(4))
+    found = [g for g in graphs if _halves_a_weighted_step(g)]
+    assert (len(graphs), len(found)) == (20412, 64)
+    rng = random.Random(33)
+    p, q = (random_bivector(rng, Context(3), max_terms=3, max_degree=4) for _ in range(2))
+    nonzero = 0
+    for graph in rng.sample(found, 12):
+        for assignment in ((p, p, p, p), (p, q, q, q)):
+            for skew in (False, True):
+                got = graph_sum(graph, [assignment], skew=skew)
+                assert got == naive_graph_sum(graph, [assignment], skew), (render_kgraph(graph), skew)
+                nonzero += bool(got)
+    assert nonzero == 48
+
+
 def test_fold_maps_match_the_sort_definition():
     # _fold_key builds a two-position fold as one comparison choosing one of
     # two permutations, and a longer one by a sort.  Both are checked against
@@ -682,9 +735,10 @@ def test_plan_pins_products_and_term_pairs(monkeypatch):
     # row 10 and 10,685 / 26,440 -> 5,795 / 15,326 in dim 8.  On gamma1 the
     # rotation of V2, V3, V4 keeps only the least rotation of each key of the
     # step that closes their cycle, and e2 <= e4 in the step before: 335 /
-    # 26,637 where computing every key runs 591 / 49,393; that first step
-    # carries orbit weights, so V2 is not halved.  The Jacobiator and the
-    # brackets have no symmetry to use and keep their counts.  The skew part
+    # 26,637 where computing every key runs 591 / 49,393.  That first step
+    # also halves V2, each image weighed on its own: 287 / 24,711 on row 10
+    # and 329 -> 314 on row 3 (dim 8 and dim 6 keep theirs).  The Jacobiator
+    # and the brackets have no symmetry to use and keep their counts.  The skew part
     # read alone runs the skew sum, which runs no product for a repeated
     # sink index: gamma2's diagonal costs 56 / 9,646 on row 10 and 115 / 553
     # in dim 8.  Support pruning drops the keys of a middle step that can
@@ -705,11 +759,11 @@ def test_plan_pins_products_and_term_pairs(monkeypatch):
         "gamma2, dim 8": (lambda: gamma2(dim8).raw, (4437, 12019)),
         "gamma2 skew, row 10": (lambda: gamma2(p).skew, (744, 72725)),
         "gamma2 skew, dim 8": (lambda: gamma2(dim8).skew, (4322, 11466)),
-        "gamma1, row 10": (lambda: gamma1(p).raw, (335, 26637)),
+        "gamma1, row 10": (lambda: gamma1(p).raw, (287, 24711)),
         "gamma1, dim 8": (lambda: gamma1(dim8).raw, (371, 1119)),
         "gamma1, dim 6": (lambda: gamma1(dim6).raw, (546, 4479)),
         "gamma2, row 3": (lambda: gamma2(row3).raw, (948, 948)),
-        "gamma1, row 3": (lambda: gamma1(row3).raw, (329, 329)),
+        "gamma1, row 3": (lambda: gamma1(row3).raw, (314, 314)),
         "Jacobiator, row 10": (lambda: jacobiator(p), (16, 792)),
         "[[P0, P1]], row 10": (lambda: schouten(p, p1), (32, 14124)),
         "[[P0, P2]], row 10": (lambda: schouten(p, p2), (48, 18358)),
@@ -976,9 +1030,11 @@ def test_balanced_flow_runs_the_products_of_both_skew_parts_with_shared_tables(m
     # One weighted sum runs exactly the products and term pairs of
     # gamma1(P).skew and gamma2(P).skew together.  Its weights 1 and 6 / 2 =
     # 3 are integers, so no coefficient is divided.  Support pruning takes
-    # it from 351 / 15,115 to 303 / 13,726.  (The probe benchmark's seeded
-    # Deltas give 303 products and 13,685-13,727 term pairs on seeds 1-10,
-    # 351 and 15,067-15,116 before.)  The derivative tables live on P, and
+    # it from 351 / 15,115 to 303 / 13,726, and halving gamma1's first step
+    # under its rotation to 299 / 13,668.  (The probe benchmark's seeded
+    # Deltas give 299 products and 13,627-13,668 term pairs on seeds 1-10,
+    # 303 and 13,685-13,727 before that halving, 351 and 15,067-15,116
+    # before support pruning.)  The derivative tables live on P, and
     # each is built once: balanced_flow after the two flows builds none, and
     # on a fresh P it builds the six tables the two flows build between
     # them, after which no flow or repeated call builds one.
@@ -990,7 +1046,7 @@ def test_balanced_flow_runs_the_products_of_both_skew_parts_with_shared_tables(m
         run()
         parts.append((*counts, sorted(which for _, which in builds)))
     (p1, t1, b1), (p2, t2, b2), (pb, tb, bb) = parts
-    assert (pb, tb) == (p1 + p2, t1 + t2) == (303, 13726)
+    assert (pb, tb) == (p1 + p2, t1 + t2) == (299, 13668)
     assert (b1, b2, bb) == (GAMMA1_TABLES, GAMMA2_EXTRA_TABLES, [])
     fresh = _probe_p_tilde()
     builds.clear()

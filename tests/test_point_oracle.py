@@ -2,9 +2,9 @@
 
 The naive graph oracle runs in dims 3-5 and the sympy one in dims 3 and 4.
 Here the raw matrices of gamma1 and gamma2, their skew parts read alone,
-the 1:6 balanced flow and the bracket [[P, gamma2(P)]] on builtin rows 11
-and 3, on row 10 with a rational phi and on the flows benchmark's dim-8
-and dim-6 inputs, and a weighted
+the 1:6 balanced flow and the bracket [[P, gamma2(P)]] on builtin rows 1,
+3-6, 10 and 11, on row 10 with a rational phi and on the flows benchmark's
+dim-8 and dim-6 inputs, and a weighted
 sum of the two flows on row 3 and dim 8, are evaluated at
 seeded integer points and compared, entry by entry, with
 ``helpers.point_oracle``: the graphs' index sums at those points, built from
@@ -19,7 +19,7 @@ from itertools import combinations, product
 import pytest
 
 from tetraflows._kgraph import graph_sum
-from tetraflows.analysis import builtin_rows
+from tetraflows.analysis import FLAG_NAMES, builtin_rows
 from tetraflows.generators import VanhaeckeSpec, build_bivector
 from tetraflows.graphflow import GAMMA1_GRAPH, GAMMA2_GRAPH, balanced_flow, gamma1, gamma2, parse_kgraph
 from tetraflows.multivector import schouten
@@ -29,15 +29,22 @@ from helpers import SKEW_VANISHING_GRAPH, naive_graph_tensor, point_oracle, rand
 
 pytest.importorskip("numpy")
 
+ROWS = {f"row {rid}": (spec, dict(zip(FLAG_NAMES, flags))) for rid, _, spec, flags in builtin_rows()}
 INPUTS = {
-    "row 11": next(spec for rid, _, spec, _ in builtin_rows() if rid == 11),
+    "row 11": ROWS["row 11"][0],
     # a determinant bracket whose entries are all one term: its flows multiply one term by one term only
-    "row 3": next(spec for rid, _, spec, _ in builtin_rows() if rid == 3),
+    "row 3": ROWS["row 3"][0],
+    # with row 3, the rows where gamma1's first step is halved under its rotation and runs fewer products
+    **{name: ROWS[name][0] for name in ("row 1", "row 4", "row 5", "row 6", "row 10")},
     # row 10 with phi = x^3*y^3 / 3: a rational P0, read through its integral form 3 * P0
     "row 10 phi/3": VanhaeckeSpec(2, [(3, 3, Fraction(1, 3))]),
     "dim 8": VanhaeckeSpec(4, [(2, 1, 1)]),  # the flows workload's Vanhaecke d=4, phi=x^2*y
     "dim 6": VanhaeckeSpec(3, [(3, 1, 1)]),  # and d=3, phi=x^3*y
 }
+
+
+# Q = P1 + 6*P2 is exactly zero on these rows (the grid's q_zero flag): rows 4 and 5.
+Q_ZERO = {name for name, (_, flags) in ROWS.items() if flags["q_zero"]}
 
 
 def _points(rng, n, count):
@@ -77,7 +84,8 @@ def test_point_oracle_matches_naive_evaluation():
 def test_flows_and_the_balanced_flow_match_the_point_oracle(name):
     # gamma1 and gamma2 raw and balanced_flow(P, 1, 6), whose (a, b) entry
     # is (M1 - M1^T) / 2 + 6 (M2 - M2^T) / 2 of the two raw matrices, at 3
-    # seeded points; some entries are nonzero there, so the check bites.
+    # seeded points; some entries are nonzero there, so the check bites,
+    # except that the balanced flow vanishes at every point on the q_zero rows.
     p = build_bivector(INPUTS[name])
     n = p.ctx.dim
     raws = gamma1(p).raw, gamma2(p).raw
@@ -92,7 +100,7 @@ def test_flows_and_the_balanced_flow_match_the_point_oracle(name):
             want = Fraction(m1[a, b] - m1[b, a], 2) + 6 * Fraction(m2[a, b] - m2[b, a], 2)
             assert value_at(balanced.entry(a + 1, b + 1), x) == want, (name, x, a, b)
             nonzero[2] += want != 0
-    assert all(nonzero), nonzero
+    assert nonzero[0] and nonzero[1] and bool(nonzero[2]) != (name in Q_ZERO), nonzero
 
 
 # The bracket graph of the multivector docstring: d_l P^{ij} Q^{lk}.
