@@ -22,14 +22,13 @@ are allowed.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from functools import cache, reduce
+from functools import cache, lru_cache, reduce
 from itertools import chain, combinations, permutations, product
 from math import comb, lcm, prod
 from operator import itemgetter, or_
 
 from .polyring import EXPONENT_LIMIT, ContextMismatchError, PolyParseError, _denominator_lcm, addmul, addto
-from .polyring import _check_guard, _diff, _integer, _nonzero, _norm_coeff, _quotient
+from .polyring import _Record, _check_guard, _diff, _integer, _nonzero, _norm_coeff, _quotient
 
 
 class GraphParseError(ValueError):
@@ -40,15 +39,14 @@ class GraphStructureError(ValueError):
     """Graph violates a structural invariant (tadpole, bad target, bad sinks)."""
 
 
-@dataclass(frozen=True)
-class KGraph:
-    """Oriented graph: sinks, n_internal vertices with ordered out-pairs."""
+class KGraph(_Record):
+    """Oriented graph: sinks, n_internal vertices with ordered out-pairs;
+    ``edges[v-1]`` is (left_target, right_target)."""
 
-    n_internal: int
-    edges: tuple  # edges[v-1] = (left_target, right_target)
+    __match_args__ = __slots__ = ("n_internal", "edges")
 
-    def __post_init__(self):
-        object.__setattr__(self, "edges", tuple(tuple(pair) for pair in self.edges))
+    def __init__(self, n_internal: int, edges: tuple):
+        self._init(n_internal, tuple(tuple(pair) for pair in edges))
         if self.n_internal < 1:
             raise GraphStructureError("need at least one internal vertex")
         if len(self.edges) != self.n_internal:
@@ -66,6 +64,15 @@ class KGraph:
                     raise GraphStructureError(f"bad edge target {t!r} at vertex {v}")
                 if idx == v:
                     raise GraphStructureError(f"tadpole at vertex {v}")
+
+    # Every plan lookup hashes the graph: the fields directly, not _values().
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.n_internal == other.n_internal and self.edges == other.edges
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.n_internal, self.edges))
 
 
 _PAIR = re.compile(r"\(\s*([SV][0-9]+)\s*,\s*([SV][0-9]+)\s*\)")
@@ -341,7 +348,12 @@ def _sort_sign(key: tuple):
         return tuple(sorted(key)), sum(a > b for a, b in combinations(key, 2)) % 2
 
 
-@cache
+# The plans, orbit rules and layouts kept, each table its most recent ones:
+# a graph's plan is about 2 KB, and enumerating graphs would keep them all.
+PLANS_KEPT = 1024
+
+
+@lru_cache(PLANS_KEPT)
 def _plan(g: KGraph) -> tuple:
     """How ``graph_sum`` contracts a graph, worked out once from its edges.
 
@@ -469,7 +481,7 @@ def _supports(steps: tuple, tensors: list, rules: tuple, n: int) -> list:
     return tests
 
 
-@cache
+@lru_cache(PLANS_KEPT)
 def _layout(steps: tuple, k: int, s: int, tested: tuple):
     """How middle step s's result meets its partner in the step t that
     consumes it, given the edges ``tested`` of t's own test (none when it
@@ -522,7 +534,7 @@ def _automorphisms(g: KGraph) -> tuple:
     return tuple(found)
 
 
-@cache
+@lru_cache(PLANS_KEPT)
 def _orbit_rules(g: KGraph, respected: tuple) -> tuple:
     """Per middle step of g's plan, under the automorphisms at ``respected``:
     key -> its weight, 0 to drop it; or None when every key weighs 1.

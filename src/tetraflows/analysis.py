@@ -17,7 +17,6 @@ All zero-tests are exact canonical-form equalities, never numeric.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb, gcd, lcm, prod
 from operator import mul
@@ -31,7 +30,7 @@ from .generators import (
 )
 from .graphflow import balanced_flow, gamma1, gamma2
 from .multivector import _BRACKET_GRAPH, MultiVector, is_poisson, jacobiator, mv_linear_combination, schouten
-from .polyring import Polynomial, _quotient
+from .polyring import Polynomial, _quotient, _Record
 
 __all__ = [
     "FLAG_NAMES",
@@ -56,13 +55,16 @@ FLAG_NAMES = (
 )
 
 
-@dataclass(frozen=True)
-class CompatReport:
-    """Exact zero-tests for one Poisson bi-vector and its tetrahedral flows."""
+class CompatReport(_Record):
+    """Exact zero-tests for one Poisson bi-vector and its tetrahedral flows:
+    ``spec``, the generator spec or None when the bi-vector came from a
+    file; ``flags``, five booleans in FLAG_NAMES order; ``witnesses``, flag
+    name -> nonzero MultiVector, exactly for False flags."""
 
-    spec: object  # generator spec or None when the bi-vector came from a file
-    flags: tuple  # five booleans in FLAG_NAMES order
-    witnesses: dict  # flag name -> nonzero MultiVector, exactly for False flags
+    __match_args__ = __slots__ = ("spec", "flags", "witnesses")
+
+    def __init__(self, spec: object, flags: tuple, witnesses: dict):
+        self._init(spec, flags, witnesses)
 
     def flags_dict(self) -> dict:
         return dict(zip(FLAG_NAMES, self.flags))
@@ -109,12 +111,15 @@ def compat_report(p0: MultiVector, spec=None) -> CompatReport:
     return CompatReport(spec, flags, witnesses)
 
 
-@dataclass(frozen=True)
-class RatioSolution:
-    """Null space of sum_i c_i * [[P, B_i]] = 0 over the rationals."""
+class RatioSolution(_Record):
+    """Null space of sum_i c_i * [[P, B_i]] = 0 over the rationals: its
+    dimension and a ``basis`` of tuples of primitive integers, the first
+    nonzero entry of each positive."""
 
-    solution_dimension: int
-    basis: tuple  # tuples of primitive integers, first nonzero entry positive
+    __match_args__ = __slots__ = ("solution_dimension", "basis")
+
+    def __init__(self, solution_dimension: int, basis: tuple):
+        self._init(solution_dimension, basis)
 
 
 # The integer points of the candidate step, read cyclically: point t gives
@@ -414,22 +419,22 @@ _ROW_DATA = (
 )
 
 
-@dataclass(frozen=True)
-class TableRowResult:
-    row_id: int
-    table: int
-    spec: object
-    expected: tuple
-    report: CompatReport
+class TableRowResult(_Record):
+    __match_args__ = __slots__ = ("row_id", "table", "spec", "expected", "report")
+
+    def __init__(self, row_id: int, table: int, spec: object, expected: tuple, report: CompatReport):
+        self._init(row_id, table, spec, expected, report)
 
     @property
     def matches(self) -> bool:
         return self.report.flags == self.expected
 
 
-@dataclass(frozen=True)
-class TablesReport:
-    rows: tuple
+class TablesReport(_Record):
+    __match_args__ = __slots__ = ("rows",)
+
+    def __init__(self, rows: tuple):
+        self._init(rows)
 
     @property
     def all_match(self) -> bool:

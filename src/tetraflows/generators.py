@@ -26,14 +26,12 @@ block shape (0 U / -U 0).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from typing import Mapping
 
 from .multivector import MultiVector, _json_field
 from .multivector import is_poisson  # noqa: F401 (bench/selftest.py traces this name)
-from .polyring import Context, ContextMismatchError, Polynomial, _number
+from .polyring import Context, ContextMismatchError, Polynomial, _number, _Record
 
 __all__ = [
     "GeneratorError",
@@ -51,55 +49,51 @@ class GeneratorError(ValueError):
     """A generator spec holds inconsistent or out-of-range data."""
 
 
-@dataclass(frozen=True)
-class DetSpec:
+class DetSpec(_Record):
     """Arguments of the determinant bracket: n-2 functions plus optional factor."""
 
-    ctx: Context
-    args: tuple
-    prefactor: Polynomial | None = None
+    __match_args__ = __slots__ = ("ctx", "args", "prefactor")
 
-    def __post_init__(self):
-        if self.ctx.dim < 3:
+    def __init__(self, ctx: Context, args: tuple, prefactor: Polynomial | None = None):
+        self._init(ctx, tuple(args), prefactor)
+        if ctx.dim < 3:
             raise GeneratorError("determinant bracket needs dim >= 3")
-        object.__setattr__(self, "args", tuple(self.args))
-        if len(self.args) != self.ctx.dim - 2:
+        if len(self.args) != ctx.dim - 2:
             raise GeneratorError(
-                f"expected {self.ctx.dim - 2} arguments for dim {self.ctx.dim}, "
+                f"expected {ctx.dim - 2} arguments for dim {ctx.dim}, "
                 f"got {len(self.args)}"
             )
         for g in self.args:
-            if g.ctx != self.ctx:
+            if g.ctx != ctx:
                 raise ContextMismatchError("argument from a different context")
-        if self.prefactor is not None and self.prefactor.ctx != self.ctx:
+        if prefactor is not None and prefactor.ctx != ctx:
             raise ContextMismatchError("prefactor from a different context")
 
 
-@dataclass(frozen=True)
-class VanhaeckeSpec:
-    """Even-dimensional bracket data: degree d and bivariate phi as (a, b, coeff)."""
+class VanhaeckeSpec(_Record):
+    """Even-dimensional bracket data: degree d and bivariate phi as (a, b, coeff).
 
-    d: int
-    phi: tuple
+    ``ctx`` (derived, neither compared nor shown) is one object for every
+    polynomial built from this spec, so context checks in the kernel
+    succeed on identity.
+    """
 
-    def __post_init__(self):
+    __match_args__ = ("d", "phi")
+    __slots__ = __match_args__ + ("ctx",)
+
+    def __init__(self, d: int, phi: tuple):
         # type(x) is int, as for JSON fields: neither 2.5 nor True is an int
-        if type(self.d) is not int or self.d < 1:
-            raise GeneratorError(f"d must be an integer >= 1, got {self.d!r}")
-        phi = tuple((a, b, c) for a, b, c in self.phi)
+        if type(d) is not int or d < 1:
+            raise GeneratorError(f"d must be an integer >= 1, got {d!r}")
+        phi = tuple((a, b, c) for a, b, c in phi)
         if any(type(a) is not int or type(b) is not int for a, b, _ in phi):
             raise GeneratorError("phi exponents must be integers")
         if any(a < 0 or b < 0 for a, b, _ in phi):
             raise GeneratorError("phi exponents must be nonnegative")
         if any(type(c) not in (int, Fraction) for _, _, c in phi):
             raise GeneratorError("phi coefficients must be exact: int or Fraction")
-        object.__setattr__(self, "phi", phi)
-
-    @cached_property
-    def ctx(self) -> Context:
-        # One object for every polynomial built from this spec, so context
-        # checks in the kernel succeed on identity.
-        return Context(2 * self.d)
+        self._init(d, phi)
+        object.__setattr__(self, "ctx", Context(2 * d))
 
 
 def _det(rows: "list[list[Polynomial]]", cols: tuple) -> Polynomial:

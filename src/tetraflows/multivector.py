@@ -24,7 +24,7 @@ import re
 from typing import Iterable, Mapping, Sequence
 
 from ._kgraph import graph_sum, parse_kgraph
-from .polyring import Context, ContextMismatchError, Polynomial, _norm_coeff, addto, finish
+from .polyring import DIM_LIMIT, Context, ContextMismatchError, Polynomial, _norm_coeff, _quote, addto, finish
 
 __all__ = [
     "MultiVector",
@@ -186,9 +186,14 @@ class MultiVector:
         degree = _json_field(doc, "degree", int)
         comps = {}
         for key, text in doc.get("components", {}).items():
-            if not re.fullmatch("[0-9]+(,[0-9]+)*", str(key)):
-                raise ValueError(f"component key {key!r} must be indices in ASCII digits joined by ','")
-            idx = tuple(map(int, str(key).split(",")))
+            key = str(key)
+            if not re.fullmatch("[0-9]+(,[0-9]+)*", key):
+                raise ValueError(f"component key {_quote(key)} must be indices in ASCII digits joined by ','")
+            # leading zeros count towards neither the length test nor int()'s digit limit
+            indices = [index.lstrip("0") or "0" for index in key.split(",")]
+            if max(map(len, indices)) > len(str(DIM_LIMIT)):
+                raise ValueError(f"component key {_quote(key)} has an index above every dim (below {DIM_LIMIT})")
+            idx = tuple(map(int, indices))
             comps[idx] = Polynomial.parse(text, ctx)
         return cls(ctx, degree, comps)
 

@@ -50,7 +50,6 @@ from __future__ import annotations
 import re
 import struct
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, reduce
 from itertools import repeat
@@ -113,35 +112,81 @@ def _norm_coeff(c):
     raise TypeError(f"coefficient must be int or Fraction, got {type(c).__name__}")
 
 
-@dataclass(frozen=True)
-class Context:
+class _Record:
+    """A frozen record in the idiom of :class:`Polynomial`: its fields are
+    the slots named in ``__match_args__`` (as a dataclass's are, so class
+    patterns match them by position), set once, by ``__init__``; equality,
+    hash and ``repr`` read them as those of a frozen dataclass would, and
+    pickle and copy rebuild the record through its constructor.  The
+    package imports no ``dataclasses``: every command is a fresh process,
+    and that module with the ``inspect``, ``ast`` and ``dis`` it loads was
+    more than half of its import."""
+
+    __slots__ = ()
+    __match_args__: "tuple[str, ...]" = ()
+
+    def _init(self, *values) -> None:
+        for name, value in zip(self.__match_args__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class Context(_Record):
     """Variable context: Cartesian coordinates x1..x<dim>, optionally + eps.
 
     Every Polynomial references exactly one Context; mixing contexts in an
     operation raises :class:`ContextMismatchError`.  The trailing formal
     slot is ``eps`` in the perturbation probe and ``lam`` in the
     even-dimensional generator.  ``dim`` is an int from 2 to
-    ``DIM_LIMIT - 1``.
+    ``DIM_LIMIT - 1``.  Derived, neither compared nor shown: ``guard``, the
+    guard bits of all packed fields, and ``names``, the variables' names
+    slot by slot (x1..x<dim>, then eps).
     """
 
-    dim: int
-    has_epsilon: bool = False
-    # The guard bits of all packed fields (derived, not compared).
-    guard: int = field(init=False, repr=False, compare=False)
-    # The variables' names, slot by slot: x1..x<dim>, then eps (derived).
-    names: "tuple[str, ...]" = field(init=False, repr=False, compare=False)
+    __match_args__ = ("dim", "has_epsilon")
+    __slots__ = __match_args__ + ("guard", "names")
 
-    def __post_init__(self):
-        if not isinstance(self.dim, int) or not 2 <= self.dim < DIM_LIMIT:
-            raise ValueError(
-                f"Context dim must be an integer >= 2 and below {DIM_LIMIT}, got {self.dim!r}"
-            )
+    def __init__(self, dim: int, has_epsilon: bool = False):
+        if not isinstance(dim, int) or not 2 <= dim < DIM_LIMIT:
+            raise ValueError(f"Context dim must be an integer >= 2 and below {DIM_LIMIT}, got {dim!r}")
+        self._init(dim, has_epsilon)
         # EXPONENT_LIMIT in every field: the repunit (2^(EXP_BITS*nslots) - 1) /
         # _FIELD has a 1 at the bottom of each field.
         ones = ((1 << (EXP_BITS * self.nslots)) - 1) // _FIELD
         object.__setattr__(self, "guard", ones * EXPONENT_LIMIT)
-        names = tuple(f"x{i}" for i in range(1, self.dim + 1)) + ("eps",) * self.has_epsilon
-        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "names", tuple(f"x{i}" for i in range(1, dim + 1)) + ("eps",) * has_epsilon)
+
+    # Every context check runs these: the fields directly, not _values().
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.dim == other.dim and self.has_epsilon == other.has_epsilon
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.dim, self.has_epsilon))
 
     @property
     def nslots(self) -> int:
@@ -258,6 +303,18 @@ class _Lookahead:
         return numer
 
 
+# An error message quotes at most this many characters of an outside text.
+QUOTE_LIMIT = 32
+
+
+def _quote(text: str) -> str:
+    """``repr(text)``, cut to its first QUOTE_LIMIT characters and its
+    length when longer, so that an error quoting it stays one short line."""
+    if len(text) <= QUOTE_LIMIT:
+        return repr(text)
+    return f"{text[:QUOTE_LIMIT]!r}... ({len(text)} characters)"
+
+
 def _number(text: str, what: str, integer: bool = False):
     """The int or Fraction ``text`` by the grammar's ``[sign] rational``
     (``[sign] int`` when ``integer``), whitespace ignored: the one reader of
@@ -267,12 +324,12 @@ def _number(text: str, what: str, integer: bool = False):
         r = _Lookahead(text, _grammar(())[0])
         sign = -1 if r.take("op", "+-") == "-" else 1
         if r.now[0] != "num":
-            r.fail(f"expected a number, found {r.now[1]!r}")
+            r.fail(f"expected a number, found {_quote(r.now[1])}")
         value = r.take("num") if integer else r.rational()
         if r.now[0] != "end":
-            r.fail(f"expected the end of the number, found {r.now[1]!r}")
+            r.fail(f"expected the end of the number, found {_quote(r.now[1])}")
     except PolyParseError as exc:
-        raise PolyParseError(f"{what} {text!r}: {exc.message}", exc.position) from None
+        raise PolyParseError(f"{what} {_quote(text)}: {exc.message}", exc.position) from None
     return _norm_coeff(sign * value)
 
 

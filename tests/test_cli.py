@@ -19,7 +19,7 @@ from tetraflows.cli import _parse_phi, main
 from tetraflows.generators import VanhaeckeSpec, build_bivector
 from tetraflows.graphflow import GraphParseError, balanced_flow, parse_kgraph
 from tetraflows.multivector import MultiVector
-from tetraflows.polyring import DIM_LIMIT, Context, PolyParseError, Polynomial
+from tetraflows.polyring import DIM_LIMIT, QUOTE_LIMIT, Context, PolyParseError, Polynomial
 
 from example4d import BRACKET_P0_P1, P0_UPPER, P2_RAW, ctx4, p0, parse4
 from helpers import _parse_phi as reference_parse_phi
@@ -320,6 +320,9 @@ def test_each_consumer_runs_one_jacobi_test(monkeypatch, capsys, consumer):
         {"dim": 3.7, "degree": 2, "components": {"1,2": "x1"}},
         {"dim": 3, "degree": 2.6, "components": {"1,2": "x1"}},
         {"dim": True, "degree": 2, "components": {"1,2": "x1"}},
+        {"dim": 3, "degree": 2, "components": {"1," + "1" * 5000: "x1"}},
+        {"dim": 3, "degree": 2, "components": {"1," + "0" * 5000 + "1000": "x1"}},
+        {"dim": 3, "degree": 2, "components": {"1,2," + "x" * 5000: "x1"}},
     ],
     ids=[
         "no-dim",
@@ -330,6 +333,9 @@ def test_each_consumer_runs_one_jacobi_test(monkeypatch, capsys, consumer):
         "fractional-dim",
         "fractional-degree",
         "boolean-dim",
+        "5000-digit-index",
+        "index-behind-5000-zeros",
+        "long-non-digit-key",
     ],
 )
 def test_malformed_bivector_document_is_a_one_line_usage_error(tmp_path, capsys, doc):
@@ -337,7 +343,7 @@ def test_malformed_bivector_document_is_a_one_line_usage_error(tmp_path, capsys,
     path.write_text(json.dumps(doc))
     code, out, err = run(capsys, "jacobi", str(path))
     assert code == 2 and out == ""
-    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1 and len(err) <= 200
 
 
 @pytest.mark.parametrize(
@@ -424,6 +430,19 @@ def test_component_key_digits_are_ascii_only(tmp_path, capsys):
     assert (code, out) == (2, "") and err.startswith(f"error: {path}: ") and err.count("\n") == 1
 
 
+def test_long_component_keys_are_quoted_by_their_first_characters(tmp_path, capsys):
+    # int() would refuse a 5,000-digit index with a message naming neither
+    # the key nor the file
+    key = "1," + "1" * 5000
+    path = tmp_path / "P.json"
+    path.write_text(json.dumps({"dim": 3, "degree": 2, "components": {key: "x1"}}))
+    want = f"error: {path}: component key {key[:QUOTE_LIMIT]!r}... (5002 characters) has an index above every dim (below {DIM_LIMIT})\n"
+    assert run(capsys, "jacobi", str(path)) == (2, "", want)
+    # leading zeros count towards no limit
+    doc = {"dim": 3, "degree": 2, "components": {"0" * 5000 + "1,02": "x1"}}
+    assert MultiVector.from_json_dict(doc).comps == {(1, 2): Polynomial.parse("x1", Context(3))}
+
+
 # -- numbers ------------------------------------------------------------------------
 # Every number given as text is read by the grammar's rational rule, an int
 # where one is needed: Fraction() and int() would also read "0.5", "1e3",
@@ -452,7 +471,10 @@ def test_phi_coefficients_in_the_rational_rule_load(tmp_path, capsys, coeff, val
     assert json.loads(out)["artifact"] == build_bivector(VanhaeckeSpec(2, [(2, 2, value)])).to_json_dict()
 
 
-@pytest.mark.parametrize("flag, text", [("--a", "0.5"), ("--a", "١"), ("--dim", "٣"), ("--d", "2_0")])
+@pytest.mark.parametrize(
+    "flag, text",
+    [("--a", "0.5"), ("--a", "١"), ("--dim", "٣"), ("--d", "2_0"), pytest.param("--dim", "3" + "x" * 5000, id="--dim-long")],
+)
 def test_number_flags_outside_the_rational_rule_are_one_line_errors(capsys, p0_file, flag, text):
     argv = {
         "--a": ["flow", p0_file, "--which", "balanced"],
@@ -461,13 +483,16 @@ def test_number_flags_outside_the_rational_rule_are_one_line_errors(capsys, p0_f
     }[flag]
     code, out, err = run(capsys, *argv, flag, text)
     assert (code, out) == (2, "")
-    assert err.startswith(f"error: {flag} {text!r}: ") and err.count("\n") == 1
+    # a long text is quoted by its first characters and its length
+    quoted = repr(text) if len(text) <= QUOTE_LIMIT else f"{text[:QUOTE_LIMIT]!r}... ({len(text)} characters)"
+    assert err.startswith(f"error: {flag} {quoted}: ") and err.count("\n") == 1 and len(err) <= 200
 
 
 # One digit more than int() converts from text (sys.get_int_max_str_digits).
 LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 LONG = "1" * (LIMIT + 1)
 TOO_LONG = f"number of {LIMIT + 1} digits is above the limit of {LIMIT} digits"
+QUOTED = f"{LONG[:QUOTE_LIMIT]!r}... ({LIMIT + 1} characters)"
 
 
 @pytest.mark.skipif(not LIMIT, reason="int() converts numbers of any length")
@@ -486,12 +511,13 @@ def test_numbers_longer_than_int_converts_are_one_line_errors(tmp_path, capsys, 
     path.write_text(json.dumps({"dim": 3, "degree": 2, "components": {"1,2": "x1^" + LONG}}))
     argv, want = {
         "--phi": (["gen", "--vanhaecke", "--d", "2", "--phi", "x^" + LONG], f"{TOO_LONG} (at position 2)"),
-        "--dim": (["gen", "--det", "--dim", LONG, "--arg", "x1"], f"--dim {LONG!r}: {TOO_LONG} (at position 0)"),
-        "--a": (["flow", p0_file, "--which", "balanced", "--a", LONG], f"--a {LONG!r}: {TOO_LONG} (at position 0)"),
+        "--dim": (["gen", "--det", "--dim", LONG, "--arg", "x1"], f"--dim {QUOTED}: {TOO_LONG} (at position 0)"),
+        "--a": (["flow", p0_file, "--which", "balanced", "--a", LONG], f"--a {QUOTED}: {TOO_LONG} (at position 0)"),
         "component": (["jacobi", str(path)], f"{path}: {TOO_LONG} (at position 3)"),
         "graph": (["graph", "eval", "1; (S1,S" + LONG + ")", p0_file], f"{TOO_LONG} (at position 8)"),
     }[source]
     assert run(capsys, *argv) == (2, "", f"error: {want}\n")
+    assert len(want) <= 200  # a flag's text is quoted by its first characters
     if source == "graph":
         with pytest.raises(GraphParseError, match=rf"^{TOO_LONG} \(at position 0\)$"):
             parse_kgraph(LONG + "; (S1,S2)")

@@ -795,6 +795,27 @@ def test_plan_is_built_once_per_graph():
     assert (after.hits, after.misses) == (before.hits + len(layouts), before.misses)
 
 
+def test_plan_caches_keep_their_most_recent_entries_only():
+    # Each graph's plan, orbit rules and layouts are kept for PLANS_KEPT
+    # graphs, not for every graph planned (about 2 KB each: enumerating
+    # the 20,412 four-vertex graphs with sinks S1, S2 would keep 41 MB).
+    kept = kgraph_module.PLANS_KEPT
+    tables = (kgraph_module._plan, kgraph_module._orbit_rules, kgraph_module._layout)
+    graphs = list(zip(range(kept + 10), _sinks_in_order(4)))
+    for _, graph in graphs:
+        _, steps, _, _ = kgraph_module._plan(graph)
+        kgraph_module._orbit_rules(graph, ())
+        for s in range(len(steps) - 1):
+            kgraph_module._layout(steps, graph.n_internal, s, ())
+    assert [table.cache_info()[2:] for table in tables] == [(kept, kept)] * 3  # (maxsize, currsize)
+    # the last graph's plan is kept, the first one's is planned again
+    before = kgraph_module._plan.cache_info()
+    kgraph_module._plan(graphs[-1][1])
+    kgraph_module._plan(graphs[0][1])
+    after = kgraph_module._plan.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses + 1)
+
+
 @contextmanager
 def _no_pruning(monkeypatch):
     """Graph sums made inside install no support test in any step."""

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import pickle
 import random
@@ -7,9 +8,12 @@ from itertools import combinations
 
 import pytest
 
+from tetraflows.analysis import CompatReport, RatioSolution, TableRowResult, TablesReport, builtin_rows, reproduce_tables
+from tetraflows.generators import DetSpec, VanhaeckeSpec, build_bivector
 from tetraflows.graphflow import (
     GAMMA1_GRAPH,
     GAMMA2_GRAPH,
+    KGraph,
     evaluate_kgraph,
     gamma1,
     gamma2,
@@ -356,6 +360,66 @@ def test_pickle_and_deepcopy_keep_results_immutable():
     assert p._tables
     for twin in [pickle.loads(pickle.dumps(p)), copy.deepcopy(p), copy.copy(p)]:
         assert twin == p and twin._tables == {}
+
+
+# The fields of the eight frozen records, as their dataclass declarations
+# had them (derived attributes excluded): the reference a frozen dataclass
+# of these fields gives for repr, hash and class patterns.
+RECORD_FIELDS = {
+    Context: ("dim", "has_epsilon"),
+    KGraph: ("n_internal", "edges"),
+    DetSpec: ("ctx", "args", "prefactor"),
+    VanhaeckeSpec: ("d", "phi"),
+    CompatReport: ("spec", "flags", "witnesses"),
+    RatioSolution: ("solution_dimension", "basis"),
+    TableRowResult: ("row_id", "table", "spec", "expected", "report"),
+    TablesReport: ("rows",),
+}
+
+
+def test_records_behave_as_frozen_dataclasses():
+    x1 = parse4("x1")
+    tables = reproduce_tables([row for row in builtin_rows() if row[0] == 10])
+    records = [
+        Context(3),
+        ctx4().with_epsilon(),
+        GAMMA1_GRAPH,
+        DetSpec(ctx4(), [x1, parse4("x2^2 - 1/3*x3")], x1),
+        DetSpec(Context(3), (Polynomial.parse("x3", Context(3)),)),
+        VanhaeckeSpec(2, [(3, 3, Fraction(1, 3)), (1, 0, 2)]),
+        tables.rows[0].report,
+        RatioSolution(1, ((1, 6),)),
+        tables.rows[0],
+        tables,
+    ]
+    assert {type(r) for r in records} == set(RECORD_FIELDS)
+    assert repr(Context(3)) == "Context(dim=3, has_epsilon=False)"
+    for record in records:
+        cls = type(record)
+        values = [getattr(record, name) for name in RECORD_FIELDS[cls]]
+        reference = dataclasses.make_dataclass(cls.__name__, RECORD_FIELDS[cls], frozen=True)(*values)
+        assert repr(record) == repr(reference) and cls.__match_args__ == type(reference).__match_args__
+        try:
+            expected_hash = hash(reference)
+        except TypeError:  # a field is unhashable: a Polynomial, a dict
+            with pytest.raises(TypeError):
+                hash(record)
+        else:
+            assert hash(record) == expected_hash
+        assert record == cls(*values) and record != reference and record != values
+        copies = [pickle.loads(pickle.dumps(record, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for twin in copies + [copy.deepcopy(record), copy.copy(record)]:
+            assert type(twin) is cls and twin == record and repr(twin) == repr(record)
+            for name in RECORD_FIELDS[cls] + ("other",):
+                with pytest.raises(AttributeError, match="immutable"):
+                    setattr(twin, name, None)
+            with pytest.raises(AttributeError, match="immutable"):
+                delattr(twin, RECORD_FIELDS[cls][0])
+    # derived attributes: rebuilt, neither compared nor shown
+    twin = pickle.loads(pickle.dumps(ctx4().with_epsilon()))
+    assert (twin.guard, twin.names) == (ctx4().with_epsilon().guard, ("x1", "x2", "x3", "x4", "eps"))
+    spec = copy.deepcopy(VanhaeckeSpec(2, [(2, 2, 1)]))
+    assert spec.ctx == ctx4() and all(p.ctx is spec.ctx for p in build_bivector(spec).comps.values())
 
 
 def test_flow_result_skew_recomputable_from_raw():
