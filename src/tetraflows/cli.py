@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from .analysis import (
@@ -118,6 +119,10 @@ def build_parser() -> argparse.ArgumentParser:
     graph.add_argument("bivector", metavar="P.json")
     graph.add_argument("--raw", action="store_true", help="also emit the raw matrix")
 
+    # argparse takes a token starting with '-' for an option unless it matches
+    # this pattern (-5, -.5); widened, any such token that is no option is a value.
+    for parser in (ap, *sub.choices.values()):
+        parser._negative_number_matcher = re.compile("-[^-]")
     return ap
 
 
@@ -181,9 +186,8 @@ def _load_mv(path: str) -> MultiVector:
 
 def _emit(args, doc: dict, text_lines: "list[str]") -> None:
     if args.output:
-        artifact = doc.get("artifact", doc)
         with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(artifact, fh, sort_keys=True, indent=2)
+            json.dump(doc["artifact"], fh, sort_keys=True, indent=2)
             fh.write("\n")
     if args.format == "json":
         print(json.dumps(doc, sort_keys=True, indent=2))

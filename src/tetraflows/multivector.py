@@ -25,6 +25,7 @@ from typing import Iterable, Mapping, Sequence
 
 from ._kgraph import graph_sum, parse_kgraph
 from .polyring import DIM_LIMIT, Context, ContextMismatchError, Polynomial, _norm_coeff, _quote, addto, finish
+from .polyring import _check_index, _Record
 
 __all__ = [
     "MultiVector",
@@ -45,7 +46,7 @@ def _json_field(doc: Mapping, key: str, kind: type, *default):
     return value
 
 
-class MultiVector:
+class MultiVector(_Record):
     """Degree-k (k = 2, 3) skew multi-vector with Polynomial components.
 
     ``_tables`` is the private store of a bi-vector's derivative tables,
@@ -55,7 +56,8 @@ class MultiVector:
     It is not compared; pickle, copy and the constructor start it empty.
     """
 
-    __slots__ = ("ctx", "degree", "comps", "_tables")
+    __match_args__ = ("ctx", "degree", "comps")
+    __slots__ = __match_args__ + ("_tables",)
 
     def __init__(self, ctx: Context, degree: int, comps: Mapping | None = None):
         if degree not in (2, 3):
@@ -75,17 +77,8 @@ class MultiVector:
                     raise ContextMismatchError("component from a different context")
                 if not poly.is_zero:
                     clean[idx] = poly
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "comps", clean)
+        self._init(ctx, degree, clean)
         object.__setattr__(self, "_tables", {})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MultiVector is immutable")
-
-    def __reduce__(self):
-        # pickle and copy rebuild through the constructor, not by setattr
-        return MultiVector, (self.ctx, self.degree, self.comps)
 
     @classmethod
     def zero(cls, ctx: Context, degree: int) -> "MultiVector":
@@ -99,12 +92,9 @@ class MultiVector:
         """Full-matrix reading of a bi-vector: P^{ij} for any i, j."""
         if self.degree != 2:
             raise ValueError("entry(i, j) applies to bi-vectors only")
-        if i == j:
-            return Polynomial.zero(self.ctx)
-        if i < j:
-            return self.comps.get((i, j), Polynomial.zero(self.ctx))
-        p = self.comps.get((j, i))
-        return -p if p is not None else Polynomial.zero(self.ctx)
+        _check_index(self.ctx, i, j, what="index")
+        p = self.comps.get((min(i, j), max(i, j)), Polynomial.zero(self.ctx))
+        return -p if i > j else p
 
     def scale(self, c) -> "MultiVector":
         return mv_linear_combination([(c, self)])
@@ -125,15 +115,6 @@ class MultiVector:
 
     def __neg__(self) -> "MultiVector":
         return self.scale(-1)
-
-    def __eq__(self, other):
-        if not isinstance(other, MultiVector):
-            return NotImplemented
-        return (
-            self.ctx == other.ctx
-            and self.degree == other.degree
-            and self.comps == other.comps
-        )
 
     def __repr__(self):
         if self.is_zero:
@@ -198,10 +179,10 @@ class MultiVector:
         return cls(ctx, degree, comps)
 
 
-class RawMatrix:
+class RawMatrix(_Record):
     """Full (not yet skew) n x n polynomial coefficient matrix."""
 
-    __slots__ = ("ctx", "entries")
+    __match_args__ = __slots__ = ("ctx", "entries")
 
     def __init__(self, ctx: Context, entries: Sequence[Sequence[Polynomial]]):
         n = ctx.dim
@@ -212,24 +193,12 @@ class RawMatrix:
             for p in row:
                 if p.ctx != ctx:
                     raise ContextMismatchError("matrix entry from a different context")
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "entries", tuple(tuple(row) for row in rows))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RawMatrix is immutable")
-
-    def __reduce__(self):
-        # pickle and copy rebuild through the constructor, not by setattr
-        return RawMatrix, (self.ctx, self.entries)
+        self._init(ctx, tuple(tuple(row) for row in rows))
 
     def entry(self, i: int, j: int) -> Polynomial:
         """1-based entry M^{ij}."""
+        _check_index(self.ctx, i, j, what="index")
         return self.entries[i - 1][j - 1]
-
-    def __eq__(self, other):
-        if not isinstance(other, RawMatrix):
-            return NotImplemented
-        return self.ctx == other.ctx and self.entries == other.entries
 
     def to_json_dict(self) -> dict:
         doc = {

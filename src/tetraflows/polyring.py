@@ -113,12 +113,14 @@ def _norm_coeff(c):
 
 
 class _Record:
-    """A frozen record in the idiom of :class:`Polynomial`: its fields are
-    the slots named in ``__match_args__`` (as a dataclass's are, so class
-    patterns match them by position), set once, by ``__init__``; equality,
-    hash and ``repr`` read them as those of a frozen dataclass would, and
-    pickle and copy rebuild the record through its constructor.  The
-    package imports no ``dataclasses``: every command is a fresh process,
+    """The base of every value type: its fields are the slots named in
+    ``__match_args__`` (as a dataclass's are, so class patterns match them
+    by position), set once by ``_init`` and never assigned or deleted;
+    equality, hash and ``repr`` are a frozen dataclass's, and pickle and
+    copy rebuild the value through its constructor.  ``Polynomial``,
+    ``Context`` and ``KGraph`` compare their fields directly: every
+    canonical-form comparison, context check and plan lookup runs them.
+    No module imports ``dataclasses``: every command is a fresh process,
     and that module with the ``inspect``, ``ast`` and ``dis`` it loads was
     more than half of its import."""
 
@@ -379,6 +381,13 @@ def addto(acc: dict, terms: Mapping, c=1) -> None:
             acc[m] = get(m, 0) + c * v
 
 
+def _check_index(ctx: Context, *indices: int, what: str = "variable index") -> None:
+    """Raise ``ValueError`` unless every index is in 1..ctx.dim."""
+    for i in indices:
+        if not 1 <= i <= ctx.dim:
+            raise ValueError(f"{what} {i} out of range 1..{ctx.dim}")
+
+
 def _check_guard(ctx: Context, monos) -> None:
     """Raise :class:`ExponentOverflowError` if a product set a guard bit in
     one of the packed monomials of the collection ``monos``."""
@@ -441,16 +450,15 @@ def _denominator_lcm(polys) -> int:
     return lcm(*(c.denominator for p in polys for c in p.terms.values()))
 
 
-class Polynomial:
+class Polynomial(_Record):
     """Immutable sparse polynomial in canonical form (no zero terms stored)."""
 
-    __slots__ = ("ctx", "terms")
+    __match_args__ = __slots__ = ("ctx", "terms")
 
     def __init__(self, ctx: Context, terms: Mapping[tuple, object] | None = None):
         """Build from a map of exponent tuples to rational coefficients."""
         acc = {ctx.pack(mono): _norm_coeff(c) for mono, c in (terms or {}).items()}
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "terms", finish(ctx, acc).terms)
+        self._init(ctx, finish(ctx, acc).terms)
 
     @staticmethod
     def _raw(ctx: Context, terms: dict) -> "Polynomial":
@@ -460,11 +468,8 @@ class Polynomial:
         object.__setattr__(p, "terms", terms)
         return p
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
-
     def __reduce__(self):
-        # pickle and copy rebuild through the constructor, not by setattr
+        # the constructor takes exponent tuples, the terms are packed
         return Polynomial._raw, (self.ctx, self.terms)
 
     # -- constructors ------------------------------------------------------
@@ -484,8 +489,7 @@ class Polynomial:
     @classmethod
     def variable(cls, ctx: Context, i: int) -> "Polynomial":
         """The coordinate polynomial x_i (1-based, 1 <= i <= dim)."""
-        if not 1 <= i <= ctx.dim:
-            raise ValueError(f"variable index {i} out of range 1..{ctx.dim}")
+        _check_index(ctx, i)
         return cls._raw(ctx, {1 << ctx.slot_shift(i - 1): 1})
 
     @classmethod
@@ -511,10 +515,11 @@ class Polynomial:
         packed = b"".join(map(int.to_bytes, self.terms, repeat(fields.size), repeat("big")))
         return zip(fields.iter_unpack(packed), self.terms.values())
 
+    # Every canonical-form comparison runs this: the fields directly, not _values().
     def __eq__(self, other):
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self.ctx == other.ctx and self.terms == other.terms
+        if other.__class__ is self.__class__:
+            return self.ctx == other.ctx and self.terms == other.terms
+        return NotImplemented
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -570,8 +575,7 @@ class Polynomial:
 
     def diff(self, i: int) -> "Polynomial":
         """Partial derivative with respect to x_i (1-based, 1 <= i <= dim)."""
-        if not 1 <= i <= self.ctx.dim:
-            raise ValueError(f"variable index {i} out of range 1..{self.ctx.dim}")
+        _check_index(self.ctx, i)
         return finish(self.ctx, _diff(self.terms, self.ctx.slot_shift(i - 1)))
 
     # -- eps handling ------------------------------------------------------

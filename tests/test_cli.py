@@ -524,11 +524,33 @@ def test_numbers_longer_than_int_converts_are_one_line_errors(tmp_path, capsys, 
 
 
 def test_flow_weights_are_read_as_rationals(capsys, p0_file):
-    # "--a -5/3" would be taken for an option by argparse (only "-5" or "-.5"
-    # read as negative numbers), here as at the parent: "--a=-5/3" passes it
     code, out, err = run(capsys, "flow", p0_file, "--which", "balanced", "--a=-5/3", "--format", "json")
     assert (code, err) == (0, "")
     assert json.loads(out)["artifact"] == balanced_flow(p0(), Fraction(-5, 3), 6).to_json_dict()
+
+
+@pytest.mark.parametrize(
+    "argv, flag, value",
+    [
+        (["flow", "P0", "--which", "balanced"], "--a", "-5/3"),
+        (["flow", "P0", "--which", "balanced"], "--b", "-1/2"),
+        (["gen", "--vanhaecke", "--d", "2"], "--phi", "-x^2*y"),
+        (["gen", "--det", "--dim", "3"], "--arg", "-x1*x2"),
+        (["gen", "--det", "--dim", "3", "--arg", "x3"], "--prefactor", "-x1"),
+    ],
+)
+def test_flag_values_that_start_with_a_minus_read_as_with_an_equals_sign(capsys, p0_file, argv, flag, value):
+    # argparse reads only "-5" or "-.5" after a flag as a value on its own
+    argv = [p0_file if a == "P0" else a for a in argv]
+    separate = run(capsys, *argv, flag, value, "--format", "json")
+    assert separate == run(capsys, *argv, f"{flag}={value}", "--format", "json")
+    assert separate[0] in (0, 1) and separate[1].startswith("{")
+    # a flag last on the line or followed by an option, -h too, has no value
+    for rest in ([], ["--format", "json"], ["-h"]):
+        code, out, err = run(capsys, *argv, flag, *rest)
+        assert (code, out) == (2, "") and err.endswith(f"error: argument {flag}: expected one argument\n")
+    code, out, _ = run(capsys, *argv[:1], "-h")  # -h stays help
+    assert code == 0 and out.startswith(f"usage: tetraflows {argv[0]}")
 
 
 @pytest.mark.parametrize(

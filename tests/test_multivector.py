@@ -77,6 +77,14 @@ def test_full_matrix_reading():
     assert mv.entry(2, 1) == parse4("-x3")
     assert mv.entry(1, 1).is_zero
     assert mv.entry(3, 4).is_zero
+    raw = RawMatrix(CTX3, [[Polynomial.constant(CTX3, 3 * i + j) for j in range(3)] for i in range(3)])
+    assert raw.entry(3, 3) == Polynomial.constant(CTX3, 8) and raw.entry(1, 2) == Polynomial.one(CTX3)
+    # 1-based indices in 1..dim only: no negative indexing, no zero read past the matrix
+    for matrix, (i, j), bad in [
+        (raw, (0, 0), 0), (raw, (4, 1), 4), (raw, (1, -1), -1), (mv, (0, 5), 0), (mv, (2, 5), 5), (mv, (-1, -1), -1)
+    ]:
+        with pytest.raises(ValueError, match=rf"^index {bad} out of range 1\.\.{matrix.ctx.dim}$"):
+            matrix.entry(i, j)
 
 
 # -- Schouten bracket -------------------------------------------------------
@@ -346,14 +354,24 @@ def test_json_roundtrip_trivector_and_epsilon():
 def test_pickle_and_deepcopy_keep_results_immutable():
     eps_ctx = ctx4().with_epsilon()
     tri = schouten(p0(), gamma1(p0()).skew)
-    results = [p0(), tri, p0().lift(eps_ctx), MultiVector.zero(ctx4(), 3), gamma2(p0()).raw]
+    poly = parse4("x1^2*x4 - 1/3*x2").lift(eps_ctx) * Polynomial.epsilon(eps_ctx)
+    results = [poly, p0(), tri, p0().lift(eps_ctx), MultiVector.zero(ctx4(), 3), gamma2(p0()).raw]
+    fields = {Polynomial: ("ctx", "terms"), MultiVector: ("ctx", "degree", "comps"), RawMatrix: ("ctx", "entries")}
+    assert {type(obj) for obj in results} == set(fields)
     for obj in results:
+        with pytest.raises(TypeError):
+            hash(obj)
         copies = [pickle.loads(pickle.dumps(obj, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
-        for twin in copies + [copy.deepcopy(obj)]:
-            assert type(twin) is type(obj) and twin == obj and twin.to_json_dict() == obj.to_json_dict()
+        for twin in copies + [copy.deepcopy(obj), copy.copy(obj)]:
+            assert type(twin) is type(obj) and twin == obj and repr(twin) == repr(obj)
+            if not isinstance(obj, Polynomial):
+                assert twin.to_json_dict() == obj.to_json_dict()
             with pytest.raises(AttributeError, match="immutable"):
                 twin.ctx = eps_ctx
-    assert isinstance(results[-1], RawMatrix)
+            for name in fields[type(obj)]:
+                with pytest.raises(AttributeError, match="immutable"):
+                    delattr(twin, name)
+                getattr(twin, name)
     # A bi-vector's store of derivative tables is neither compared nor copied.
     p = p0()
     gamma2(p).raw
@@ -413,8 +431,9 @@ def test_records_behave_as_frozen_dataclasses():
             for name in RECORD_FIELDS[cls] + ("other",):
                 with pytest.raises(AttributeError, match="immutable"):
                     setattr(twin, name, None)
-            with pytest.raises(AttributeError, match="immutable"):
-                delattr(twin, RECORD_FIELDS[cls][0])
+            for name in RECORD_FIELDS[cls]:
+                with pytest.raises(AttributeError, match="immutable"):
+                    delattr(twin, name)
     # derived attributes: rebuilt, neither compared nor shown
     twin = pickle.loads(pickle.dumps(ctx4().with_epsilon()))
     assert (twin.guard, twin.names) == (ctx4().with_epsilon().guard, ("x1", "x2", "x3", "x4", "eps"))
